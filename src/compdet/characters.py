@@ -19,7 +19,7 @@ from math import comb
 from .combin import binom_nonneg, compositions, iota, partitions_in_box, subsets_lex
 from .errors import DomainError, ParameterError, UsageError
 from .laurent import LaurentPoly, pow_stored
-from .pmatrix import PolyMatrix, det_auto, det_fractions
+from .pmatrix import PolyMatrix, det, det_fractions
 from .report import VerifyReport, canonical_hash, hash_parts
 from .sampling import (
     MAX_RETRIES,
@@ -153,8 +153,8 @@ def character(family, lam, var_indices=None, num_vars=None):
     lam = _padded_partition(lam, n)
     delta = family_shift(family, n)
     alpha_num = tuple(lam[j] + delta[j] for j in range(n))
-    numerator = det_auto(char_matrix(family, alpha_num, var_indices, num_vars))
-    denominator = det_auto(char_matrix(family, delta, var_indices, num_vars))
+    numerator = det(char_matrix(family, alpha_num, var_indices, num_vars))
+    denominator = det(char_matrix(family, delta, var_indices, num_vars))
     if family == EVEN_ORTH and lam[n - 1] != 0:
         numerator = numerator * 2
     return numerator.exquo(denominator)
@@ -222,7 +222,7 @@ def verify_denominators(n):
     rhs_parts = []
     for family in FAMILIES:
         delta = family_shift(family, n)
-        lhs = det_auto(char_matrix(family, delta, indices, n))
+        lhs = det(char_matrix(family, delta, indices, n))
         rhs = rhs_by_family[family]
         detail[family] = lhs == rhs
         lhs_parts.append(lhs.canonical())

@@ -175,8 +175,12 @@ def run_verify(args):
     else:
         text = "\n\n".join(r.to_text() for r in reports)
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text + "\n")
+        try:
+            with open(args.out, "w", encoding="utf-8") as fh:
+                fh.write(text + "\n")
+        except OSError as exc:
+            reason = exc.strerror or exc
+            raise UsageError(f"cannot write --out {args.out}: {reason}") from exc
     else:
         print(text)
     return 0 if all(r.equal for r in reports) else 1

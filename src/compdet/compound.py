@@ -29,13 +29,7 @@ from .combin import (
 )
 from .errors import CapabilityError, UsageError
 from .laurent import LaurentPoly
-from .pmatrix import (
-    PolyMatrix,
-    det_cofactor,
-    det_fraction_free,
-    det_minor_expansion,
-    minor,
-)
+from .pmatrix import PolyMatrix, det, minor
 from .report import VerifyReport, canonical_hash, hash_parts
 from .sampling import SplitMix64
 
@@ -88,26 +82,8 @@ def _random_matrix(nrows, ncols, rng):
     return PolyMatrix(rows)
 
 
-def det_exact(m):
-    """Determinant strategy used throughout: cofactor for tiny matrices,
-    fraction-free for constants, division-free minor expansion for symbolic
-    entries (elimination blows up on sparse many-variable entries)."""
-    if m.nrows <= 4:
-        return det_cofactor(m, bound=4)
-    if m.num_vars == 0:
-        return det_fraction_free(m)
-    return det_minor_expansion(m)
-
-
-def det_compound(m):
-    """Determinant of the assembled compound matrix itself."""
-    if m.num_vars == 0:
-        return det_fraction_free(m)
-    return det_minor_expansion(m)
-
-
 def _minor_det(A, rowset, colset):
-    return det_exact(minor(A, rowset, colset))
+    return det(minor(A, rowset, colset))
 
 
 def _maximal_minor(A, colset):
@@ -279,7 +255,7 @@ def verify_gram_structure(spec, k0=None, partner_map=None):
             det_equal = True
             method = "unique-support-permutation"
         else:
-            lhs_det = det_compound(T)
+            lhs_det = det(T)
             rhs_det = LaurentPoly.const(nv, diag_sign)
             for i, mu in enumerate(spec.col_comps):
                 cols = tuple(sorted(set(iota(mu, spec.n)) | set(partner_map[mu])))
@@ -333,6 +309,8 @@ def check_symbolic_envelope(s, n):
 
 
 def _spec_for_mode(s, n, mode, seed):
+    if s < 1 or n < 1:
+        raise UsageError("s and n must be positive")
     if mode == "symbolic":
         check_symbolic_envelope(s, n)
         return CompoundSpec.symbolic(s, n)
@@ -347,7 +325,7 @@ def verify_main(s, n, mode="symbolic", seed=None):
     t0 = time.perf_counter()
     spec = _spec_for_mode(s, n, mode, seed)
     M = build_M(spec)
-    lhs = det_compound(M)
+    lhs = det(M)
     rhs = LaurentPoly.const(spec.A.num_vars, 1)
     rhs_sets = [iota(nu, n) for nu in compositions_positive(s, s + n - 1)]
     for cols in rhs_sets:
@@ -390,8 +368,8 @@ def verify_sylvester(s, n, mode="symbolic", seed=None):
     comp = PolyMatrix(
         [[_minor_det(A, I, J) for J in subsets] for I in subsets]
     )
-    lhs = det_compound(comp)
-    rhs = det_exact(A) ** comb(s - 1, n - 1)
+    lhs = det(comp)
+    rhs = det(A) ** comb(s - 1, n - 1)
     equal = lhs == rhs
     return VerifyReport(
         identity="sylvester",
@@ -444,7 +422,7 @@ def verify_leading_term(s, n):
         rows.append(row)
     spec = CompoundSpec(s, n, PolyMatrix(rows))
     M = build_M(spec)
-    d = det_compound(M)
+    d = det(M)
     expected_exps = [0] * nv
     for k in range(1, s + 1):
         for j in range(1, n + 1):

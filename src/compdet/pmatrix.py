@@ -1,17 +1,19 @@
 """Dense matrices over the Laurent polynomial ring, and exact determinants.
 
-Three determinant routines with different roles:
+`det` is the determinant every verifier calls:
 
-* det_cofactor: recursive cofactor expansion.  Deliberately naive; it is the
-  oracle the other two are tested against, and it refuses matrices larger
-  than a configurable bound (COMPOUND_DET_ORACLE_BOUND, default 6).
-* det_fraction_free: Bareiss-style fraction-free elimination.  Pivot choice
-  is the first row with a nonzero entry in column order, so results are
-  deterministic; every division is exact by construction.
-* det_minor_expansion: division-free dynamic programming over column
-  subsets, expanding row by row.  Preferred for symbolic matrices whose
-  entries are small polynomials in many variables, where elimination
-  products blow up.
+* constants (a 0-variable ring) go to det_fractions, integer Bareiss
+  elimination (Bareiss 1968): each row is cleared of denominators by its
+  lcm, every division is an exact int division, and the row scales are
+  divided out once at the end;
+* symbolic matrices go to det_minor_expansion, division-free dynamic
+  programming over column subsets, which suits small polynomial entries in
+  many variables, where elimination products blow up.
+
+det_cofactor (naive cofactor expansion, capped by COMPOUND_DET_ORACLE_BOUND,
+default 6) and det_fraction_free (polynomial Bareiss with exact
+LaurentPoly.exquo steps) are library functions and test cross-checks only.
+Both eliminations pivot on the first row with a nonzero entry in the column.
 
 Row/column index sets at the public surface are 1-based sorted tuples, the
 same convention the combinatorial maps use.
@@ -20,6 +22,7 @@ same convention the combinatorial maps use.
 import os
 from fractions import Fraction
 from itertools import combinations
+from math import lcm
 
 from ._backend import muladd_terms
 from .errors import CapabilityError, UsageError
@@ -227,40 +230,47 @@ def det_minor_expansion(m):
     return prev[tuple(range(n))]
 
 
-def det_auto(m):
-    """Determinant with a sensible default strategy: cofactor for tiny
-    matrices, fraction-free for constants, division-free minor expansion
-    for larger symbolic matrices."""
-    if m.nrows <= 4:
-        return det_cofactor(m, bound=4)
-    if m.num_vars == 0:
-        return det_fraction_free(m)
-    return det_minor_expansion(m)
-
-
 def det_fractions(rows):
-    """Determinant of a plain nested list of Fractions (Bareiss, exact)."""
+    """Determinant of a square nested list of rationals, as a Fraction:
+    integer Bareiss on the rows cleared of denominators, over the product
+    of the row scales."""
     n = len(rows)
     if any(len(r) != n for r in rows):
         raise UsageError("determinant of a non-square matrix")
     if n == 0:
         return Fraction(1)
-    work = [[Fraction(v) for v in row] for row in rows]
+    work = []
+    scale = 1
+    for row in rows:
+        row = [Fraction(v) for v in row]
+        row_scale = lcm(*(v.denominator for v in row))
+        work.append([v.numerator * (row_scale // v.denominator) for v in row])
+        scale *= row_scale
     sign = 1
-    prev = Fraction(1)
-    for k in range(n - 1):
-        if work[k][k] == 0:
-            for r in range(k + 1, n):
-                if work[r][k] != 0:
-                    work[k], work[r] = work[r], work[k]
-                    sign = -sign
-                    break
-            else:
-                return Fraction(0)
-        pivot = work[k][k]
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                work[i][j] = (pivot * work[i][j] - work[i][k] * work[k][j]) / prev
-            work[i][k] = Fraction(0)
+    prev = 1
+    # each step eliminates the leading column of the shrinking working block
+    while len(work) > 1:
+        r = next((r for r, row in enumerate(work) if row[0]), None)
+        if r is None:
+            return Fraction(0)
+        if r:
+            work[0], work[r] = work[r], work[0]
+            sign = -sign
+        top = work.pop(0)
+        pivot = top[0]
+        rest = top[1:]
+        for i, row in enumerate(work):
+            a = row[0]
+            work[i] = [(pivot * x - a * y) // prev for x, y in zip(row[1:], rest)]
         prev = pivot
-    return sign * work[n - 1][n - 1]
+    return Fraction(sign * work[0][0], scale)
+
+
+def det(m):
+    """Exact determinant of a square PolyMatrix: integer Bareiss on the
+    constants of a 0-variable matrix, minor expansion otherwise."""
+    _require_square(m)
+    if m.num_vars == 0:
+        value = det_fractions([[e.constant_term() for e in row] for row in m._rows])
+        return LaurentPoly.const(0, value)
+    return det_minor_expansion(m)

@@ -36,7 +36,6 @@ from compdet.combin import (
 )
 from compdet.compound import (
     CompoundSpec,
-    det_exact,
     laplace_pair,
     vec_V,
     vec_Vbar,
@@ -54,6 +53,7 @@ from compdet.macdonald import (
 )
 from compdet.pmatrix import (
     PolyMatrix,
+    det,
     det_cofactor,
     det_fraction_free,
     det_fractions,
@@ -296,7 +296,7 @@ def _laplace_exhaustive():
                     return False
             else:
                 union = tuple(sorted(set(J) | set(K)))
-                want = det_exact(minor(spec.A, full, union))
+                want = det(minor(spec.A, full, union))
                 if got != (want if sign == 1 else want * -1):
                     return False
     return True

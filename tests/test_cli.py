@@ -234,3 +234,29 @@ def test_module_entry_point():
     )
     assert proc.returncode == 0
     assert proc.stdout.splitlines() == ["(2,1)", "(1,2)"]
+
+
+def test_verify_out_into_missing_directory(tmp_path, capsys):
+    target = tmp_path / "missing" / "report.json"
+    code, out, err = run_cli(
+        capsys, ["verify", "main", "--s", "2", "--n", "2", "--out", str(target)]
+    )
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and str(target) in err
+    assert len(err.strip().splitlines()) == 1
+    assert "Traceback" not in err
+    assert not target.exists()
+
+
+@pytest.mark.parametrize("identity", ["main", "gram"])
+@pytest.mark.parametrize("mode", ["symbolic", "numeric"])
+@pytest.mark.parametrize("s, n", [(0, 2), (2, 0), (-1, 3), (3, -2)])
+def test_verify_rejects_nonpositive_sizes(capsys, identity, mode, s, n):
+    code, out, err = run_cli(
+        capsys,
+        ["verify", identity, "--s", str(s), "--n", str(n), "--mode", mode],
+    )
+    assert code == 2
+    assert out == ""
+    assert err == "error: s and n must be positive\n"

@@ -19,8 +19,6 @@ from compdet.compound import (
     build_M,
     check_degree_balance,
     check_symbolic_envelope,
-    det_compound,
-    det_exact,
     laplace_pair,
     vec_V,
     vec_Vbar,
@@ -30,7 +28,7 @@ from compdet.compound import (
     verify_sylvester,
 )
 from compdet.errors import CapabilityError, UsageError
-from compdet.pmatrix import PolyMatrix, minor
+from compdet.pmatrix import PolyMatrix, det, minor
 from compdet.sampling import SplitMix64
 
 
@@ -39,7 +37,7 @@ def full_rows(spec):
 
 
 def maximal_minor(spec, cols):
-    return det_exact(minor(spec.A, full_rows(spec), cols))
+    return det(minor(spec.A, full_rows(spec), cols))
 
 
 def test_spec_shape_validation():
@@ -66,7 +64,7 @@ def test_complementary_vector_sign_sequence():
     signs = []
     for I, entry in zip(spec.row_sets, vec_Vbar(spec, K)):
         comp = tuple(sorted(set(range(1, 5)) - set(I)))
-        d = det_exact(minor(spec.A, comp, K))
+        d = det(minor(spec.A, comp, K))
         if entry == d:
             signs.append(1)
         elif entry == -d:
@@ -221,11 +219,11 @@ def test_symbolic_envelope_gate():
 def test_column_swap_flips_compound_determinant():
     spec = CompoundSpec.symbolic(2, 2)
     m = build_M(spec)
-    d = det_compound(m)
+    d = det(m)
     swapped = PolyMatrix(
         [[m.at(i, [1, 0, 2][j]) for j in range(3)] for i in range(3)]
     )
-    assert det_compound(swapped) == -d
+    assert det(swapped) == -d
 
 
 def test_gram_colored_worked_example():

@@ -1,21 +1,25 @@
 """Polynomial matrices and the determinant algorithm family.
 
-The three in-package algorithms (cofactor recursion, fraction-free
-elimination, division-free minor expansion) are cross-checked against a
-permutation-sum oracle on random rational matrices and on small symbolic
-ones.
+The in-package algorithms (cofactor recursion, polynomial fraction-free
+elimination, division-free minor expansion, integer Bareiss on rationals)
+are cross-checked against a permutation-sum oracle on random rational
+matrices and on small symbolic ones.  `det` must agree with det_fractions
+on constants, and no verifier may reach the test-only routines.
 """
 
+import json
+import sys
 from fractions import Fraction
 
 import pytest
 from oracles import leibniz_det
 
+from compdet import cli
 from compdet.errors import CapabilityError, UsageError
 from compdet.laurent import LaurentPoly
 from compdet.pmatrix import (
     PolyMatrix,
-    det_auto,
+    det,
     det_cofactor,
     det_fraction_free,
     det_fractions,
@@ -61,7 +65,7 @@ def test_determinant_algorithms_agree_symbolically():
     assert det_cofactor(m) == reference
     assert det_fraction_free(m) == reference
     assert det_minor_expansion(m) == reference
-    assert det_auto(m) == reference
+    assert det(m) == reference
 
 
 def test_singular_and_structured_matrices():
@@ -124,3 +128,92 @@ def test_eval_commutes_with_determinant():
     d = det_minor_expansion(m)
     evaluated = det_fractions(m.eval(point))
     assert d.eval(point) == evaluated
+
+
+def test_det_fractions_matches_leibniz_at_sizes_zero_and_one():
+    assert det_fractions([]) == 1  # the empty product; no permutation to sum
+    for value in (Fraction(-7, 3), Fraction(0), 5):
+        assert det_fractions([[value]]) == leibniz_det([[Fraction(value)]])
+        assert isinstance(det_fractions([[value]]), Fraction)
+
+
+def test_det_fractions_pivot_swap_and_zero_column():
+    swap = [[0, 2, 1], [3, 1, 4], [1, 5, 9]]
+    assert det_fractions(swap) == leibniz_det(swap)
+    # zero leading pivot in the second elimination step as well
+    deep = [[1, 2, 3, 4], [2, 4, 7, 1], [0, 0, 5, 6], [3, 7, 1, 1]]
+    assert det_fractions(deep) == leibniz_det(deep)
+    zero_column = [[1, 0, 3], [4, 0, 6], [7, 0, 9]]
+    assert det_fractions(zero_column) == 0
+    # a column that only vanishes after elimination
+    late_zero = [[1, 2, 3], [2, 4, 5], [3, 6, 7]]
+    assert det_fractions(late_zero) == 0 == leibniz_det(late_zero)
+
+
+def test_det_fractions_input_types_and_signs():
+    ints = [[-3, 1, 4], [1, -5, 9], [2, 6, -5]]
+    assert det_fractions(ints) == leibniz_det(ints)
+    mixed = [
+        [Fraction(-1, 2), 3, Fraction(5, 7)],
+        [4, Fraction(-2, 9), -1],
+        [0, 1, Fraction(3, 4)],
+    ]
+    as_fractions = [[Fraction(v) for v in row] for row in mixed]
+    assert det_fractions(mixed) == leibniz_det(as_fractions)
+    negated = [[-v for v in row] for row in mixed]
+    assert det_fractions(negated) == -det_fractions(mixed)
+
+
+def test_det_fractions_coprime_large_denominators():
+    primes = [2**61 - 1, 2**31 - 1, 10**9 + 7, 998244353, 2**89 - 1, 10**9 + 9]
+    rng = SplitMix64(11)
+    size = 3
+    rows = [
+        [
+            Fraction(rng.next_below(1 << 40) - (1 << 39), primes[(i + j) % len(primes)])
+            for j in range(size)
+        ]
+        for i in range(size)
+    ]
+    assert det_fractions(rows) == leibniz_det(rows)
+
+
+def test_det_dispatches_constants_to_det_fractions():
+    rng = SplitMix64(5)
+    for size in (1, 2, 5):
+        m = random_constant_matrix(size, rng)
+        plain = det_fractions(
+            [[m.at(i, j).constant_term() for j in range(size)] for i in range(size)]
+        )
+        assert det(m) == LaurentPoly.const(0, plain)
+    with pytest.raises(UsageError):
+        det(PolyMatrix.symbolic(2, 3))
+
+
+def test_cli_paths_avoid_the_oracles_and_polynomial_division(monkeypatch, capsys):
+    def refuse(*args, **kwargs):
+        raise AssertionError("verifier reached a test-only determinant path")
+
+    # replace each function wherever a compdet module binds it
+    for modname, mod in list(sys.modules.items()):
+        if not modname.startswith("compdet"):
+            continue
+        for attr, value in list(vars(mod).items()):
+            if value is det_cofactor or value is det_fraction_free:
+                monkeypatch.setattr(mod, attr, refuse)
+    monkeypatch.setattr(LaurentPoly, "exquo", refuse)
+    checks = (
+        ["main", "--mode", "numeric", "--s", "3", "--n", "3"],
+        ["gram", "--mode", "numeric", "--s", "3", "--n", "2"],
+        ["sylvester", "--mode", "numeric", "--s", "5", "--n", "2"],
+        ["main", "--s", "2", "--n", "2"],
+        ["denominators", "--n", "3"],
+        ["schur-det", "--family", "sp", "--s", "2", "--n", "2"],
+        ["prop12", "--family", "gl", "--s", "4", "--n", "2"],
+        ["macdonald", "--s", "2", "--n", "1"],
+    )
+    for argv in checks:
+        code = cli.main(["verify", *argv])
+        out = capsys.readouterr().out
+        assert code == 0, argv
+        assert json.loads(out)["equal"] is True
