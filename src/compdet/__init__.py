@@ -4,8 +4,7 @@ The package builds compound matrices over an exact Laurent-polynomial
 ring, verifies their determinant factorizations symbolically at small
 sizes and by exact rational sampling at larger ones, and extends the same
 machinery to classical-group characters and two-parameter symmetric
-functions.  A compiled term kernel is used when available, with a pure
-Python fallback selected at import time.
+functions.  It is pure Python with no dependencies.
 """
 
 from ._backend import BACKEND

@@ -184,11 +184,6 @@ def format_subset(idx):
     return "{" + ",".join(str(v) for v in idx) + "}"
 
 
-def format_partition(lam):
-    """Text form "(2,1)"; the empty partition prints as "()"."""
-    return "(" + ",".join(str(v) for v in lam) + ")"
-
-
 def partitions_of(weight, max_parts=None, max_part=None):
     """All partitions of the given weight as non-increasing tuples (no zero
     padding), descending lex order: (weight,) first, all-ones last."""

@@ -16,8 +16,7 @@ non-negative fields, with variable 1 in the most significant field.  Packing
 this way makes monomial multiplication a single integer addition and makes
 integer comparison of keys agree with lexicographic comparison of exponent
 vectors (x1 before x2 before ...), which is what leading-term extraction
-needs.  The term-merging inner loops live in compdet._backend (compiled
-kernel when available, pure Python otherwise).
+needs.  The term-merging inner loops live in compdet._backend.
 """
 
 from fractions import Fraction

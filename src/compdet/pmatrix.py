@@ -10,16 +10,16 @@
   programming over column subsets, which suits small polynomial entries in
   many variables, where elimination products blow up.
 
-det_cofactor (naive cofactor expansion, capped by COMPOUND_DET_ORACLE_BOUND,
-default 6) and det_fraction_free (polynomial Bareiss with exact
-LaurentPoly.exquo steps) are library functions and test cross-checks only.
-Both eliminations pivot on the first row with a nonzero entry in the column.
+det_cofactor (naive cofactor expansion, capped at size ORACLE_BOUND_DEFAULT
+unless the caller passes another bound) and det_fraction_free (polynomial
+Bareiss with exact LaurentPoly.exquo steps) are library functions and test
+cross-checks only.  Both eliminations pivot on the first row with a nonzero
+entry in the column.
 
 Row/column index sets at the public surface are 1-based sorted tuples, the
 same convention the combinatorial maps use.
 """
 
-import os
 from fractions import Fraction
 from itertools import combinations
 from math import lcm
@@ -28,7 +28,6 @@ from ._backend import muladd_terms
 from .errors import CapabilityError, UsageError
 from .laurent import LaurentPoly, unit_key
 
-ORACLE_BOUND_ENV = "COMPOUND_DET_ORACLE_BOUND"
 ORACLE_BOUND_DEFAULT = 6
 
 
@@ -142,15 +141,13 @@ def _require_square(m):
         raise UsageError("determinant of a non-square matrix")
 
 
-def det_cofactor(m, bound=None):
+def det_cofactor(m, bound=ORACLE_BOUND_DEFAULT):
     """Oracle determinant by cofactor expansion along the first row.
 
-    Guarded by a size bound so nobody leans on it for real work; override
-    with the COMPOUND_DET_ORACLE_BOUND environment variable.
+    Refuses matrices larger than ``bound`` so nobody leans on it for real
+    work.
     """
     _require_square(m)
-    if bound is None:
-        bound = int(os.environ.get(ORACLE_BOUND_ENV, ORACLE_BOUND_DEFAULT))
     if m.nrows > bound:
         raise CapabilityError(
             f"cofactor oracle limited to size {bound} (got {m.nrows})"

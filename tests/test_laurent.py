@@ -6,8 +6,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from compdet._backend import add_terms, mul_terms, muladd_terms
 from compdet.errors import DomainError, InexactDivisionError, UsageError
-from compdet.laurent import LaurentPoly, pow_stored, sqrt_fraction
+from compdet.laurent import (
+    LaurentPoly,
+    pack_exponents,
+    pow_stored,
+    sqrt_fraction,
+    unit_key,
+    unpack_key,
+)
 
 
 def poly3(mapping):
@@ -158,3 +166,97 @@ def test_exquo_with_laurent_operands():
     f = (x - xinv) * (y + 1)
     assert f.exquo(x - xinv) == y + 1
     assert f.exquo(y + 1) == x - xinv
+
+
+# The term kernel, called directly on packed term dicts in two variables.
+UNIT2 = unit_key(2)
+
+
+def terms2(mapping):
+    return {pack_exponents(e): c for e, c in mapping.items()}
+
+
+def test_kernel_cancellation_removes_keys():
+    acc = terms2({(2, 0): 3, (0, 2): 1})
+    add_terms(acc, terms2({(2, 0): 1}), -3)
+    assert acc == terms2({(0, 2): 1})
+    # (x + y)(x - y): the two x*y products cancel inside one call
+    plus = terms2({(2, 0): 1, (0, 2): 1})
+    minus = terms2({(2, 0): 1, (0, 2): -1})
+    prod = mul_terms(plus, minus, UNIT2)
+    assert prod == terms2({(4, 0): 1, (0, 4): -1})
+    # a product that cancels what the accumulator already holds
+    acc = terms2({(2, 2): 6, (0, 0): 1})
+    muladd_terms(acc, terms2({(2, 0): 2}), terms2({(0, 2): 3}), UNIT2, -1)
+    assert acc == terms2({(0, 0): 1})
+    assert all(acc.values()) and all(prod.values())
+
+
+def test_kernel_zero_coeff_and_empty_operand_leave_acc_unchanged():
+    a = terms2({(2, 0): 1, (0, -2): Fraction(1, 2)})
+    b = terms2({(1, 1): -4})
+    acc = terms2({(0, 0): 7})
+    before = dict(acc)
+    add_terms(acc, a, 0)
+    add_terms(acc, {}, 5)
+    muladd_terms(acc, a, b, UNIT2, 0)
+    muladd_terms(acc, {}, b, UNIT2, 3)
+    muladd_terms(acc, a, {}, UNIT2, 3)
+    assert acc == before
+    assert mul_terms(a, {}, UNIT2) == {} and mul_terms({}, b, UNIT2) == {}
+
+
+def test_kernel_result_independent_of_operand_order():
+    long = terms2({(2, 0): 1, (0, 2): -2, (-2, 4): 3})
+    short = terms2({(1, -1): 5})
+    expected = terms2({(3, -1): 5, (1, 1): -10, (-1, 3): 15})
+    assert mul_terms(long, short, UNIT2) == mul_terms(short, long, UNIT2) == expected
+    left, right = terms2({(0, 0): 1}), terms2({(0, 0): 1})
+    muladd_terms(left, long, short, UNIT2, -2)
+    muladd_terms(right, short, long, UNIT2, -2)
+    assert left == right
+
+
+def test_kernel_mixes_int_and_fraction_coefficients():
+    acc = terms2({(0, 0): 1, (2, 0): Fraction(1, 3)})
+    add_terms(acc, terms2({(0, 0): Fraction(1, 2), (2, 0): 1}), -2)
+    assert acc == terms2({(2, 0): Fraction(-5, 3)})
+    acc = terms2({(4, 0): 1})
+    a, b = terms2({(2, 0): Fraction(2, 3)}), terms2({(2, 0): 3})
+    muladd_terms(acc, a, b, UNIT2, Fraction(-1, 2))
+    assert acc == {}
+    prod = mul_terms(terms2({(0, 0): Fraction(3, 2)}), terms2({(2, 0): 4}), UNIT2)
+    assert prod == terms2({(2, 0): 6})
+
+
+def naive_muladd(acc, a, b, coeff):
+    """acc + coeff*a*b summed over exponent tuples, zero entries dropped."""
+    out = {unpack_key(k, 2): c for k, c in acc.items()}
+    for ka, ca in a.items():
+        for kb, cb in b.items():
+            e = tuple(x + y for x, y in zip(unpack_key(ka, 2), unpack_key(kb, 2)))
+            out[e] = out.get(e, 0) + coeff * ca * cb
+    return {pack_exponents(e): c for e, c in out.items() if c}
+
+
+kernel_coeffs = st.one_of(
+    st.integers(min_value=-4, max_value=4),
+    st.fractions(min_value=-2, max_value=2, max_denominator=3),
+)
+term_dicts = st.dictionaries(
+    exponents.map(pack_exponents), kernel_coeffs.filter(bool), max_size=5
+)
+
+
+@settings(deadline=None)
+@given(term_dicts, term_dicts, term_dicts, kernel_coeffs)
+def test_kernel_matches_naive_reference(acc, a, b, coeff):
+    expected = naive_muladd(acc, a, b, coeff)
+    got = dict(acc)
+    muladd_terms(got, a, b, UNIT2, coeff)
+    assert got == expected
+    assert all(got.values())
+    assert mul_terms(a, b, UNIT2) == mul_terms(b, a, UNIT2) == naive_muladd({}, a, b, 1)
+    summed = dict(acc)
+    add_terms(summed, a, coeff)
+    assert summed == naive_muladd(acc, a, {UNIT2: 1}, coeff)
