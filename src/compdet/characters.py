@@ -196,19 +196,16 @@ def verify_denominators(n):
     for i, j in combinations(range(1, n + 1), 2):
         vandermonde = vandermonde * (var(i) - var(j))
 
-    sign = LaurentPoly.const(n, (-1) ** n)
-
-    odd_rhs = sign
+    # Multiply the binomial factors into the large pair product one at a
+    # time: each step is a two-term product.
+    sign = (-1) ** n
+    odd_rhs = pair_prod * sign
+    sp_rhs = pair_prod * sign
     for i in range(1, n + 1):
-        odd_rhs = odd_rhs * (one - var(i)) * var(i, -1)
-    odd_rhs = odd_rhs * pair_prod
+        odd_rhs = odd_rhs * ((one - var(i)) * var(i, -1))
+        sp_rhs = sp_rhs * ((one - var(i) * var(i)) * var(i, -2))
 
-    sp_rhs = sign
-    for i in range(1, n + 1):
-        sp_rhs = sp_rhs * (one - var(i) * var(i)) * var(i, -2)
-    sp_rhs = sp_rhs * pair_prod
-
-    even_rhs = LaurentPoly.const(n, 2) * pair_prod
+    even_rhs = pair_prod * 2
 
     rhs_by_family = {
         GL: vandermonde,
@@ -225,8 +222,9 @@ def verify_denominators(n):
         lhs = det(char_matrix(family, delta, indices, n))
         rhs = rhs_by_family[family]
         detail[family] = lhs == rhs
-        lhs_parts.append(lhs.canonical())
-        rhs_parts.append(rhs.canonical())
+        text = lhs.canonical()
+        lhs_parts.append(text)
+        rhs_parts.append(text if detail[family] else rhs.canonical())
     equal = all(detail.values())
     return VerifyReport(
         identity="denominators",

@@ -183,7 +183,7 @@ def run_verify(args):
             raise UsageError(f"cannot write --out {args.out}: {reason}") from exc
     else:
         print(text)
-    return 0 if all(r.equal for r in reports) else 1
+    return max(r.exit_code for r in reports)
 
 
 def main(argv=None):

@@ -30,7 +30,7 @@ from .combin import (
 from .errors import CapabilityError, UsageError
 from .laurent import LaurentPoly
 from .pmatrix import PolyMatrix, det, minor
-from .report import VerifyReport, canonical_hash, hash_parts
+from .report import VerifyReport, hash_parts, side_hashes
 from .sampling import SplitMix64
 
 # (s, n) pairs with both s, n >= 2 where fully symbolic verification is
@@ -228,8 +228,10 @@ def verify_gram_structure(spec, k0=None, partner_map=None):
             nonzero = not actual.is_zero()
             pattern[i][j] = nonzero
             row_chars.append("*" if nonzero else ".")
-            lhs_parts.append(actual.canonical())
-            rhs_parts.append(expected.canonical())
+            # equal cells render to the same text, so render it once
+            text = actual.canonical()
+            lhs_parts.append(text)
+            rhs_parts.append(text if ok else expected.canonical())
         pattern_rows.append("".join(row_chars))
 
     diag_sign = 1
@@ -331,12 +333,13 @@ def verify_main(s, n, mode="symbolic", seed=None):
     for cols in rhs_sets:
         rhs = rhs * _maximal_minor(spec.A, cols)
     equal = lhs == rhs
+    lhs_hash, rhs_hash = side_hashes(lhs, rhs, equal)
     return VerifyReport(
         identity="main",
         mode=mode,
         equal=equal,
-        lhs_hash=canonical_hash(lhs.canonical()),
-        rhs_hash=canonical_hash(rhs.canonical()),
+        lhs_hash=lhs_hash,
+        rhs_hash=rhs_hash,
         s=s,
         n=n,
         seed=seed if mode == "numeric" else None,
@@ -371,12 +374,13 @@ def verify_sylvester(s, n, mode="symbolic", seed=None):
     lhs = det(comp)
     rhs = det(A) ** comb(s - 1, n - 1)
     equal = lhs == rhs
+    lhs_hash, rhs_hash = side_hashes(lhs, rhs, equal)
     return VerifyReport(
         identity="sylvester",
         mode=mode,
         equal=equal,
-        lhs_hash=canonical_hash(lhs.canonical()),
-        rhs_hash=canonical_hash(rhs.canonical()),
+        lhs_hash=lhs_hash,
+        rhs_hash=rhs_hash,
         s=s,
         n=n,
         seed=seed if mode == "numeric" else None,
@@ -431,12 +435,13 @@ def verify_leading_term(s, n):
     expected = LaurentPoly.monomial(nv, 1, expected_exps)
     actual = LaurentPoly.monomial(nv, lead_coeff, list(lead_exps))
     equal = actual == expected
+    lhs_hash, rhs_hash = side_hashes(actual, expected, equal)
     return VerifyReport(
         identity="leading-term",
         mode="symbolic",
         equal=equal,
-        lhs_hash=canonical_hash(actual.canonical()),
-        rhs_hash=canonical_hash(expected.canonical()),
+        lhs_hash=lhs_hash,
+        rhs_hash=rhs_hash,
         s=s,
         n=n,
         elapsed_ms=int((time.perf_counter() - t0) * 1000),

@@ -28,6 +28,8 @@ from .errors import DomainError, InexactDivisionError, UsageError
 FIELD_BITS = 32
 FIELD_MASK = (1 << FIELD_BITS) - 1
 EXP_BIAS = 1 << 16
+# Fields per chunk when canonical() reads a key.
+CHUNK_FIELDS = 4
 
 _UNIT_CACHE: dict[int, int] = {}
 
@@ -106,6 +108,38 @@ def _as_coeff(c):
     if isinstance(c, Fraction):
         return c.numerator if c.denominator == 1 else c
     raise UsageError(f"coefficient must be int or Fraction, got {type(c).__name__}")
+
+
+def _chunk_plan(num_vars):
+    """How canonical() splits a key: one entry per chunk of up to
+    CHUNK_FIELDS fields, variable 1's chunk first.  Each entry is (shift,
+    mask, value of the chunk with all exponents zero, index of the chunk's
+    first variable minus one, number of fields, empty text cache)."""
+    plan = []
+    for base in range(0, num_vars, CHUNK_FIELDS):
+        width = min(CHUNK_FIELDS, num_vars - base)
+        shift = (num_vars - base - width) * FIELD_BITS
+        mask = (1 << (width * FIELD_BITS)) - 1
+        plan.append((shift, mask, unit_key(width), base, width, {}))
+    return plan
+
+
+def _chunk_text(value, base, width):
+    """Factor text of one chunk value: x_i, x_i^e or x_i^(e/2) for each
+    nonzero stored exponent, joined by '*'."""
+    factors = []
+    for i in range(width):
+        e2 = ((value >> ((width - 1 - i) * FIELD_BITS)) & FIELD_MASK) - EXP_BIAS
+        if e2 == 0:
+            continue
+        name = f"x{base + i + 1}"
+        if e2 == 2:
+            factors.append(name)
+        elif e2 % 2 == 0:
+            factors.append(f"{name}^{e2 // 2}")
+        else:
+            factors.append(f"{name}^({e2}/2)")
+    return "*".join(factors)
 
 
 class LaurentPoly:
@@ -201,7 +235,6 @@ class LaurentPoly:
 
     def is_integral_exponents(self):
         """True when every stored exponent is even (no genuine half powers)."""
-        n = self.num_vars
         return all(all(e % 2 == 0 for e in m) for m, _ in self.terms())
 
     # -- ring operations ---------------------------------------------------
@@ -362,43 +395,42 @@ class LaurentPoly:
 
     # -- rendering -----------------------------------------------------------
 
-    def canonical(self, name="x"):
+    def canonical(self):
         """Canonical text form: terms in descending lex order, exact coeffs.
 
         This string is the hashing and golden-file representation; its
-        format is frozen by tests.
+        format is frozen by tests.  Each key is read in chunks of
+        CHUNK_FIELDS variables, and the factor text of a chunk value is
+        rendered once per call.
         """
-        if not self._terms:
+        terms = self._terms
+        if not terms:
             return "0"
-        parts = []
-        for exps2, c in self.terms():
+        plan = _chunk_plan(self.num_vars)
+        out = []
+        for k in sorted(terms, reverse=True):
             factors = []
-            for i, e2 in enumerate(exps2, start=1):
-                if e2 == 0:
-                    continue
-                if e2 == 2:
-                    factors.append(f"{name}{i}")
-                elif e2 % 2 == 0:
-                    factors.append(f"{name}{i}^{e2 // 2}")
-                else:
-                    factors.append(f"{name}{i}^({e2}/2)")
-            cf = Fraction(c)
+            for shift, mask, unit, base, width, cache in plan:
+                v = (k >> shift) & mask
+                if v != unit:
+                    text = cache.get(v)
+                    if text is None:
+                        text = cache[v] = _chunk_text(v, base, width)
+                    factors.append(text)
+            c = terms[k]
+            if c < 0:
+                out.append(" - ")
+                c = -c
+            else:
+                out.append(" + ")
             if not factors:
-                text = str(cf)
-            elif cf == 1:
-                text = "*".join(factors)
-            elif cf == -1:
-                text = "-" + "*".join(factors)
+                out.append(str(c))
+            elif c == 1:
+                out.append("*".join(factors))
             else:
-                text = str(cf) + "*" + "*".join(factors)
-            parts.append(text)
-        out = parts[0]
-        for text in parts[1:]:
-            if text.startswith("-"):
-                out += " - " + text[1:]
-            else:
-                out += " + " + text
-        return out
+                out.append(str(c) + "*" + "*".join(factors))
+        out[0] = "-" if out[0] == " - " else ""
+        return "".join(out)
 
     def __repr__(self):
         body = self.canonical()

@@ -25,6 +25,13 @@ def canonical_hash(text):
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
+def side_hashes(lhs, rhs, equal):
+    """Hashes of the canonical renderings of two sides.  Equal sides have
+    equal term dicts and so the same rendering: it is made once."""
+    lhs_hash = canonical_hash(lhs.canonical())
+    return lhs_hash, lhs_hash if equal else canonical_hash(rhs.canonical())
+
+
 def hash_parts(parts):
     """Hash a sequence of canonical strings, one per line."""
     return canonical_hash("\n".join(parts))

@@ -119,3 +119,42 @@ def crossing_sign(left, right):
                 merged[j], merged[j + 1] = merged[j + 1], merged[j]
                 sign = -sign
     return sign
+
+
+def canonical_reference(poly):
+    """The canonical text form, rendered term by term from unpacked exponents.
+
+    This is the renderer LaurentPoly.canonical replaced; the fast one must
+    produce the same string for every polynomial.
+    """
+    if poly.is_zero():
+        return "0"
+    parts = []
+    for exps2, c in poly.terms():
+        factors = []
+        for i, e2 in enumerate(exps2, start=1):
+            if e2 == 0:
+                continue
+            if e2 == 2:
+                factors.append(f"x{i}")
+            elif e2 % 2 == 0:
+                factors.append(f"x{i}^{e2 // 2}")
+            else:
+                factors.append(f"x{i}^({e2}/2)")
+        cf = Fraction(c)
+        if not factors:
+            text = str(cf)
+        elif cf == 1:
+            text = "*".join(factors)
+        elif cf == -1:
+            text = "-" + "*".join(factors)
+        else:
+            text = str(cf) + "*" + "*".join(factors)
+        parts.append(text)
+    out = parts[0]
+    for text in parts[1:]:
+        if text.startswith("-"):
+            out += " - " + text[1:]
+        else:
+            out += " + " + text
+    return out

@@ -9,6 +9,8 @@ from hypothesis import strategies as st
 from compdet._backend import add_terms, mul_terms, muladd_terms
 from compdet.errors import DomainError, InexactDivisionError, UsageError
 from compdet.laurent import (
+    EXP_BIAS,
+    FIELD_BITS,
     LaurentPoly,
     pack_exponents,
     pow_stored,
@@ -16,6 +18,7 @@ from compdet.laurent import (
     unit_key,
     unpack_key,
 )
+from oracles import canonical_reference
 
 
 def poly3(mapping):
@@ -54,6 +57,48 @@ def test_canonical_rendering_corner_cases():
     assert LaurentPoly.variable(2, 1, -4).canonical() == "x1^-2"
     assert (LaurentPoly.variable(2, 1) - LaurentPoly.variable(2, 2)).canonical() == "x1 - x2"
     assert LaurentPoly.monomial(2, -1, (2, 2)).canonical() == "-x1*x2"
+
+
+def test_canonical_coefficients_stored_as_fractions():
+    # products of Fraction coefficients may leave an integral Fraction
+    x1 = pack_exponents((2, 0, 0, 0, 0))
+    const = unit_key(5)
+    poly = LaurentPoly(5, {x1: Fraction(2, 1), const: Fraction(-1, 1)})
+    assert poly.canonical() == canonical_reference(poly) == "2*x1 - 1"
+    poly = LaurentPoly(5, {x1: Fraction(-1, 1), const: Fraction(1, 1)})
+    assert poly.canonical() == canonical_reference(poly) == "-x1 + 1"
+
+
+# Stored exponents for the renderer tests: zero (the skipped factor), 2 (a
+# bare x_i), -1 (x_i^(-1/2)), other odd and even values, and the two ends
+# of a field's packable range.
+render_exponents = st.one_of(
+    st.just(0),
+    st.sampled_from((2, -1, 1, -2)),
+    st.integers(min_value=-9, max_value=9),
+    st.sampled_from((-EXP_BIAS, (1 << FIELD_BITS) - EXP_BIAS - 1)),
+)
+render_coeffs = st.one_of(
+    st.sampled_from((1, -1)),
+    st.integers(min_value=-30, max_value=30),
+    st.fractions(min_value=-9, max_value=9, max_denominator=12),
+)
+
+
+@st.composite
+def render_polys(draw):
+    """Polynomials in 0 to 9 variables, so chunks of 4 fields are crossed."""
+    nv = draw(st.integers(min_value=0, max_value=9))
+    exps = st.tuples(*[render_exponents] * nv)
+    mapping = draw(st.dictionaries(exps, render_coeffs, max_size=8))
+    poly = LaurentPoly.from_terms(nv, mapping)
+    return poly + draw(render_coeffs)
+
+
+@settings(deadline=None, max_examples=300)
+@given(render_polys())
+def test_canonical_matches_reference_renderer(poly):
+    assert poly.canonical() == canonical_reference(poly)
 
 
 def test_constructors_and_queries():
