@@ -163,17 +163,36 @@ def character(family, lam, var_indices=None, num_vars=None):
 def character_value(family, lam, values):
     """Character evaluated at explicit rational values, as a Fraction."""
     values = tuple(Fraction(v) for v in values)
-    n = len(values)
-    lam = _padded_partition(lam, n)
+    return _character_grid(family, [lam], [values])[0][0][0]
+
+
+def _character_grid(family, partitions, col_values):
+    """Characters at each partition (rows) and value tuple (columns), as
+    Fractions, with the numerator alternants they were divided from.
+
+    Each column's denominator alternant is computed once and each
+    numerator once; every value tuple must have the same length n."""
+    n = len(col_values[0])
+    padded = [_padded_partition(lam, n) for lam in partitions]
     delta = family_shift(family, n)
-    alpha_num = tuple(lam[j] + delta[j] for j in range(n))
-    numerator = det_fractions(char_matrix_values(family, alpha_num, values))
-    denominator = det_fractions(char_matrix_values(family, delta, values))
-    if denominator == 0:
-        raise ParameterError("character denominator vanished at the sample point")
-    if family == EVEN_ORTH and lam[n - 1] != 0:
-        numerator = numerator * 2
-    return numerator / denominator
+    denominators = []
+    for values in col_values:
+        denominator = det_fractions(char_matrix_values(family, delta, values))
+        if denominator == 0:
+            raise ParameterError("character denominator vanished at the sample point")
+        denominators.append(denominator)
+    grid = []
+    numerators = []
+    for lam in padded:
+        alpha = tuple(lam[j] + delta[j] for j in range(n))
+        row = [
+            det_fractions(char_matrix_values(family, alpha, values))
+            for values in col_values
+        ]
+        factor = 2 if family == EVEN_ORTH and lam[n - 1] != 0 else 1
+        grid.append([factor * v / d for v, d in zip(row, denominators)])
+        numerators.append(row)
+    return grid, numerators
 
 
 def verify_denominators(n):
@@ -361,25 +380,11 @@ def verify_theorem_schur(family, s, n, seed, substitution=False):
     cols = compositions(s, n)
     col_values = [tuple(point[i - 1] for i in specialize_X(mu, grid)) for mu in cols]
 
-    matrix = [
-        [character_value(family, lam, values) for values in col_values]
-        for lam in rows
-    ]
+    matrix, raw = _character_grid(family, rows, col_values)
     lhs = det_fractions(matrix)
     rhs = rhs_pair_product(family, s, n, point)
     equal_main = lhs == rhs
 
-    delta = family_shift(family, n)
-    raw = []
-    for lam in rows:
-        padded = _padded_partition(lam, n)
-        alpha = tuple(padded[j] + delta[j] for j in range(n))
-        raw.append(
-            [
-                det_fractions(char_matrix_values(family, alpha, values))
-                for values in col_values
-            ]
-        )
     det_raw = det_fractions(raw)
     prefactor = Fraction(1)
     for mu in cols:
@@ -429,13 +434,8 @@ def verify_prop_detS(kind, s, n, seed):
 
     rows = partitions_in_box(n, s - n)
     cols = subsets_lex(s, n)
-    matrix = [
-        [
-            character_value(kind, lam, tuple(point[i - 1] for i in subset))
-            for subset in cols
-        ]
-        for lam in rows
-    ]
+    col_values = [tuple(point[i - 1] for i in subset) for subset in cols]
+    matrix, _ = _character_grid(kind, rows, col_values)
     lhs = det_fractions(matrix)
 
     base = Fraction(1)

@@ -7,6 +7,7 @@ of it shares code paths with the package, so agreement is meaningful.
 
 from fractions import Fraction
 from itertools import permutations
+from math import lcm
 
 from compdet.laurent import LaurentPoly
 
@@ -41,6 +42,44 @@ def leibniz_det(rows):
         term = term * perm_sign(perm)
         total = term if total is None else total + term
     return total
+
+
+def det_bareiss_reference(rows):
+    """Integer Bareiss determinant of a square nested list of rationals.
+
+    This is the elimination pmatrix.det_fractions replaced: each row is
+    cleared of denominators by its lcm, every step divides exactly by the
+    previous pivot, and the row scales are divided out once at the end.
+    Pivots are the first row with a nonzero entry in the column.
+    """
+    n = len(rows)
+    assert all(len(r) == n for r in rows)
+    if n == 0:
+        return Fraction(1)
+    work = []
+    scale = 1
+    for row in rows:
+        row = [Fraction(v) for v in row]
+        row_scale = lcm(*(v.denominator for v in row))
+        work.append([v.numerator * (row_scale // v.denominator) for v in row])
+        scale *= row_scale
+    sign = 1
+    prev = 1
+    while len(work) > 1:
+        r = next((r for r, row in enumerate(work) if row[0]), None)
+        if r is None:
+            return Fraction(0)
+        if r:
+            work[0], work[r] = work[r], work[0]
+            sign = -sign
+        top = work.pop(0)
+        pivot = top[0]
+        rest = top[1:]
+        for i, row in enumerate(work):
+            a = row[0]
+            work[i] = [(pivot * x - a * y) // prev for x, y in zip(row[1:], rest)]
+        prev = pivot
+    return Fraction(sign * work[0][0], scale)
 
 
 def semistandard_tableaux(shape, max_entry):

@@ -11,7 +11,9 @@ from compdet.characters import (
     ODD_ORTH,
     SP,
     VariableGrid,
+    _character_grid,
     char_matrix,
+    char_matrix_values,
     character,
     character_value,
     delta_prefactor,
@@ -26,7 +28,7 @@ from compdet.characters import (
 from compdet.combin import compositions, partitions_in_box, partitions_of
 from compdet.errors import DomainError, ParameterError, UsageError
 from compdet.laurent import LaurentPoly
-from compdet.pmatrix import det
+from compdet.pmatrix import det, det_fractions
 from compdet.sampling import SplitMix64, sample_point
 
 from oracles import schur_tableau_poly
@@ -224,3 +226,39 @@ def test_single_alphabet_identity():
         verify_prop_detS(ODD_ORTH, 3, 2, seed=0)
     with pytest.raises(UsageError):
         verify_prop_detS(GL, 2, 3, seed=0)
+
+
+def test_grid_verifiers_compute_each_alternant_once(monkeypatch):
+    sizes = []
+
+    def counting(rows):
+        sizes.append(len(rows))
+        return det_fractions(rows)
+
+    monkeypatch.setattr("compdet.characters.det_fractions", counting)
+    # 10 partitions by 10 compositions: one denominator per column, one
+    # numerator per cell, shared by the character grid and the raw grid
+    assert verify_theorem_schur(GL, 3, 3, seed=0).equal
+    assert sizes.count(3) == 10 + 100
+    assert sizes.count(10) == 2
+    sizes.clear()
+    # 6 partitions by 6 subsets, and the one grid determinant
+    assert verify_prop_detS(SP, 4, 2, seed=0).equal
+    assert sizes.count(2) == 6 + 36
+    assert sizes.count(6) == 1
+
+
+def test_character_grid_matches_symbolic_characters():
+    point = sample_point(4, SplitMix64(9))
+    col_values = [(point[0], point[1]), (point[2], point[3]), (point[0], point[3])]
+    partitions = [(2, 1), (1, 1), (1,), ()]
+    for family in FAMILIES:
+        delta = family_shift(family, 2)
+        grid, numerators = _character_grid(family, partitions, col_values)
+        for lam, grid_row, num_row in zip(partitions, grid, numerators):
+            factor = 2 if family == EVEN_ORTH and len(lam) == 2 else 1
+            for values, value, numerator in zip(col_values, grid_row, num_row):
+                expected = character(family, lam, num_vars=2).eval(values)
+                assert value == expected, (family, lam)
+                denominator = det_fractions(char_matrix_values(family, delta, values))
+                assert numerator * factor == value * denominator

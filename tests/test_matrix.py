@@ -1,10 +1,12 @@
 """Polynomial matrices and the determinant algorithm family.
 
 The in-package algorithms (cofactor recursion, polynomial fraction-free
-elimination, division-free minor expansion, integer Bareiss on rationals)
-are cross-checked against a permutation-sum oracle on random rational
-matrices and on small symbolic ones.  `det` must agree with det_fractions
-on constants, and no verifier may reach the test-only routines.
+elimination, division-free minor expansion, primitive-row elimination on
+rationals) are cross-checked against a permutation-sum oracle on random
+rational matrices and on small symbolic ones, and det_fractions against the
+integer Bareiss elimination it replaced.  `det` must agree with
+det_fractions on constants, and no verifier may reach the test-only
+routines.
 """
 
 import json
@@ -12,9 +14,11 @@ import sys
 from fractions import Fraction
 
 import pytest
-from oracles import leibniz_det
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from oracles import det_bareiss_reference, leibniz_det
 
-from compdet import cli
+from compdet import cli, pmatrix
 from compdet.errors import CapabilityError, UsageError
 from compdet.laurent import LaurentPoly
 from compdet.pmatrix import (
@@ -176,6 +180,94 @@ def test_det_fractions_coprime_large_denominators():
         for i in range(size)
     ]
     assert det_fractions(rows) == leibniz_det(rows)
+
+
+matrix_entries = st.one_of(
+    st.just(0),
+    st.integers(min_value=-9, max_value=9),
+    st.fractions(min_value=-20, max_value=20, max_denominator=30),
+)
+# large factors a whole row shares, as the rows of the verifiers' matrices do
+row_factors = st.sampled_from((1, -1, 2**64 + 13, -(3**40), 10**30, Fraction(1, 7**20)))
+
+
+@st.composite
+def rational_matrices(draw):
+    n = draw(st.integers(min_value=0, max_value=7))
+    rows = [draw(st.lists(matrix_entries, min_size=n, max_size=n)) for _ in range(n)]
+    for row in rows:
+        factor = draw(row_factors)
+        row[:] = [v * factor for v in row]
+    if n:
+        for i in draw(st.sets(st.integers(0, n - 1), max_size=1)):
+            rows[i] = [0] * n
+        for j in draw(st.sets(st.integers(0, n - 1), max_size=1)):
+            for row in rows:
+                row[j] = 0
+    return rows
+
+
+@settings(deadline=None, max_examples=300)
+@given(rational_matrices())
+def test_det_fractions_matches_bareiss_reference(rows):
+    value = det_fractions(rows)
+    assert isinstance(value, Fraction)
+    assert value == det_bareiss_reference(rows)
+    if 1 <= len(rows) <= 5:
+        assert value == leibniz_det([[Fraction(v) for v in row] for row in rows])
+
+
+def test_det_fractions_pivot_swap_between_rows_with_different_multipliers():
+    # the first row is swapped below the second, whose lcm is 45, not 3
+    rows = [
+        [0, Fraction(2, 3), 1],
+        [Fraction(4, 5), 6, Fraction(7, 9)],
+        [Fraction(1, 2), 0, 3],
+    ]
+    assert det_fractions(rows) == det_bareiss_reference(rows) == Fraction(-586, 135)
+    # a wider one, whose later rows share a factor after the first step
+    rows = [row + [v] for row, v in zip(rows, (4, 2, 6))]
+    rows.append([Fraction(3, 2), 9, Fraction(1, 3), 5])
+    assert det_fractions(rows) == det_bareiss_reference(rows) == Fraction(-4229, 135)
+
+
+def test_det_fractions_column_vanishing_mid_elimination():
+    # column 2 is twice column 1, so after the first step it is zero
+    singular = [[2, 4, 6, 1], [3, 6, 10, 5], [1, 2, 7, 7], [4, 8, 3, 3]]
+    assert det_fractions(singular) == 0 == leibniz_det(singular)
+    # one entry off: after the first step only the last row leads column 2
+    nearly = [[2, 4, 6, 1], [3, 6, 10, 5], [1, 2, 7, 7], [4, 9, 3, 3]]
+    assert det_fractions(nearly) == det_bareiss_reference(nearly) == -15
+
+
+def test_det_fractions_row_with_a_later_zero_leading_entry():
+    # after the second step the third row leads its block with 0: the fourth
+    # row is swapped above it, and it is only shifted
+    rows = [[2, 3, 5, 7], [4, 9, 10, 1], [6, 3, 15, 2], [8, 6, 4, 9]]
+    assert det_fractions(rows) == det_bareiss_reference(rows) == -4320
+    assert det_fractions(rows) == leibniz_det(rows)
+
+
+def test_det_fractions_negative_pivot():
+    rows = [[-6, 4, 2], [9, -3, 12], [3, 8, -5]]
+    assert det_fractions(rows) == det_bareiss_reference(rows) == 972
+    assert det_fractions(rows) == leibniz_det(rows)
+
+
+def test_det_fractions_on_the_compound_matrix_of_a_verify_run(monkeypatch, capsys):
+    captured = []
+
+    def capture(rows):
+        captured.append([list(row) for row in rows])
+        return det_fractions(rows)
+
+    monkeypatch.setattr(pmatrix, "det_fractions", capture)
+    argv = ["verify", "main", "--mode", "numeric", "--s", "4", "--n", "3", "--seed", "0"]
+    assert cli.main(argv) == 0
+    capsys.readouterr()
+    compound = max(captured, key=len)
+    assert len(compound) == 20
+    assert det_fractions(compound) == det_bareiss_reference(compound)
 
 
 def test_det_dispatches_constants_to_det_fractions():
