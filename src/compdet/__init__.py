@@ -39,7 +39,6 @@ from .macdonald import (
     macdonald_Q,
     verify_corollary_macdonald,
 )
-from .pmatrix import PolyMatrix
 from .report import VerifyReport
 from .sampling import SplitMix64
 
@@ -54,7 +53,6 @@ __all__ = [
     "InexactDivisionError",
     "LaurentPoly",
     "ParameterError",
-    "PolyMatrix",
     "SplitMix64",
     "UsageError",
     "VerifyReport",

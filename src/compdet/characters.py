@@ -19,8 +19,8 @@ from math import comb
 from .combin import binom_nonneg, compositions, iota, partitions_in_box, subsets_lex
 from .errors import DomainError, ParameterError, UsageError
 from .laurent import LaurentPoly, pow_stored
-from .pmatrix import PolyMatrix, det, det_fractions
-from .report import VerifyReport, canonical_hash, hash_parts
+from .pmatrix import det, det_fractions
+from .report import VerifyReport, canonical_hash, hash_parts, render
 from .sampling import (
     MAX_RETRIES,
     SplitMix64,
@@ -113,7 +113,7 @@ def char_matrix(family, alpha, var_indices, num_vars):
                 entry = entry + LaurentPoly.variable(num_vars, idx, -a2)
             row.append(entry)
         rows.append(row)
-    return PolyMatrix(rows)
+    return rows
 
 
 def char_matrix_values(family, alpha, values):
@@ -241,9 +241,9 @@ def verify_denominators(n):
         lhs = det(char_matrix(family, delta, indices, n))
         rhs = rhs_by_family[family]
         detail[family] = lhs == rhs
-        text = lhs.canonical()
+        text = render(lhs)
         lhs_parts.append(text)
-        rhs_parts.append(text if detail[family] else rhs.canonical())
+        rhs_parts.append(text if detail[family] else render(rhs))
     equal = all(detail.values())
     return VerifyReport(
         identity="denominators",
@@ -406,8 +406,8 @@ def verify_theorem_schur(family, s, n, seed, substitution=False):
         identity="schur-det",
         mode="numeric",
         equal=equal_main and bookkeeping_ok,
-        lhs_hash=canonical_hash(str(lhs)),
-        rhs_hash=canonical_hash(str(rhs)),
+        lhs_hash=canonical_hash(render(lhs)),
+        rhs_hash=canonical_hash(render(rhs)),
         s=s,
         n=n,
         seed=seed,
@@ -454,8 +454,8 @@ def verify_prop_detS(kind, s, n, seed):
         identity="prop12",
         mode="numeric",
         equal=equal,
-        lhs_hash=canonical_hash(str(lhs)),
-        rhs_hash=canonical_hash(str(rhs)),
+        lhs_hash=canonical_hash(render(lhs)),
+        rhs_hash=canonical_hash(render(rhs)),
         s=s,
         n=n,
         seed=seed,

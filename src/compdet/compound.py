@@ -8,6 +8,11 @@ Its determinant factors as a product of maximal minors of A; the verifiers
 here check that factorization and the pairing structure behind it, either
 with fully symbolic entries or at exact random rational samples.
 
+A is a list of rows (see compdet.pmatrix): Laurent polynomial entries in
+symbolic mode, Fractions in numeric mode, so a numeric check runs on plain
+rationals from sampling to hash.  Every construction here works on both;
+the ring's one travels with A in the CompoundSpec.
+
 Everything returns a VerifyReport; mathematical disagreement is reported,
 never raised.
 """
@@ -29,8 +34,8 @@ from .combin import (
 )
 from .errors import CapabilityError, UsageError
 from .laurent import LaurentPoly
-from .pmatrix import PolyMatrix, det, minor
-from .report import VerifyReport, hash_parts, side_hashes
+from .pmatrix import det, dot, minor, symbolic
+from .report import VerifyReport, hash_parts, render, side_hashes
 from .sampling import SplitMix64
 
 # (s, n) pairs with both s, n >= 2 where fully symbolic verification is
@@ -40,20 +45,22 @@ SYMBOLIC_LINE_CAP = 8
 
 
 class CompoundSpec:
-    """Shape bundle: parameters (s, n) plus the (s+n-1) x sn matrix A."""
+    """Shape bundle: parameters (s, n), the rows of the (s+n-1) x sn matrix
+    A, and the one of the ring its entries lie in."""
 
-    __slots__ = ("s", "n", "A", "row_sets", "col_comps", "col_sets")
+    __slots__ = ("s", "n", "A", "one", "row_sets", "col_comps", "col_sets")
 
-    def __init__(self, s, n, A):
+    def __init__(self, s, n, A, one):
         if s < 1 or n < 1:
             raise UsageError("s and n must be positive")
-        if A.nrows != s + n - 1 or A.ncols != s * n:
+        if len(A) != s + n - 1 or any(len(row) != s * n for row in A):
             raise UsageError(
                 f"matrix must be {s + n - 1} x {s * n} for s={s}, n={n}"
             )
         self.s = s
         self.n = n
         self.A = A
+        self.one = one
         self.row_sets = subsets_lex(s + n - 1, n)
         self.col_comps = compositions(s, n)
         self.col_sets = [iota(mu, n) for mu in self.col_comps]
@@ -61,15 +68,17 @@ class CompoundSpec:
     @classmethod
     def symbolic(cls, s, n):
         """All entries independent variables, row-major."""
-        return cls(s, n, PolyMatrix.symbolic(s + n - 1, s * n))
+        nv = (s + n - 1) * s * n
+        return cls(s, n, symbolic(s + n - 1, s * n), LaurentPoly.const(nv, 1))
 
     @classmethod
     def sampled(cls, s, n, rng):
         """Entries drawn as random rationals u/v with 16-bit u, v."""
-        return cls(s, n, _random_matrix(s + n - 1, s * n, rng))
+        return cls(s, n, _random_matrix(s + n - 1, s * n, rng), Fraction(1))
 
 
 def _random_matrix(nrows, ncols, rng):
+    """Rows of random Fractions u/v with u, v in 1..2^16."""
     top = 1 << 16
     rows = []
     for _ in range(nrows):
@@ -77,9 +86,9 @@ def _random_matrix(nrows, ncols, rng):
         for _ in range(ncols):
             u = rng.next_below(top) + 1
             v = rng.next_below(top) + 1
-            row.append(LaurentPoly.const(0, Fraction(u, v)))
+            row.append(Fraction(u, v))
         rows.append(row)
-    return PolyMatrix(rows)
+    return rows
 
 
 def _minor_det(A, rowset, colset):
@@ -87,7 +96,7 @@ def _minor_det(A, rowset, colset):
 
 
 def _maximal_minor(A, colset):
-    return _minor_det(A, tuple(range(1, A.nrows + 1)), colset)
+    return _minor_det(A, tuple(range(1, len(A) + 1)), colset)
 
 
 def vec_V(spec, J):
@@ -109,9 +118,7 @@ def vec_Vbar(spec, K):
     out = []
     for I in spec.row_sets:
         comp = tuple(sorted(full - set(I)))
-        d = _minor_det(spec.A, comp, K) if comp else LaurentPoly.const(
-            spec.A.num_vars, 1
-        )
+        d = _minor_det(spec.A, comp, K) if comp else spec.one
         sign = -1 if (sum(I) - base) % 2 else 1
         out.append(-d if sign < 0 else d)
     return out
@@ -120,27 +127,20 @@ def vec_Vbar(spec, K):
 def laplace_pair(spec, J, K):
     """Inner product <V_J, Vbar_K>; by the Laplace expansion it equals
     epsilon(J, K) * det A_(J union K)."""
-    v = vec_V(spec, J)
-    w = vec_Vbar(spec, K)
-    total = LaurentPoly.zero(spec.A.num_vars)
-    for a, b in zip(v, w):
-        total = total + a * b
-    return total
+    return dot(vec_V(spec, J), vec_Vbar(spec, K))
 
 
 def build_M(spec):
     """The compound matrix: rows I lex, columns mu head-heavy."""
     cols = [vec_V(spec, Jset) for Jset in spec.col_sets]
-    nrows = len(spec.row_sets)
-    return PolyMatrix([[cols[j][i] for j in range(len(cols))] for i in range(nrows)])
+    return [list(row) for row in zip(*cols)]
 
 
 def build_Mhat(spec, partner_map):
     """Companion matrix of signed complementary minors; column mu holds
     vec_Vbar at partner_map[mu]."""
     cols = [vec_Vbar(spec, partner_map[mu]) for mu in spec.col_comps]
-    nrows = len(spec.row_sets)
-    return PolyMatrix([[cols[j][i] for j in range(len(cols))] for i in range(nrows)])
+    return [list(row) for row in zip(*cols)]
 
 
 def partner_map_for_variant(spec, k0=None):
@@ -178,25 +178,27 @@ def _support_permutation_unique(pattern):
     return count, identity_ok
 
 
-def verify_gram_structure(spec, k0=None, partner_map=None):
+def verify_gram_structure(spec, mode, seed=None, k0=None, partner_map=None):
     """Check the pairing structure behind the compound factorization.
 
-    Builds T = transpose(M) * Mhat and verifies, entry by entry, that
+    Builds T = transpose(M) * Mhat, one dot product of columns per entry,
+    and verifies, entry by entry, that
     T[lam, mu] = epsilon(iota(lam), partner(mu)) * det A_(iota(lam) u partner(mu)),
     which also pins the zero pattern exactly.  When the support of T admits
     only the identity permutation, det T is literally the product of the
     diagonal entries, giving det T = sign * prod_mu det A_(iota(mu) u partner(mu))
     with sign the product of the diagonal epsilons.  If several permutations
-    fit the support, the determinant is computed directly instead.
+    fit the support, the determinant is computed directly instead.  The
+    report records mode and seed as given.
     """
     t0 = time.perf_counter()
     if partner_map is None:
         partner_map = partner_map_for_variant(spec, k0)
     M = build_M(spec)
     Mhat = build_Mhat(spec, partner_map)
-    T = M.transpose().matmul(Mhat)
+    T = [[dot(a, b) for b in zip(*Mhat)] for a in zip(*M)]
     size = len(spec.col_comps)
-    nv = spec.A.num_vars
+    zero = spec.one * 0
 
     union_cache = {}
 
@@ -215,9 +217,9 @@ def verify_gram_structure(spec, k0=None, partner_map=None):
         row_chars = []
         for j, mu in enumerate(spec.col_comps):
             sign = epsilon(iota(lam, spec.n), partner_map[mu])
-            actual = T.at(i, j)
+            actual = T[i][j]
             if sign == 0:
-                expected = LaurentPoly.zero(nv)
+                expected = zero
             else:
                 ud = union_det(tuple(sorted(set(iota(lam, spec.n)) | set(partner_map[mu]))))
                 expected = ud * sign
@@ -225,13 +227,13 @@ def verify_gram_structure(spec, k0=None, partner_map=None):
             if not ok and entries_ok:
                 entries_ok = False
                 bad_cell = (format_composition(lam), format_composition(mu))
-            nonzero = not actual.is_zero()
+            nonzero = bool(actual)
             pattern[i][j] = nonzero
             row_chars.append("*" if nonzero else ".")
             # equal cells render to the same text, so render it once
-            text = actual.canonical()
+            text = render(actual)
             lhs_parts.append(text)
-            rhs_parts.append(text if ok else expected.canonical())
+            rhs_parts.append(text if ok else render(expected))
         pattern_rows.append("".join(row_chars))
 
     diag_sign = 1
@@ -258,7 +260,7 @@ def verify_gram_structure(spec, k0=None, partner_map=None):
             method = "unique-support-permutation"
         else:
             lhs_det = det(T)
-            rhs_det = LaurentPoly.const(nv, diag_sign)
+            rhs_det = spec.one * diag_sign
             for i, mu in enumerate(spec.col_comps):
                 cols = tuple(sorted(set(iota(mu, spec.n)) | set(partner_map[mu])))
                 rhs_det = rhs_det * union_det(cols)
@@ -278,7 +280,6 @@ def verify_gram_structure(spec, k0=None, partner_map=None):
         detail["k"] = k0
     if bad_cell is not None:
         detail["first_bad_cell"] = list(bad_cell)
-    mode = "numeric" if nv == 0 else "symbolic"
     return VerifyReport(
         identity="gram",
         mode=mode,
@@ -287,6 +288,7 @@ def verify_gram_structure(spec, k0=None, partner_map=None):
         rhs_hash=hash_parts(rhs_parts),
         s=spec.s,
         n=spec.n,
+        seed=seed,
         sign=diag_sign if diag_ok else None,
         elapsed_ms=int((time.perf_counter() - t0) * 1000),
         detail=detail,
@@ -310,25 +312,35 @@ def check_symbolic_envelope(s, n):
         )
 
 
+def _sample_seed(mode, seed):
+    """The seed a check samples with and reports: none in symbolic mode,
+    and 0 when a numeric caller gives none."""
+    if mode == "symbolic":
+        return None
+    if mode == "numeric":
+        return 0 if seed is None else seed
+    raise UsageError(f"unknown mode {mode!r}")
+
+
 def _spec_for_mode(s, n, mode, seed):
+    """The spec of a check, and the seed it was sampled with."""
     if s < 1 or n < 1:
         raise UsageError("s and n must be positive")
+    seed = _sample_seed(mode, seed)
     if mode == "symbolic":
         check_symbolic_envelope(s, n)
-        return CompoundSpec.symbolic(s, n)
-    if mode == "numeric":
-        return CompoundSpec.sampled(s, n, SplitMix64(0 if seed is None else seed))
-    raise UsageError(f"unknown mode {mode!r}")
+        return CompoundSpec.symbolic(s, n), seed
+    return CompoundSpec.sampled(s, n, SplitMix64(seed)), seed
 
 
 def verify_main(s, n, mode="symbolic", seed=None):
     """det of the compound matrix equals the product of maximal minors of A
     over the all-parts-positive compositions of s+n-1."""
     t0 = time.perf_counter()
-    spec = _spec_for_mode(s, n, mode, seed)
+    spec, seed = _spec_for_mode(s, n, mode, seed)
     M = build_M(spec)
     lhs = det(M)
-    rhs = LaurentPoly.const(spec.A.num_vars, 1)
+    rhs = spec.one
     rhs_sets = [iota(nu, n) for nu in compositions_positive(s, s + n - 1)]
     for cols in rhs_sets:
         rhs = rhs * _maximal_minor(spec.A, cols)
@@ -342,7 +354,7 @@ def verify_main(s, n, mode="symbolic", seed=None):
         rhs_hash=rhs_hash,
         s=s,
         n=n,
-        seed=seed if mode == "numeric" else None,
+        seed=seed,
         elapsed_ms=int((time.perf_counter() - t0) * 1000),
         detail={"rhs_factors": [format_subset(c) for c in rhs_sets]},
     )
@@ -357,20 +369,17 @@ def verify_sylvester(s, n, mode="symbolic", seed=None):
     t0 = time.perf_counter()
     if not 1 <= n <= s:
         raise UsageError("need s >= n >= 1")
+    seed = _sample_seed(mode, seed)
     if mode == "symbolic":
         if s > SYLVESTER_SYMBOLIC_CAP:
             raise CapabilityError(
                 f"symbolic mode supports s <= {SYLVESTER_SYMBOLIC_CAP}; use numeric"
             )
-        A = PolyMatrix.symbolic(s, s)
-    elif mode == "numeric":
-        A = _random_matrix(s, s, SplitMix64(0 if seed is None else seed))
+        A = symbolic(s, s)
     else:
-        raise UsageError(f"unknown mode {mode!r}")
+        A = _random_matrix(s, s, SplitMix64(seed))
     subsets = subsets_lex(s, n)
-    comp = PolyMatrix(
-        [[_minor_det(A, I, J) for J in subsets] for I in subsets]
-    )
+    comp = [[_minor_det(A, I, J) for J in subsets] for I in subsets]
     lhs = det(comp)
     rhs = det(A) ** comb(s - 1, n - 1)
     equal = lhs == rhs
@@ -383,7 +392,7 @@ def verify_sylvester(s, n, mode="symbolic", seed=None):
         rhs_hash=rhs_hash,
         s=s,
         n=n,
-        seed=seed if mode == "numeric" else None,
+        seed=seed,
         elapsed_ms=int((time.perf_counter() - t0) * 1000),
         detail={"exponent": comb(s - 1, n - 1)},
     )
@@ -396,13 +405,10 @@ def verify_gram(s, n, k0=None, mode="symbolic", seed=None):
     each composition; with k0 they are pinned to that coordinate, with the
     special rule for the concentrated compositions.
     """
-    spec = _spec_for_mode(s, n, mode, seed)
+    spec, seed = _spec_for_mode(s, n, mode, seed)
     if k0 is not None and not 1 <= k0 <= s:
         raise UsageError(f"k must lie in 1..{s}")
-    report = verify_gram_structure(spec, k0=k0)
-    if mode == "numeric":
-        report.seed = 0 if seed is None else seed
-    return report
+    return verify_gram_structure(spec, mode, seed=seed, k0=k0)
 
 
 def check_degree_balance(s, n):
@@ -424,7 +430,7 @@ def verify_leading_term(s, n):
             exps[j - 1] = 2 * (s + n - i)
             row.append(LaurentPoly.monomial(nv, 1, exps))
         rows.append(row)
-    spec = CompoundSpec(s, n, PolyMatrix(rows))
+    spec = CompoundSpec(s, n, rows, LaurentPoly.const(nv, 1))
     M = build_M(spec)
     d = det(M)
     expected_exps = [0] * nv

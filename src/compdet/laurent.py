@@ -211,6 +211,10 @@ class LaurentPoly:
     def is_zero(self):
         return not self._terms
 
+    def __bool__(self):
+        """False for the zero polynomial, as for a zero number."""
+        return bool(self._terms)
+
     def num_terms(self):
         return len(self._terms)
 

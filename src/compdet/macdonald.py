@@ -20,7 +20,7 @@ from .characters import GL, rhs_pair_product
 from .combin import compositions, conjugate, iota, partitions_in_box, partitions_of
 from .errors import CapabilityError, ParameterError, UsageError
 from .pmatrix import det_fractions
-from .report import VerifyReport, hash_parts
+from .report import VerifyReport, hash_parts, render
 from .sampling import SplitMix64, qt_is_admissible, sample_point, sample_qt
 
 # Transition matrices are cached per weight; the cap keeps them small.
@@ -380,8 +380,8 @@ def verify_corollary_macdonald(s, n, seed, q=None, t=None):
         identity="macdonald",
         mode="numeric",
         equal=equal,
-        lhs_hash=hash_parts([str(det_p), str(det_q)]),
-        rhs_hash=hash_parts([str(rhs), str(printed * rhs)]),
+        lhs_hash=hash_parts([render(det_p), render(det_q)]),
+        rhs_hash=hash_parts([render(rhs), render(printed * rhs)]),
         s=s,
         n=n,
         seed=seed,

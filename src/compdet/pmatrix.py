@@ -1,23 +1,29 @@
-"""Dense matrices over the Laurent polynomial ring, and exact determinants.
+"""Matrices as lists of rows, and exact determinants.
+
+A matrix is a list of equal-length rows.  Its entries are either Laurent
+polynomials in one ring (symbolic mode) or rationals, ints and Fractions
+(numeric mode).  `det` and `dot` pick their arithmetic by the type of the
+first entry.
 
 `det` is the determinant every verifier calls:
 
-* constants (a 0-variable ring) go to det_fractions, elimination on
-  primitive integer rows: each row is cleared of denominators by its lcm,
-  and after every step the gcd of each new row is divided out into an
-  exact rational row multiplier.  Unlike integer Bareiss (Bareiss 1968),
-  which carries the common factors of the factoring minors through every
-  step, this keeps each row primitive (the classic contrast of Brown,
-  JACM 1971, between primitive and subresultant remainder sequences);
-* symbolic matrices go to det_minor_expansion, division-free dynamic
+* rational entries go to det_fractions, elimination on primitive integer
+  rows: each row is cleared of denominators by its lcm, and after every
+  step the gcd of each new row is divided out into an exact rational row
+  multiplier.  Unlike integer Bareiss (Bareiss 1968), which carries the
+  common factors of the factoring minors through every step, this keeps
+  each row primitive (the classic contrast of Brown, JACM 1971, between
+  primitive and subresultant remainder sequences).  The value is a
+  Fraction;
+* polynomial entries go to det_minor_expansion, division-free dynamic
   programming over column subsets, which suits small polynomial entries in
   many variables, where elimination products blow up.
 
 det_cofactor (naive cofactor expansion, capped at size ORACLE_BOUND_DEFAULT
 unless the caller passes another bound) and det_fraction_free (polynomial
-Bareiss with exact LaurentPoly.exquo steps) are library functions and test
-cross-checks only.  Both eliminations pivot on the first row with a nonzero
-entry in the column.
+Bareiss with exact LaurentPoly.exquo steps) take polynomial rows; they are
+library functions and test cross-checks only.  Both eliminations pivot on
+the first row with a nonzero entry in the column.
 
 Row/column index sets at the public surface are 1-based sorted tuples, the
 same convention the combinatorial maps use.
@@ -34,134 +40,64 @@ from .laurent import LaurentPoly, unit_key
 ORACLE_BOUND_DEFAULT = 6
 
 
-class PolyMatrix:
-    """Rectangular matrix of LaurentPoly entries sharing one ring."""
-
-    __slots__ = ("nrows", "ncols", "num_vars", "_rows")
-
-    def __init__(self, rows):
-        if not rows or not rows[0]:
-            raise UsageError("matrix needs at least one row and column")
-        width = len(rows[0])
-        nv = rows[0][0].num_vars
-        for row in rows:
-            if len(row) != width:
-                raise UsageError("ragged rows")
-            for e in row:
-                if not isinstance(e, LaurentPoly) or e.num_vars != nv:
-                    raise UsageError("entries must be LaurentPoly in one ring")
-        self._rows = [list(row) for row in rows]
-        self.nrows = len(rows)
-        self.ncols = width
-        self.num_vars = nv
-
-    @classmethod
-    def symbolic(cls, nrows, ncols):
-        """Matrix of nrows*ncols independent variables, row-major order."""
-        nv = nrows * ncols
-        return cls(
-            [
-                [LaurentPoly.variable(nv, i * ncols + j + 1) for j in range(ncols)]
-                for i in range(nrows)
-            ]
-        )
-
-    @classmethod
-    def constants(cls, values, num_vars=0):
-        """Matrix of rational constants embedded in a num_vars ring."""
-        return cls(
-            [[LaurentPoly.const(num_vars, Fraction(v)) for v in row] for row in values]
-        )
-
-    def at(self, i, j):
-        """Entry by 0-based position."""
-        return self._rows[i][j]
-
-    def row(self, i):
-        return list(self._rows[i])
-
-    def transpose(self):
-        return PolyMatrix(
-            [[self._rows[i][j] for i in range(self.nrows)] for j in range(self.ncols)]
-        )
-
-    def matmul(self, other):
-        if self.ncols != other.nrows:
-            raise UsageError("inner dimensions disagree")
-        unit = unit_key(self.num_vars)
-        out = []
-        for i in range(self.nrows):
-            out_row = []
-            for j in range(other.ncols):
-                acc = {}
-                for k in range(self.ncols):
-                    a = self._rows[i][k]
-                    b = other._rows[k][j]
-                    if a._terms and b._terms:
-                        muladd_terms(acc, a._terms, b._terms, unit, 1)
-                out_row.append(LaurentPoly(self.num_vars, acc))
-            out.append(out_row)
-        return PolyMatrix(out)
-
-    def eval(self, point):
-        """Rational matrix (nested lists of Fraction) at a point."""
-        return [[e.eval(point) for e in row] for row in self._rows]
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, PolyMatrix)
-            and self.nrows == other.nrows
-            and self.ncols == other.ncols
-            and all(
-                self._rows[i][j] == other._rows[i][j]
-                for i in range(self.nrows)
-                for j in range(self.ncols)
-            )
-        )
-
-    __hash__ = None
-
-    def __repr__(self):
-        return f"PolyMatrix({self.nrows}x{self.ncols}, {self.num_vars} vars)"
+def symbolic(nrows, ncols):
+    """Rows of nrows*ncols independent variables, numbered row-major."""
+    nv = nrows * ncols
+    return [
+        [LaurentPoly.variable(nv, i * ncols + j + 1) for j in range(ncols)]
+        for i in range(nrows)
+    ]
 
 
-def minor(m, rowset, colset):
+def minor(rows, rowset, colset):
     """Submatrix selected by 1-based sorted row and column index tuples."""
     rowset, colset = tuple(rowset), tuple(colset)
     if not rowset or not colset:
         raise UsageError("empty index set")
     if list(rowset) != sorted(set(rowset)) or list(colset) != sorted(set(colset)):
         raise UsageError("index sets must be strictly increasing")
-    if rowset[-1] > m.nrows or colset[-1] > m.ncols or rowset[0] < 1 or colset[0] < 1:
+    if rowset[-1] > len(rows) or colset[-1] > len(rows[0]) or rowset[0] < 1 or colset[0] < 1:
         raise UsageError("index out of range")
-    return PolyMatrix(
-        [[m.at(i - 1, j - 1) for j in colset] for i in rowset]
-    )
+    return [[rows[i - 1][j - 1] for j in colset] for i in rowset]
 
 
-def _require_square(m):
-    if m.nrows != m.ncols:
+def dot(xs, ys):
+    """Sum of the products of paired entries: one term accumulator for
+    polynomials, a Fraction sum for rationals."""
+    if xs and isinstance(xs[0], LaurentPoly):
+        nv = xs[0].num_vars
+        unit = unit_key(nv)
+        acc = {}
+        for a, b in zip(xs, ys):
+            if a._terms and b._terms:
+                muladd_terms(acc, a._terms, b._terms, unit, 1)
+        return LaurentPoly(nv, acc)
+    return sum((a * b for a, b in zip(xs, ys)), Fraction(0))
+
+
+def _require_square(rows):
+    if any(len(row) != len(rows) for row in rows):
         raise UsageError("determinant of a non-square matrix")
 
 
-def det_cofactor(m, bound=ORACLE_BOUND_DEFAULT):
-    """Oracle determinant by cofactor expansion along the first row.
+def det_cofactor(rows, bound=ORACLE_BOUND_DEFAULT):
+    """Oracle determinant of polynomial rows by cofactor expansion along the
+    first row.
 
     Refuses matrices larger than ``bound`` so nobody leans on it for real
     work.
     """
-    _require_square(m)
-    if m.nrows > bound:
-        raise CapabilityError(
-            f"cofactor oracle limited to size {bound} (got {m.nrows})"
-        )
-    rows = [list(r) for r in m._rows]
+    _require_square(rows)
+    n = len(rows)
+    if n > bound:
+        raise CapabilityError(f"cofactor oracle limited to size {bound} (got {n})")
+    nv = rows[0][0].num_vars
 
     def rec(rowidx, cols):
         if len(cols) == 1:
             return rows[rowidx[0]][cols[0]]
         r = rowidx[0]
-        total = LaurentPoly.zero(m.num_vars)
+        total = LaurentPoly.zero(nv)
         sign = 1
         for p, j in enumerate(cols):
             e = rows[r][j]
@@ -171,15 +107,16 @@ def det_cofactor(m, bound=ORACLE_BOUND_DEFAULT):
             sign = -sign
         return total
 
-    return rec(tuple(range(m.nrows)), tuple(range(m.ncols)))
+    return rec(tuple(range(n)), tuple(range(n)))
 
 
-def det_fraction_free(m):
-    """Bareiss fraction-free determinant; first nonzero pivot, exact divisions."""
-    _require_square(m)
-    n = m.nrows
-    nv = m.num_vars
-    work = [list(row) for row in m._rows]
+def det_fraction_free(rows):
+    """Bareiss fraction-free determinant of polynomial rows; first nonzero
+    pivot, exact divisions."""
+    _require_square(rows)
+    n = len(rows)
+    nv = rows[0][0].num_vars
+    work = [list(row) for row in rows]
     sign = 1
     prev = LaurentPoly.const(nv, 1)
     for k in range(n - 1):
@@ -202,19 +139,19 @@ def det_fraction_free(m):
     return -result if sign < 0 else result
 
 
-def det_minor_expansion(m):
-    """Division-free determinant: row-by-row Laplace expansion with memoized
-    minors over column subsets.  Cost grows with 2^n but each step multiplies
-    a minor by a single matrix entry, which is where sparse symbolic entries
-    win big over elimination."""
-    _require_square(m)
-    n = m.nrows
-    nv = m.num_vars
+def det_minor_expansion(rows):
+    """Division-free determinant of polynomial rows: row-by-row Laplace
+    expansion with memoized minors over column subsets.  Cost grows with 2^n
+    but each step multiplies a minor by a single matrix entry, which is where
+    sparse symbolic entries win big over elimination."""
+    _require_square(rows)
+    n = len(rows)
+    nv = rows[0][0].num_vars
     unit = unit_key(nv)
     prev = {(): LaurentPoly.const(nv, 1)}
     for r in range(1, n + 1):
         cur = {}
-        row = m._rows[r - 1]
+        row = rows[r - 1]
         for subset in combinations(range(n), r):
             acc = {}
             sign = 1 if (r - 1) % 2 == 0 else -1
@@ -242,9 +179,8 @@ def det_fractions(rows):
     exceeds its integer Bareiss counterpart; on the verifiers' matrices,
     whose minors factor, they are up to ten times smaller.  The determinant
     is the signed product of the true pivots, multiplier times pivot."""
+    _require_square(rows)
     n = len(rows)
-    if any(len(r) != n for r in rows):
-        raise UsageError("determinant of a non-square matrix")
     if n == 0:
         return Fraction(1)
     # each row of work is (multiplier numerator, denominator, integer row)
@@ -295,11 +231,11 @@ def det_fractions(rows):
     return Fraction(num * last_num * entry, den * last_den)
 
 
-def det(m):
-    """Exact determinant of a square PolyMatrix: primitive-row elimination
-    on the constants of a 0-variable matrix, minor expansion otherwise."""
-    _require_square(m)
-    if m.num_vars == 0:
-        value = det_fractions([[e.constant_term() for e in row] for row in m._rows])
-        return LaurentPoly.const(0, value)
-    return det_minor_expansion(m)
+def det(rows):
+    """Exact determinant of square rows: minor expansion on Laurent
+    polynomial entries, primitive-row elimination on rational entries,
+    whose value comes back as a Fraction."""
+    _require_square(rows)
+    if rows and isinstance(rows[0][0], LaurentPoly):
+        return det_minor_expansion(rows)
+    return det_fractions(rows)

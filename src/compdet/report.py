@@ -4,6 +4,11 @@ A verification never raises on mathematical disagreement; it returns a
 report with equal=False and the two side hashes differing.  Exceptions are
 reserved for bad usage and bad parameters.
 
+`render` is the one way a verdict value becomes text, for the hashes and
+for the rationals in `detail`: a Laurent polynomial renders as its
+canonical() form, a rational as str().  A 0-variable polynomial and the
+rational it holds render alike.
+
 The JSON form is deterministic for a fixed (identity, parameters, seed):
 keys are sorted, separators fixed, and values exact.  The elapsed_ms field
 is wall-clock and therefore the one field excluded from reproducibility
@@ -13,11 +18,22 @@ comparisons.
 import hashlib
 import json
 from dataclasses import dataclass, field
+from fractions import Fraction
+
+from .laurent import LaurentPoly
 
 SCHEMA_VERSION = 1
 
 # Fields whose values may differ between two runs with identical inputs.
 VOLATILE_FIELDS = ("elapsed_ms",)
+
+
+def render(value):
+    """Canonical text of a verdict value: canonical() of a polynomial,
+    str() of a rational."""
+    if isinstance(value, LaurentPoly):
+        return value.canonical()
+    return str(value)
 
 
 def canonical_hash(text):
@@ -26,10 +42,10 @@ def canonical_hash(text):
 
 
 def side_hashes(lhs, rhs, equal):
-    """Hashes of the canonical renderings of two sides.  Equal sides have
-    equal term dicts and so the same rendering: it is made once."""
-    lhs_hash = canonical_hash(lhs.canonical())
-    return lhs_hash, lhs_hash if equal else canonical_hash(rhs.canonical())
+    """Hashes of the renderings of two sides.  Equal sides have the same
+    rendering: it is made once."""
+    lhs_hash = canonical_hash(render(lhs))
+    return lhs_hash, lhs_hash if equal else canonical_hash(render(rhs))
 
 
 def hash_parts(parts):
@@ -97,10 +113,8 @@ class VerifyReport:
 
 def _plain(value):
     """Recursively convert report details to JSON-safe plain values."""
-    from fractions import Fraction
-
     if isinstance(value, Fraction):
-        return str(value)
+        return render(value)
     if isinstance(value, dict):
         return {str(k): _plain(v) for k, v in sorted(value.items(), key=lambda kv: str(kv[0]))}
     if isinstance(value, (list, tuple)):

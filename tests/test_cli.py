@@ -260,3 +260,60 @@ def test_verify_rejects_nonpositive_sizes(capsys, identity, mode, s, n):
     assert code == 2
     assert out == ""
     assert err == "error: s and n must be positive\n"
+
+
+def _sweep_argvs():
+    """Requests across every identity, mode, family and enumerate kind, with
+    sizes that are 0, negative, small or outside the symbolic envelope, and
+    bad --k, --q, --t and --repeats.  Each finishes well under a second."""
+    cases = []
+    sizes = [(0, 2), (-1, 2), (2, 0), (1, 3), (3, 1), (2, 2), (3, 2), (3, 3), (5, 2)]
+    for identity in ("main", "sylvester", "gram"):
+        for mode in (None, "symbolic", "numeric"):
+            for s, n in sizes:
+                argv = [identity, "--s", str(s), "--n", str(n)]
+                cases.append(argv + (["--mode", mode] if mode else []))
+    for mode in ("symbolic", "numeric"):
+        for k in (-1, 0, 1, 4):
+            cases.append(["gram", "--s", "3", "--n", "2", "--k", str(k), "--mode", mode])
+    cases += [["denominators", "--n", str(n)] for n in (-1, 0, 1, 3)]
+    cases += [["denominators"], ["denominators", "--n", "2", "--mode", "numeric"]]
+    for family in ("gl", "sp", "odd-orth", "even-orth"):
+        for s, n in ((2, 2), (1, 1), (0, 2), (2, -1)):
+            cases.append(["schur-det", "--family", family, "--s", str(s), "--n", str(n)])
+    cases += [
+        ["schur-det", "--s", "2", "--n", "2"],
+        ["schur-det", "--family", "gl", "--s", "2", "--n", "2", "--mode", "symbolic"],
+    ]
+    for family in ("gl", "sp", "odd-orth", "even-orth"):
+        for s, n in ((4, 2), (1, 1), (3, 0), (2, 3)):
+            cases.append(["prop12", "--family", family, "--s", str(s), "--n", str(n)])
+    for s, n in ((2, 1), (2, 2), (1, 3), (0, 2), (9, 2)):
+        cases.append(["macdonald", "--s", str(s), "--n", str(n)])
+    for q, t in (("1/2", "1/3"), ("abc", "1/3"), ("1/0", "1/3"), ("2", "1/3"),
+                 ("1/2", "1/2"), ("0", "1/3"), ("1/2", None), (None, "1/3")):
+        argv = ["macdonald", "--s", "2", "--n", "1"]
+        argv += ["--q", q] if q else []
+        argv += ["--t", t] if t else []
+        cases.append(argv)
+    for repeats in (-1, 0, 2):
+        cases.append(["main", "--s", "2", "--n", "2", "--repeats", str(repeats)])
+    cases = [["verify", *argv] for argv in cases]
+    for kind in cli.ENUMERATE_KINDS:
+        for s, n in ((3, 2), (1, 1), (0, 2), (2, -1)):
+            for k in (None, 0, 1, 5):
+                argv = ["enumerate", kind, str(s), str(n)]
+                cases.append(argv + (["--k", str(k)] if k is not None else []))
+    return cases
+
+
+@pytest.mark.parametrize("argv", _sweep_argvs(), ids=" ".join)
+def test_cli_sweep_exits_with_a_contract_code(capsys, argv):
+    code, out, err = run_cli(capsys, argv)
+    assert code in (0, 1, 2)
+    assert "Traceback" not in err
+    if code == 2:
+        assert out == "" and err.startswith("error:")
+        assert len(err.strip().splitlines()) == 1
+    else:
+        assert out and err == ""

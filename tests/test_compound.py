@@ -4,6 +4,7 @@ from math import comb
 
 import pytest
 
+from compdet import cli
 from compdet.combin import (
     compositions,
     dominated_except,
@@ -28,7 +29,8 @@ from compdet.compound import (
     verify_sylvester,
 )
 from compdet.errors import CapabilityError, UsageError
-from compdet.pmatrix import PolyMatrix, det, minor
+from compdet.laurent import LaurentPoly
+from compdet.pmatrix import det, minor, symbolic
 from compdet.sampling import SplitMix64
 
 
@@ -42,9 +44,9 @@ def maximal_minor(spec, cols):
 
 def test_spec_shape_validation():
     with pytest.raises(UsageError):
-        CompoundSpec(2, 2, PolyMatrix.symbolic(3, 3))
+        CompoundSpec(2, 2, symbolic(3, 3), LaurentPoly.const(9, 1))
     spec = CompoundSpec.symbolic(2, 2)
-    assert spec.A.nrows == 3 and spec.A.ncols == 4
+    assert len(spec.A) == 3 and all(len(row) == 4 for row in spec.A)
     assert spec.row_sets == subsets_lex(3, 2)
     assert spec.col_sets == [(1, 2), (1, 3), (3, 4)]
 
@@ -140,7 +142,7 @@ def _pairing_zero_cases(spec, use_pinned_table=False):
                 for a, b in zip(v, w):
                     term = a * b
                     total = term if total is None else total + term
-                assert total.is_zero()
+                assert total == 0
                 checked += 1
     return checked
 
@@ -174,7 +176,7 @@ def test_expansion_pairing_exhaustive_numeric_small_sizes():
                         total = term if total is None else total + term
                     sign = epsilon(J, K)
                     if sign == 0:
-                        assert total.is_zero()
+                        assert total == 0
                     else:
                         union = tuple(sorted(set(J) | set(K)))
                         assert total == maximal_minor(spec, union) * sign
@@ -220,9 +222,7 @@ def test_column_swap_flips_compound_determinant():
     spec = CompoundSpec.symbolic(2, 2)
     m = build_M(spec)
     d = det(m)
-    swapped = PolyMatrix(
-        [[m.at(i, [1, 0, 2][j]) for j in range(3)] for i in range(3)]
-    )
+    swapped = [[m[i][[1, 0, 2][j]] for j in range(3)] for i in range(3)]
     assert det(swapped) == -d
 
 
@@ -310,3 +310,35 @@ def test_leading_term_specialization():
     for s, n in [(1, 4), (4, 1), (2, 2), (3, 2), (2, 3)]:
         report = verify_leading_term(s, n)
         assert report.equal, (s, n)
+
+
+def test_numeric_reports_record_the_seed_they_sampled_with():
+    # a library caller that gives no seed samples at seed 0, and says so
+    for verify in (verify_main, verify_sylvester, verify_gram):
+        unseeded = verify(3, 2, mode="numeric", seed=None)
+        seeded = verify(3, 2, mode="numeric", seed=0)
+        assert unseeded.seed == 0 == seeded.seed, verify.__name__
+        assert unseeded.lhs_hash == seeded.lhs_hash, verify.__name__
+        assert unseeded.rhs_hash == seeded.rhs_hash, verify.__name__
+        assert verify(3, 2, mode="numeric", seed=7).seed == 7, verify.__name__
+        assert verify(2, 2).seed is None, verify.__name__
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["main", "--mode", "numeric", "--s", "3", "--n", "3"],
+        ["main", "--mode", "numeric", "--s", "1", "--n", "3"],
+        ["gram", "--mode", "numeric", "--s", "3", "--n", "2"],
+        ["gram", "--mode", "numeric", "--s", "3", "--n", "2", "--k", "2"],
+        ["gram", "--mode", "numeric", "--s", "2", "--n", "3", "--k", "1"],
+        ["sylvester", "--mode", "numeric", "--s", "4", "--n", "2"],
+    ],
+)
+def test_numeric_compound_checks_build_no_polynomial(monkeypatch, capsys, argv):
+    def refuse(self, *args, **kwargs):
+        raise AssertionError("a numeric check built a LaurentPoly")
+
+    monkeypatch.setattr(LaurentPoly, "__init__", refuse)
+    assert cli.main(["verify", *argv]) == 0
+    assert '"equal":true' in capsys.readouterr().out

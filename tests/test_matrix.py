@@ -1,12 +1,13 @@
-"""Polynomial matrices and the determinant algorithm family.
+"""Matrices as lists of rows and the determinant algorithm family.
 
 The in-package algorithms (cofactor recursion, polynomial fraction-free
 elimination, division-free minor expansion, primitive-row elimination on
 rationals) are cross-checked against a permutation-sum oracle on random
 rational matrices and on small symbolic ones, and det_fractions against the
 integer Bareiss elimination it replaced.  `det` must agree with
-det_fractions on constants, and no verifier may reach the test-only
-routines.
+det_fractions on rational rows and with det_minor_expansion on polynomial
+rows, `dot` with a plain sum of products, and no verifier may reach the
+test-only routines.
 """
 
 import json
@@ -22,13 +23,14 @@ from compdet import cli, pmatrix
 from compdet.errors import CapabilityError, UsageError
 from compdet.laurent import LaurentPoly
 from compdet.pmatrix import (
-    PolyMatrix,
     det,
     det_cofactor,
     det_fraction_free,
     det_fractions,
     det_minor_expansion,
+    dot,
     minor,
+    symbolic,
 )
 from compdet.sampling import SplitMix64
 
@@ -42,7 +44,7 @@ def random_constant_matrix(size, rng):
             den = rng.next_below(1 << 8) + 1
             row.append(LaurentPoly.const(0, Fraction(num, den)))
         rows.append(row)
-    return PolyMatrix(rows)
+    return rows
 
 
 def test_determinant_algorithms_agree_on_random_matrices():
@@ -50,7 +52,7 @@ def test_determinant_algorithms_agree_on_random_matrices():
     for trial in range(200):
         size = 2 + trial % 4  # sizes 2..5
         m = random_constant_matrix(size, rng)
-        reference = leibniz_det([[m.at(i, j) for j in range(size)] for i in range(size)])
+        reference = leibniz_det([[m[i][j] for j in range(size)] for i in range(size)])
         ff = det_fraction_free(m)
         mx = det_minor_expansion(m)
         cf = det_cofactor(m, bound=size)
@@ -58,14 +60,14 @@ def test_determinant_algorithms_agree_on_random_matrices():
         assert mx == reference
         assert cf == reference
         plain = det_fractions(
-            [[m.at(i, j).constant_term() for j in range(size)] for i in range(size)]
+            [[m[i][j].constant_term() for j in range(size)] for i in range(size)]
         )
         assert reference == plain
 
 
 def test_determinant_algorithms_agree_symbolically():
-    m = PolyMatrix.symbolic(3, 3)
-    reference = leibniz_det([[m.at(i, j) for j in range(3)] for i in range(3)])
+    m = symbolic(3, 3)
+    reference = leibniz_det([[m[i][j] for j in range(3)] for i in range(3)])
     assert det_cofactor(m) == reference
     assert det_fraction_free(m) == reference
     assert det_minor_expansion(m) == reference
@@ -76,11 +78,11 @@ def test_singular_and_structured_matrices():
     zero = LaurentPoly.const(0, 0)
     one = LaurentPoly.const(0, 1)
     two = LaurentPoly.const(0, 2)
-    m = PolyMatrix([[one, two], [one, two]])
+    m = [[one, two], [one, two]]
     assert det_fraction_free(m).is_zero()
     assert det_minor_expansion(m).is_zero()
     # a leading zero pivot forces the row-swap path
-    m2 = PolyMatrix([[zero, one], [two, zero]])
+    m2 = [[zero, one], [two, zero]]
     assert det_fraction_free(m2) == LaurentPoly.const(0, -2)
     assert det_fractions([[0, 1], [2, 0]]) == -2
     assert det_fractions([]) == 1
@@ -92,22 +94,42 @@ def test_cofactor_bound_enforced():
         det_cofactor(m, bound=4)
 
 
-def test_matmul_transpose_interplay():
-    a = PolyMatrix.symbolic(2, 3)
-    b = PolyMatrix(
-        [[LaurentPoly.variable(6, i + 3 * j + 1) for j in range(2)] for i in range(3)]
-    )
-    left = a.matmul(b).transpose()
-    right = b.transpose().matmul(a.transpose())
-    assert left == right
+def test_dot_matches_a_plain_sum():
+    # polynomial entries: (AB)^T = B^T A^T, entry by entry
+    a = symbolic(2, 3)
+    b = [[LaurentPoly.variable(6, i + 3 * j + 1) for j in range(2)] for i in range(3)]
+    for i in range(2):
+        for j in range(2):
+            col = [row[j] for row in b]
+            value = dot(a[i], col)
+            assert value == dot(col, a[i])
+            plain = LaurentPoly.zero(6)
+            for x, y in zip(a[i], col):
+                plain = plain + x * y
+            assert value == plain
+    # terms that cancel across products leave no zero coefficient behind
+    x1, x2 = LaurentPoly.variable(2, 1), LaurentPoly.variable(2, 2)
+    cancelled = dot([x1, x2], [x2, -x1])
+    assert cancelled.is_zero() and cancelled._terms == {}
+    # an all-zero polynomial vector gives the zero of its ring
+    zeros = [LaurentPoly.zero(3)] * 4
+    value = dot(zeros, [LaurentPoly.variable(3, 1)] * 4)
+    assert value.is_zero() and value.num_vars == 3
+    # rational entries: a Fraction, the plain sum of products
+    xs = [Fraction(1, 2), -3, Fraction(5, 7), 0]
+    ys = [4, Fraction(-2, 9), Fraction(7, 5), Fraction(11, 3)]
+    value = dot(xs, ys)
+    assert isinstance(value, Fraction)
+    assert value == sum(x * y for x, y in zip(xs, ys)) == Fraction(11, 3)
+    assert dot([], []) == 0
 
 
 def test_minor_extraction_and_validation():
-    m = PolyMatrix.symbolic(3, 4)
+    m = symbolic(3, 4)
     sub = minor(m, (1, 3), (2, 4))
-    assert sub.nrows == 2 and sub.ncols == 2
-    assert sub.at(0, 0) == m.at(0, 1)
-    assert sub.at(1, 1) == m.at(2, 3)
+    assert len(sub) == 2 and all(len(row) == 2 for row in sub)
+    assert sub[0][0] == m[0][1]
+    assert sub[1][1] == m[2][3]
     with pytest.raises(UsageError):
         minor(m, (3, 1), (2, 4))  # not increasing
     with pytest.raises(UsageError):
@@ -119,7 +141,7 @@ def test_minor_extraction_and_validation():
 
 
 def test_rectangular_determinant_rejected():
-    m = PolyMatrix.symbolic(2, 3)
+    m = symbolic(2, 3)
     with pytest.raises(UsageError):
         det_fraction_free(m)
     with pytest.raises(UsageError):
@@ -127,10 +149,10 @@ def test_rectangular_determinant_rejected():
 
 
 def test_eval_commutes_with_determinant():
-    m = PolyMatrix.symbolic(3, 3)
+    m = symbolic(3, 3)
     point = [Fraction(k * k, 7) for k in range(2, 11)]
     d = det_minor_expansion(m)
-    evaluated = det_fractions(m.eval(point))
+    evaluated = det_fractions([[e.eval(point) for e in row] for row in m])
     assert d.eval(point) == evaluated
 
 
@@ -274,12 +296,27 @@ def test_det_dispatches_constants_to_det_fractions():
     rng = SplitMix64(5)
     for size in (1, 2, 5):
         m = random_constant_matrix(size, rng)
-        plain = det_fractions(
-            [[m.at(i, j).constant_term() for j in range(size)] for i in range(size)]
-        )
-        assert det(m) == LaurentPoly.const(0, plain)
+        rows = [[m[i][j].constant_term() for j in range(size)] for i in range(size)]
+        plain = det_fractions(rows)
+        value = det(rows)
+        assert isinstance(value, Fraction) and value == plain
+        ints = [[v.numerator for v in row] for row in rows]
+        value = det(ints)
+        assert isinstance(value, Fraction) and value == det_fractions(ints)
+    assert det([]) == 1
     with pytest.raises(UsageError):
-        det(PolyMatrix.symbolic(2, 3))
+        det(symbolic(2, 3))
+    with pytest.raises(UsageError):
+        det([[1, 2, 3], [4, 5, 6]])
+
+
+def test_det_sends_polynomial_rows_to_minor_expansion():
+    m = symbolic(3, 3)
+    assert det(m) == det_minor_expansion(m)
+    x = LaurentPoly.variable(2, 1)
+    y = LaurentPoly.variable(2, 2, -1)
+    rows = [[x + y, x * y, LaurentPoly.const(2, 3)], [y, x, y * y], [x, x - y, y]]
+    assert det(rows) == det_minor_expansion(rows) == leibniz_det(rows)
 
 
 def test_cli_paths_avoid_the_oracles_and_polynomial_division(monkeypatch, capsys):

@@ -3,12 +3,17 @@
 import json
 from fractions import Fraction
 
+from hypothesis import given
+from hypothesis import strategies as st
+
+from compdet.laurent import LaurentPoly
 from compdet.report import (
     SCHEMA_VERSION,
     VOLATILE_FIELDS,
     VerifyReport,
     canonical_hash,
     hash_parts,
+    render,
 )
 
 
@@ -86,3 +91,27 @@ def test_hash_helpers():
     assert canonical_hash("x") == canonical_hash("x")
     assert canonical_hash("x") != canonical_hash("y")
     assert hash_parts(["a", "b"]) == canonical_hash("a\nb")
+
+
+rationals = st.one_of(
+    st.integers(min_value=-(10**40), max_value=10**40),
+    st.fractions(),
+    st.builds(Fraction, st.integers(), st.integers(min_value=1, max_value=10**30)),
+)
+
+
+@given(rationals)
+def test_render_of_a_constant_is_the_rational_text(c):
+    # a constant polynomial and its rational hash alike, so a hash does not
+    # depend on which of the two holds the value
+    assert render(LaurentPoly.const(0, c)) == render(c) == str(c)
+    assert render(Fraction(c)) == str(c)
+
+
+def test_render_of_polynomials_and_fractions_in_detail():
+    x = LaurentPoly.variable(2, 1)
+    poly = x * 3 - LaurentPoly.variable(2, 2, -1)
+    assert render(poly) == poly.canonical() == "3*x1 - x2^(-1/2)"
+    assert render(LaurentPoly.zero(4)) == render(Fraction(0)) == "0"
+    r = sample_report(detail={"q": Fraction(-4, 6)})
+    assert json.loads(r.to_json())["detail"]["q"] == render(Fraction(-2, 3)) == "-2/3"
