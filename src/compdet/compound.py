@@ -154,31 +154,30 @@ def partner_map_for_variant(spec, k0=None):
     return {mu: partner_slots_pinned(mu, k0, spec.n) for mu in spec.col_comps}
 
 
-def _support_permutation_unique(pattern):
-    """Given a boolean matrix, count permutations inside its support,
-    stopping at 2.  Returns (count_capped_at_2, identity_in_support)."""
+def _support_is_triangular(pattern):
+    """True when the digraph i -> j over the nonzero off-diagonal cells of
+    a boolean matrix has no cycle, found by a topological sort (Kahn 1962).
+
+    Then some order of the indices makes the support triangular.  With a
+    zero-free diagonal this holds exactly when the identity is the only
+    permutation inside the support: a cycle plus fixed points would be a
+    second one."""
     size = len(pattern)
-    identity_ok = all(pattern[i][i] for i in range(size))
-    count = 0
-
-    def rec(col, used):
-        nonlocal count
-        if count >= 2:
-            return
-        if col == size:
-            count += 1
-            return
-        for row in range(size):
-            if pattern[row][col] and not (used >> row) & 1:
-                rec(col + 1, used | (1 << row))
-                if count >= 2:
-                    return
-
-    rec(0, 0)
-    return count, identity_ok
+    indegree = [sum(pattern[i][j] for i in range(size) if i != j) for j in range(size)]
+    ready = [j for j in range(size) if not indegree[j]]
+    removed = 0
+    while ready:
+        i = ready.pop()
+        removed += 1
+        for j in range(size):
+            if j != i and pattern[i][j]:
+                indegree[j] -= 1
+                if not indegree[j]:
+                    ready.append(j)
+    return removed == size
 
 
-def verify_gram_structure(spec, mode, seed=None, k0=None, partner_map=None):
+def verify_gram_structure(spec, mode, seed=None, k0=None):
     """Check the pairing structure behind the compound factorization.
 
     Builds T = transpose(M) * Mhat, one dot product of columns per entry,
@@ -192,8 +191,7 @@ def verify_gram_structure(spec, mode, seed=None, k0=None, partner_map=None):
     report records mode and seed as given.
     """
     t0 = time.perf_counter()
-    if partner_map is None:
-        partner_map = partner_map_for_variant(spec, k0)
+    partner_map = partner_map_for_variant(spec, k0)
     M = build_M(spec)
     Mhat = build_Mhat(spec, partner_map)
     T = [[dot(a, b) for b in zip(*Mhat)] for a in zip(*M)]
@@ -248,8 +246,8 @@ def verify_gram_structure(spec, mode, seed=None, k0=None, partner_map=None):
         cols = tuple(sorted(set(iota(mu, spec.n)) | set(partner_map[mu])))
         factor_mult[format_subset(cols)] = factor_mult.get(format_subset(cols), 0) + 1
 
-    perm_count, identity_ok = _support_permutation_unique(pattern)
-    unique_support = perm_count == 1 and identity_ok
+    full_diagonal = all(pattern[i][i] for i in range(size))
+    unique_support = full_diagonal and _support_is_triangular(pattern)
 
     det_equal = False
     method = None

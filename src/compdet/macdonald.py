@@ -1,10 +1,15 @@
 """Two-parameter symmetric functions with concrete rational parameters.
 
-The basis is built by Gram-Schmidt over the monomial symmetric functions,
-ordered by a linear extension of dominance, against the inner product that
-weights each power-sum norm by (1 - q**part) / (1 - t**part).  Everything
-is exact Fraction arithmetic; q and t are concrete rationals, never
-indeterminates, which keeps the transition matrices small and cacheable.
+The basis is built by Gram-Schmidt in power-sum coordinates, where the
+inner product is diagonal: p_rho has norm z_rho times the product of
+(1 - q**part) / (1 - t**part).  Each vector starts from a product of
+elementary symmetric functions, written in power sums by the generating
+formulas for e_k and h_k (Macdonald, Symmetric Functions and Hall
+Polynomials, ch. I §2).  Monomial coefficients are read off by the Hall
+pairing <f, h_mu>, under which h and m are dual bases and p_rho has norm
+z_rho (ibid., ch. I §4).  Everything is exact Fraction arithmetic; q and t
+are concrete rationals, never indeterminates, so each basis is a small
+cacheable table per weight.
 
 The verification entry point evaluates the basis on nested variable
 subsets, takes the determinant of the resulting grid, and compares it with
@@ -23,7 +28,8 @@ from .pmatrix import det_fractions
 from .report import VerifyReport, hash_parts, render
 from .sampling import SplitMix64, qt_is_admissible, sample_point, sample_qt
 
-# Transition matrices are cached per weight; the cap keeps them small.
+# Bases are cached per weight.  Weight 10 reaches `macdonald (6,2)`, whose
+# report renders an integer past Python's int-to-str digit limit.
 MAX_WEIGHT = 8
 
 
@@ -87,80 +93,6 @@ def _partitions_ascending(weight):
     return sorted(partitions_of(weight))
 
 
-@lru_cache(maxsize=None)
-def expand_p_in_m(lam):
-    """Power-sum product expanded in the monomial basis, as a dict mapping
-    partitions to integer coefficients.
-
-    Brute force: expand the product of power sums in as many variables as
-    the weight, then read off one representative monomial per partition.
-    """
-    lam = _normalize_partition(lam)
-    weight = sum(lam)
-    if weight == 0:
-        return {(): 1}
-    nv = weight
-    poly = {(0,) * nv: 1}
-    for r in lam:
-        nxt = {}
-        for exps, coeff in poly.items():
-            for i in range(nv):
-                key = exps[:i] + (exps[i] + r,) + exps[i + 1 :]
-                nxt[key] = nxt.get(key, 0) + coeff
-        poly = nxt
-    out = {}
-    for mu in partitions_of(weight):
-        rep = mu + (0,) * (nv - len(mu))
-        coeff = poly.get(rep, 0)
-        if coeff:
-            out[mu] = coeff
-    return out
-
-
-def _invert_matrix(matrix):
-    """Inverse of a small square Fraction matrix by Gauss-Jordan."""
-    n = len(matrix)
-    work = [[Fraction(v) for v in row] + [Fraction(int(i == j)) for j in range(n)] for i, row in enumerate(matrix)]
-    for col in range(n):
-        pivot_row = next((r for r in range(col, n) if work[r][col] != 0), None)
-        if pivot_row is None:
-            raise ParameterError("singular transition matrix")
-        work[col], work[pivot_row] = work[pivot_row], work[col]
-        pivot = work[col][col]
-        work[col] = [v / pivot for v in work[col]]
-        for r in range(n):
-            if r != col and work[r][col] != 0:
-                factor = work[r][col]
-                work[r] = [a - factor * b for a, b in zip(work[r], work[col])]
-    return [row[n:] for row in work]
-
-
-@lru_cache(maxsize=None)
-def _m_in_p(weight):
-    """Monomial basis written in power sums: dict mapping each partition to
-    a dict of power-sum coefficients."""
-    plist = _partitions_ascending(weight)
-    matrix = [
-        [Fraction(expand_p_in_m(lam).get(mu, 0)) for mu in plist] for lam in plist
-    ]
-    inv = _invert_matrix(matrix)
-    out = {}
-    for r, mu in enumerate(plist):
-        out[mu] = {
-            plist[c]: inv[r][c] for c in range(len(plist)) if inv[r][c] != 0
-        }
-    return out
-
-
-def _to_p_vector(mdict, weight):
-    table = _m_in_p(weight)
-    out = {}
-    for mu, coeff in mdict.items():
-        for lam, c in table[mu].items():
-            out[lam] = out.get(lam, Fraction(0)) + coeff * c
-    return out
-
-
 def inner_product_p(lam, mu, q, t):
     """Inner product of two power-sum basis elements: diagonal, with weight
     z_lambda times the product of (1 - q**part) / (1 - t**part)."""
@@ -179,55 +111,74 @@ def inner_product_p(lam, mu, q, t):
     return norm
 
 
-def inner_product_m(f, g, weight, q, t):
-    """Inner product of two monomial-basis vectors of the same weight."""
-    q = Fraction(q)
-    t = Fraction(t)
-    fp = _to_p_vector(f, weight)
-    gp = _to_p_vector(g, weight)
-    total = Fraction(0)
-    for lam, cf in fp.items():
-        cg = gp.get(lam)
-        if not cg:
-            continue
-        total += cf * cg * inner_product_p(lam, lam, q, t)
-    return total
-
-
 def _scaled(mdict, c):
     return {mu: coeff * c for mu, coeff in mdict.items() if coeff * c != 0}
 
 
-def _minus(f, g):
-    out = dict(f)
-    for mu, coeff in g.items():
-        val = out.get(mu, Fraction(0)) - coeff
-        if val:
-            out[mu] = val
-        else:
-            out.pop(mu, None)
+@lru_cache(maxsize=None)
+def _product_in_p(parts, signed):
+    """Product of e_k (signed) or h_k over the parts k, in power sums: a
+    dict mapping partitions rho to the Fraction coefficient of p_rho.
+
+    Uses h_k = sum over rho of p_rho / z_rho and e_k = sum over rho of
+    eps_rho p_rho / z_rho, with eps_rho = (-1)**(k - len(rho)), and
+    p_rho p_sigma = p_(rho u sigma)."""
+    if not parts:
+        return {(): Fraction(1)}
+    head = _product_in_p(parts[:-1], signed)
+    k = parts[-1]
+    out = {}
+    for rho in partitions_of(k):
+        c = Fraction(-1 if signed and (k - len(rho)) % 2 else 1, z_lambda(rho))
+        for sigma, d in head.items():
+            key = tuple(sorted(sigma + rho, reverse=True))
+            out[key] = out.get(key, 0) + c * d
     return out
 
 
 @lru_cache(maxsize=None)
 def _basis_for_weight(weight, q, t):
+    """Monic basis of one weight, as monomial dicts keyed by partition.
+
+    Gram-Schmidt runs on power-sum vectors, where the inner product is
+    diagonal.  The vector for lam starts from e_(lam'), which is m_lam plus
+    terms lower in dominance, hence earlier in ascending lex order; so it
+    spans the same flag as m_lam and leaves the same residual.  The
+    coefficient of m_mu is the Hall pairing <f, h_mu>."""
     plist = _partitions_ascending(weight)
+    norms_p = [inner_product_p(rho, rho, q, t) for rho in plist]
+
+    def in_p(parts, signed):
+        vec = _product_in_p(parts, signed)
+        return [vec.get(rho, 0) for rho in plist]
+
+    def pair(f, g):
+        return sum(a * b * w for a, b, w in zip(f, g, norms_p))
+
+    # h_mu scaled by the Hall norms z_rho, so <f, h_mu> is a plain dot product
+    hall_h = {
+        mu: [c * z_lambda(rho) for c, rho in zip(in_p(mu, False), plist)]
+        for mu in plist
+    }
+    done = []
     basis = {}
-    norms = {}
-    for lam in plist:
-        f = {lam: Fraction(1)}
-        unit = {lam: Fraction(1)}
-        for mu in plist:
-            if mu == lam:
-                break
-            c = inner_product_m(unit, basis[mu], weight, q, t) / norms[mu]
+    for i, lam in enumerate(plist):
+        start = in_p(conjugate(lam), True)
+        f = start
+        for g, norm in done:
+            c = pair(start, g) / norm
             if c:
-                f = _minus(f, _scaled(basis[mu], c))
-        norm = inner_product_m(f, f, weight, q, t)
+                f = [a - c * b for a, b in zip(f, g)]
+        norm = pair(f, f)
         if norm == 0:
             raise ParameterError("isotropic basis vector; unusable parameters")
-        basis[lam] = f
-        norms[lam] = norm
+        done.append((f, norm))
+        # only m_mu with mu at or before lam in the order can occur
+        basis[lam] = {}
+        for mu in plist[: i + 1]:
+            c = sum(a * b for a, b in zip(f, hall_h[mu]))
+            if c:
+                basis[lam][mu] = c
     return basis
 
 
@@ -235,7 +186,7 @@ def macdonald_P(lam, q, t):
     """Monic basis element at concrete parameters, in the monomial basis.
 
     Returns a dict mapping partitions to Fraction coefficients.  Weight is
-    capped so per-weight transition caches stay small.
+    capped at MAX_WEIGHT.
     """
     lam = _normalize_partition(lam)
     weight = sum(lam)

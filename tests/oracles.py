@@ -6,8 +6,9 @@ of it shares code paths with the package, so agreement is meaningful.
 """
 
 from fractions import Fraction
+from functools import lru_cache
 from itertools import permutations
-from math import lcm
+from math import factorial, lcm
 
 from compdet.laurent import LaurentPoly
 
@@ -143,6 +144,155 @@ def row_coefficient_ratio(q, t):
     q = Fraction(q)
     t = Fraction(t)
     return (1 + q) * (1 - t) / (1 - q * t)
+
+
+def _partitions(weight, largest=None):
+    """Partitions of the weight as non-increasing tuples."""
+    if weight == 0:
+        return [()]
+    if largest is None:
+        largest = weight
+    return [
+        (k,) + rest
+        for k in range(min(weight, largest), 0, -1)
+        for rest in _partitions(weight - k, k)
+    ]
+
+
+@lru_cache(maxsize=None)
+def expand_p_in_m(lam):
+    """Power-sum product expanded in the monomial basis, by brute force: a
+    dict mapping partitions to integer coefficients.
+
+    The product is expanded in as many variables as the weight, and one
+    representative monomial per partition is read off.
+    """
+    lam = tuple(lam)
+    nv = sum(lam)
+    poly = {(0,) * nv: 1}
+    for r in lam:
+        nxt = {}
+        for exps, coeff in poly.items():
+            for i in range(nv):
+                key = exps[:i] + (exps[i] + r,) + exps[i + 1 :]
+                nxt[key] = nxt.get(key, 0) + coeff
+        poly = nxt
+    out = {}
+    for mu in _partitions(nv):
+        coeff = poly.get(mu + (0,) * (nv - len(mu)), 0)
+        if coeff:
+            out[mu] = coeff
+    return out
+
+
+def _invert_matrix(matrix):
+    """Inverse of a small square Fraction matrix by Gauss-Jordan."""
+    n = len(matrix)
+    work = [
+        [Fraction(v) for v in row] + [Fraction(int(i == j)) for j in range(n)]
+        for i, row in enumerate(matrix)
+    ]
+    for col in range(n):
+        pivot_row = next(r for r in range(col, n) if work[r][col] != 0)
+        work[col], work[pivot_row] = work[pivot_row], work[col]
+        pivot = work[col][col]
+        work[col] = [v / pivot for v in work[col]]
+        for r in range(n):
+            if r != col and work[r][col] != 0:
+                factor = work[r][col]
+                work[r] = [a - factor * b for a, b in zip(work[r], work[col])]
+    return [row[n:] for row in work]
+
+
+@lru_cache(maxsize=None)
+def _m_in_p(weight):
+    """Each monomial function of the weight in power sums: the inverse of
+    the brute-force power-sum-to-monomial matrix."""
+    plist = sorted(_partitions(weight))
+    inv = _invert_matrix(
+        [[expand_p_in_m(lam).get(mu, 0) for mu in plist] for lam in plist]
+    )
+    return {mu: dict(zip(plist, row)) for mu, row in zip(plist, inv)}
+
+
+@lru_cache(maxsize=None)
+def _qt_norm(rho, q, t):
+    """z_rho times the product of (1 - q**part) / (1 - t**part)."""
+    norm = Fraction(1)
+    for part in set(rho):
+        count = rho.count(part)
+        norm *= part**count * factorial(count)
+    for part in rho:
+        norm *= (1 - q**part) / (1 - t**part)
+    return norm
+
+
+def inner_product_m(f, g, weight, q, t):
+    """q,t inner product of two monomial-basis vectors of one weight, by
+    converting both to power sums."""
+    q = Fraction(q)
+    t = Fraction(t)
+    table = _m_in_p(weight)
+    fp = {}
+    gp = {}
+    for vec, out in ((f, fp), (g, gp)):
+        for mu, coeff in vec.items():
+            for rho, c in table[mu].items():
+                out[rho] = out.get(rho, 0) + coeff * c
+    return sum(
+        (c * gp.get(rho, 0) * _qt_norm(rho, q, t) for rho, c in fp.items()),
+        Fraction(0),
+    )
+
+
+@lru_cache(maxsize=None)
+def _monomial_route_basis(weight, q, t):
+    basis = {}
+    norms = {}
+    for lam in sorted(_partitions(weight)):
+        unit = {lam: Fraction(1)}
+        f = dict(unit)
+        for mu, prev in basis.items():
+            c = inner_product_m(unit, prev, weight, q, t) / norms[mu]
+            for nu, coeff in prev.items():
+                f[nu] = f.get(nu, 0) - c * coeff
+        f = {nu: coeff for nu, coeff in f.items() if coeff}
+        basis[lam] = f
+        norms[lam] = inner_product_m(f, f, weight, q, t)
+    return basis
+
+
+def macdonald_P_monomial_route(lam, q, t):
+    """Monic two-parameter basis element in the monomial basis, by
+    Gram-Schmidt over monomial vectors in ascending lex order, which
+    extends dominance."""
+    lam = tuple(lam)
+    return dict(_monomial_route_basis(sum(lam), Fraction(q), Fraction(t))[lam])
+
+
+def support_permutation_count(pattern):
+    """Count the permutations inside the support of a boolean matrix by
+    backtracking, stopping at 2.  Returns (count_capped_at_2,
+    identity_in_support)."""
+    size = len(pattern)
+    identity_ok = all(pattern[i][i] for i in range(size))
+    count = 0
+
+    def rec(col, used):
+        nonlocal count
+        if count >= 2:
+            return
+        if col == size:
+            count += 1
+            return
+        for row in range(size):
+            if pattern[row][col] and not (used >> row) & 1:
+                rec(col + 1, used | (1 << row))
+                if count >= 2:
+                    return
+
+    rec(0, 0)
+    return count, identity_ok
 
 
 def crossing_sign(left, right):

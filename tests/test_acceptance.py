@@ -47,7 +47,6 @@ from compdet.compound import (
 from compdet.laurent import LaurentPoly
 from compdet.macdonald import (
     b_lambda,
-    inner_product_m,
     macdonald_P,
     verify_corollary_macdonald,
 )
@@ -61,7 +60,7 @@ from compdet.pmatrix import (
 )
 from compdet.sampling import SplitMix64
 
-from oracles import leibniz_det, schur_tableau_poly
+from oracles import inner_product_m, leibniz_det, schur_tableau_poly
 
 
 def _announce(num, name, ok):

@@ -1,11 +1,14 @@
 """Command-line behavior: goldens, exit codes, output channels."""
 
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import compdet
 from compdet import cli
 
 
@@ -227,10 +230,15 @@ def test_reports_are_reproducible_modulo_timing(capsys):
 
 
 def test_module_entry_point():
+    # the child imports the same compdet as this process
+    src = str(Path(compdet.__file__).resolve().parent.parent)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, "-m", "compdet", "enumerate", "Z0", "2", "2"],
         capture_output=True,
         text=True,
+        env=env,
     )
     assert proc.returncode == 0
     assert proc.stdout.splitlines() == ["(2,1)", "(1,2)"]

@@ -3,6 +3,9 @@
 from math import comb
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from oracles import support_permutation_count
 
 from compdet import cli
 from compdet.combin import (
@@ -17,6 +20,7 @@ from compdet.combin import (
 from compdet.compound import (
     CompoundSpec,
     SYMBOLIC_CASES,
+    _support_is_triangular,
     build_M,
     check_degree_balance,
     check_symbolic_envelope,
@@ -284,6 +288,47 @@ def test_gram_other_sizes_and_modes():
         assert report.equal, (s, n)
     with pytest.raises(UsageError):
         verify_gram(2, 2, k0=3)
+
+
+@st.composite
+def boolean_patterns(draw):
+    """Square boolean matrices of size 0 to 7: random, or restricted to a
+    triangle of a random order; either kind with or without a full
+    diagonal."""
+    size = draw(st.integers(0, 7))
+    row = st.lists(st.booleans(), min_size=size, max_size=size)
+    pattern = draw(st.lists(row, min_size=size, max_size=size))
+    if draw(st.booleans()):
+        order = draw(st.permutations(range(size)))
+        pattern = [
+            [cell and order[i] <= order[j] for j, cell in enumerate(cells)]
+            for i, cells in enumerate(pattern)
+        ]
+    if draw(st.booleans()):
+        for i in range(size):
+            pattern[i][i] = True
+    return pattern
+
+
+@settings(max_examples=400, deadline=None)
+@given(boolean_patterns())
+def test_support_order_test_matches_backtracking(pattern):
+    count, identity_ok = support_permutation_count(pattern)
+    full_diagonal = all(pattern[i][i] for i in range(len(pattern)))
+    assert full_diagonal == identity_ok
+    if full_diagonal:
+        assert _support_is_triangular(pattern) == (count == 1)
+    unique = full_diagonal and _support_is_triangular(pattern)
+    assert unique == (count == 1 and identity_ok)
+
+
+def test_gram_at_35_columns_takes_the_unique_support_route():
+    # the support test is polynomial: a backtracking search over the
+    # permutations inside the 35 x 35 pattern took minutes here
+    report = verify_gram(4, 4, k0=2, mode="numeric", seed=0)
+    assert report.equal
+    assert report.detail["unique_support_permutation"]
+    assert report.detail["det_method"] == "unique-support-permutation"
 
 
 def test_sylvester_identity():

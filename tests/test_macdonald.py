@@ -11,8 +11,6 @@ from compdet.macdonald import (
     MAX_WEIGHT,
     b_lambda,
     evaluate_symfunc,
-    expand_p_in_m,
-    inner_product_m,
     inner_product_p,
     macdonald_P,
     macdonald_Q,
@@ -23,7 +21,13 @@ from compdet.macdonald import (
     z_lambda,
 )
 
-from oracles import row_coefficient_ratio, schur_tableau_value
+from oracles import (
+    expand_p_in_m,
+    inner_product_m,
+    macdonald_P_monomial_route,
+    row_coefficient_ratio,
+    schur_tableau_value,
+)
 
 QT_SAMPLES = [
     (Fraction(1, 2), Fraction(1, 3)),
@@ -76,6 +80,16 @@ def test_monic_row_coefficient_matches_frozen_ratio():
         assert p[(1, 1)] == row_coefficient_ratio(q, t)
     q, t = Fraction(1, 2), Fraction(1, 3)
     assert macdonald_P((2,), q, t)[(1, 1)] == Fraction(6, 5)
+
+
+def test_basis_matches_monomial_route_gram_schmidt():
+    # the power-sum construction gives the very vectors of Gram-Schmidt
+    # over monomial vectors, at q > t and at q < t
+    for q, t in QT_SAMPLES[:2]:
+        for weight in range(1, MAX_WEIGHT + 1):
+            for lam in partitions_of(weight):
+                expected = macdonald_P_monomial_route(lam, q, t)
+                assert macdonald_P(lam, q, t) == expected, lam
 
 
 def test_triangularity_in_dominance_order():
