@@ -18,7 +18,7 @@ from math import comb
 
 from .combin import binom_nonneg, compositions, iota, partitions_in_box, subsets_lex
 from .errors import DomainError, ParameterError, UsageError
-from .laurent import LaurentPoly, pow_stored
+from .laurent import LaurentPoly, pow_stored, sqrt_fraction
 from .pmatrix import det, det_fractions
 from .report import VerifyReport, canonical_hash, hash_parts, render
 from .sampling import (
@@ -324,6 +324,20 @@ def _pair_factor_value(family, u, v):
     return (v - u) * (1 - u * v) / (u * v)
 
 
+def _delta_prefactor_value(family, mu, grid, point):
+    """delta_prefactor(family, mu, grid).eval(point), a Fraction, taken
+    factor by factor without building the polynomial."""
+    values = [Fraction(point[i - 1]) for i in specialize_X(mu, grid)]
+    out = Fraction(1)
+    if family in (SP, ODD_ORTH):
+        for x in values:
+            root = x if family == SP else sqrt_fraction(x)
+            out *= root - 1 / root
+    for u, v in combinations(values, 2):
+        out *= _pair_factor_value(family, u, v)
+    return out
+
+
 def rhs_pair_product(family, s, n, point):
     """Closed-form product over variable pairs from distinct groups, with
     the binomial exponent depending only on the in-group positions."""
@@ -388,7 +402,7 @@ def verify_theorem_schur(family, s, n, seed, substitution=False):
     det_raw = det_fractions(raw)
     prefactor = Fraction(1)
     for mu in cols:
-        prefactor *= delta_prefactor(family, mu, grid).eval(point)
+        prefactor *= _delta_prefactor_value(family, mu, grid, point)
     two_power = 0
     if family == EVEN_ORTH:
         two_power = binom_nonneg(s + n - 2, n - 1)

@@ -34,7 +34,7 @@ from .combin import (
 )
 from .errors import CapabilityError, UsageError
 from .laurent import LaurentPoly
-from .pmatrix import det, dot, minor, symbolic
+from .pmatrix import det, dot, minor, minor_table, products, symbolic
 from .report import VerifyReport, hash_parts, render, side_hashes
 from .sampling import SplitMix64
 
@@ -91,12 +91,8 @@ def _random_matrix(nrows, ncols, rng):
     return rows
 
 
-def _minor_det(A, rowset, colset):
-    return det(minor(A, rowset, colset))
-
-
 def _maximal_minor(A, colset):
-    return _minor_det(A, tuple(range(1, len(A) + 1)), colset)
+    return det(minor(A, tuple(range(1, len(A) + 1)), colset))
 
 
 def vec_V(spec, J):
@@ -104,7 +100,8 @@ def vec_V(spec, J):
     J = tuple(J)
     if len(J) != spec.n:
         raise UsageError(f"column set must have {spec.n} elements")
-    return [_minor_det(spec.A, I, J) for I in spec.row_sets]
+    table = minor_table(spec.A, J)
+    return [table[I] for I in spec.row_sets]
 
 
 def vec_Vbar(spec, K):
@@ -115,10 +112,10 @@ def vec_Vbar(spec, K):
         raise UsageError(f"column set must have {spec.s - 1} elements")
     full = set(range(1, spec.s + spec.n))
     base = spec.n * (spec.n + 1) // 2
+    table = minor_table(spec.A, K) if K else {(): spec.one}
     out = []
     for I in spec.row_sets:
-        comp = tuple(sorted(full - set(I)))
-        d = _minor_det(spec.A, comp, K) if comp else spec.one
+        d = table[tuple(sorted(full - set(I)))]
         sign = -1 if (sum(I) - base) % 2 else 1
         out.append(-d if sign < 0 else d)
     return out
@@ -194,7 +191,7 @@ def verify_gram_structure(spec, mode, seed=None, k0=None):
     partner_map = partner_map_for_variant(spec, k0)
     M = build_M(spec)
     Mhat = build_Mhat(spec, partner_map)
-    T = [[dot(a, b) for b in zip(*Mhat)] for a in zip(*M)]
+    T = products(list(zip(*M)), list(zip(*Mhat)))
     size = len(spec.col_comps)
     zero = spec.one * 0
 
@@ -377,7 +374,8 @@ def verify_sylvester(s, n, mode="symbolic", seed=None):
     else:
         A = _random_matrix(s, s, SplitMix64(seed))
     subsets = subsets_lex(s, n)
-    comp = [[_minor_det(A, I, J) for J in subsets] for I in subsets]
+    tables = [minor_table(A, J) for J in subsets]
+    comp = [[table[I] for table in tables] for I in subsets]
     lhs = det(comp)
     rhs = det(A) ** comb(s - 1, n - 1)
     equal = lhs == rhs

@@ -2,8 +2,8 @@
 
 A matrix is a list of equal-length rows.  Its entries are either Laurent
 polynomials in one ring (symbolic mode) or rationals, ints and Fractions
-(numeric mode).  `det` and `dot` pick their arithmetic by the type of the
-first entry.
+(numeric mode).  `det`, `dot`, `minor_table` and `products` pick their
+arithmetic by the type of the first entry.
 
 `det` is the determinant every verifier calls:
 
@@ -25,13 +25,21 @@ Bareiss with exact LaurentPoly.exquo steps) take polynomial rows; they are
 library functions and test cross-checks only.  Both eliminations pivot on
 the first row with a nonzero entry in the column.
 
+On rational entries the small minors and the inner products run on
+integers: `minor_table` clears each row by its lcm over a column set and
+forms every minor on that column set by one Laplace expansion, and
+`products` clears each column by its lcm once; each result is one
+Fraction, the integer value over the product of the scales.  Polynomial
+entries take `det` of each minor and `dot` of each pair of columns.
+
 Row/column index sets at the public surface are 1-based sorted tuples, the
 same convention the combinatorial maps use.
 """
 
 from fractions import Fraction
 from itertools import combinations
-from math import gcd, lcm
+from math import gcd, lcm, prod
+from operator import mul
 
 from ._backend import muladd_terms
 from .errors import CapabilityError, UsageError
@@ -49,16 +57,59 @@ def symbolic(nrows, ncols):
     ]
 
 
-def minor(rows, rowset, colset):
-    """Submatrix selected by 1-based sorted row and column index tuples."""
-    rowset, colset = tuple(rowset), tuple(colset)
+def _check_indices(rows, rowset, colset):
     if not rowset or not colset:
         raise UsageError("empty index set")
     if list(rowset) != sorted(set(rowset)) or list(colset) != sorted(set(colset)):
         raise UsageError("index sets must be strictly increasing")
     if rowset[-1] > len(rows) or colset[-1] > len(rows[0]) or rowset[0] < 1 or colset[0] < 1:
         raise UsageError("index out of range")
+
+
+def minor(rows, rowset, colset):
+    """Submatrix selected by 1-based sorted row and column index tuples."""
+    rowset, colset = tuple(rowset), tuple(colset)
+    _check_indices(rows, rowset, colset)
     return [[rows[i - 1][j - 1] for j in colset] for i in rowset]
+
+
+def minor_table(rows, colset):
+    """Every minor on one column set: {I: det rows^I_colset} over the
+    1-based row sets I with len(colset) elements, keyed by sorted tuples.
+
+    Rational rows are cleared of denominators by their lcm over colset.
+    Laplace expansion along the columns then runs on integer row subsets:
+    level k holds every k-row minor of the first k columns, each a signed
+    sum of entries of column k times minors of level k-1, so every smaller
+    minor is computed once.  Each minor is divided by the product of its
+    rows' scales.  Polynomial rows take det of each minor."""
+    colset = tuple(colset)
+    height = len(colset)
+    _check_indices(rows, tuple(range(1, height + 1)), colset)
+    if isinstance(rows[0][0], LaurentPoly):
+        return {
+            I: det(minor(rows, I, colset))
+            for I in combinations(range(1, len(rows) + 1), height)
+        }
+    scales, cleared = zip(*(_cleared([row[j - 1] for j in colset]) for row in rows))
+    level = {(): 1}
+    for c in range(height):
+        first_sign = -1 if c % 2 else 1
+        below = level
+        level = {}
+        for subset in combinations(range(len(rows)), c + 1):
+            total = 0
+            sign = first_sign
+            for t, i in enumerate(subset):
+                entry = cleared[i][c]
+                if entry:
+                    total += sign * entry * below[subset[:t] + subset[t + 1 :]]
+                sign = -sign
+            level[subset] = total
+    return {
+        tuple(i + 1 for i in subset): Fraction(value, prod(scales[i] for i in subset))
+        for subset, value in level.items()
+    }
 
 
 def dot(xs, ys):
@@ -73,6 +124,30 @@ def dot(xs, ys):
                 muladd_terms(acc, a._terms, b._terms, unit, 1)
         return LaurentPoly(nv, acc)
     return sum((a * b for a, b in zip(xs, ys)), Fraction(0))
+
+
+def products(xcols, ycols):
+    """The matrix [[dot(x, y) for y in ycols] for x in xcols].  Rational
+    columns are cleared of denominators by their lcm once, so each cell is
+    one integer sum of products over the two columns' scales."""
+    if xcols and xcols[0] and isinstance(xcols[0][0], LaurentPoly):
+        return [[dot(x, y) for y in ycols] for x in xcols]
+    ys = [_cleared(y) for y in ycols]
+    out = []
+    for x in xcols:
+        x_scale, x_ints = _cleared(x)
+        out.append([
+            Fraction(sum(map(mul, x_ints, y_ints)), x_scale * y_scale)
+            for y_scale, y_ints in ys
+        ])
+    return out
+
+
+def _cleared(values):
+    """The lcm of the denominators of rational values, and the values
+    times it, as ints."""
+    scale = lcm(*(v.denominator for v in values))
+    return scale, [v.numerator * (scale // v.denominator) for v in values]
 
 
 def _require_square(rows):
@@ -186,11 +261,8 @@ def det_fractions(rows):
     # each row of work is (multiplier numerator, denominator, integer row)
     work = []
     for row in rows:
-        row = [Fraction(v) for v in row]
-        row_scale = lcm(*(v.denominator for v in row))
-        work.append(
-            (1, row_scale, [v.numerator * (row_scale // v.denominator) for v in row])
-        )
+        row_scale, cleared = _cleared([Fraction(v) for v in row])
+        work.append((1, row_scale, cleared))
     # the determinant of the eliminated leading block, in lowest terms
     num, den = 1, 1
     # each step eliminates the leading column of the shrinking working block

@@ -12,6 +12,7 @@ from compdet.characters import (
     SP,
     VariableGrid,
     _character_grid,
+    _delta_prefactor_value,
     char_matrix,
     char_matrix_values,
     character,
@@ -138,12 +139,16 @@ def test_selected_denominator_equals_closed_prefactor():
     for s, n in [(2, 2), (3, 2), (2, 3)]:
         grid = VariableGrid(s, n)
         nv = grid.num_vars
+        point = sample_point(nv, SplitMix64(s * 10 + n))
         for family in FAMILIES:
             shift = family_shift(family, n)
             for mu in compositions(s, n):
                 sel = specialize_X(mu, grid)
                 value = det(char_matrix(family, shift, sel, nv))
                 closed = delta_prefactor(family, mu, grid)
+                # the numeric check takes the same product factor by factor
+                at_point = _delta_prefactor_value(family, mu, grid, point)
+                assert at_point == closed.eval(point), (family, s, n, mu)
                 if family == EVEN_ORTH:
                     closed = closed * 2
                 assert value == closed, (family, s, n, mu)

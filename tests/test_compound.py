@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from oracles import support_permutation_count
 
-from compdet import cli
+from compdet import cli, pmatrix
 from compdet.combin import (
     compositions,
     dominated_except,
@@ -34,7 +34,7 @@ from compdet.compound import (
 )
 from compdet.errors import CapabilityError, UsageError
 from compdet.laurent import LaurentPoly
-from compdet.pmatrix import det, minor, symbolic
+from compdet.pmatrix import det, det_fractions, minor, symbolic
 from compdet.sampling import SplitMix64
 
 
@@ -370,6 +370,30 @@ def test_numeric_reports_record_the_seed_they_sampled_with():
 
 
 @pytest.mark.parametrize(
+    "verify, s, n, calls",
+    [
+        # det M and the C(s+n-2, s-1) maximal minors
+        (verify_main, 4, 3, 1 + 10),
+        (verify_main, 5, 3, 1 + 15),
+        # one maximal minor per distinct column union; the support is unique
+        (verify_gram, 4, 3, 34),
+        # the compound and det A
+        (verify_sylvester, 6, 3, 2),
+    ],
+)
+def test_numeric_small_minors_come_from_minor_tables(monkeypatch, verify, s, n, calls):
+    sizes = []
+
+    def counting(rows):
+        sizes.append(len(rows))
+        return det_fractions(rows)
+
+    monkeypatch.setattr(pmatrix, "det_fractions", counting)
+    assert verify(s, n, mode="numeric", seed=0).equal
+    assert len(sizes) == calls
+
+
+@pytest.mark.parametrize(
     "argv",
     [
         ["main", "--mode", "numeric", "--s", "3", "--n", "3"],
@@ -378,6 +402,12 @@ def test_numeric_reports_record_the_seed_they_sampled_with():
         ["gram", "--mode", "numeric", "--s", "3", "--n", "2", "--k", "2"],
         ["gram", "--mode", "numeric", "--s", "2", "--n", "3", "--k", "1"],
         ["sylvester", "--mode", "numeric", "--s", "4", "--n", "2"],
+        # the largest numeric gram here: T has 4,900 cells, each checked
+        ["gram", "--mode", "numeric", "--s", "5", "--n", "4", "--seed", "0"],
+        *(
+            ["schur-det", "--family", family, "--s", "3", "--n", "3", "--mode", "numeric"]
+            for family in ("gl", "sp", "odd-orth", "even-orth")
+        ),
     ],
 )
 def test_numeric_compound_checks_build_no_polynomial(monkeypatch, capsys, argv):

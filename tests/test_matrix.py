@@ -13,6 +13,7 @@ test-only routines.
 import json
 import sys
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings
@@ -30,6 +31,8 @@ from compdet.pmatrix import (
     det_minor_expansion,
     dot,
     minor,
+    minor_table,
+    products,
     symbolic,
 )
 from compdet.sampling import SplitMix64
@@ -346,3 +349,81 @@ def test_cli_paths_avoid_the_oracles_and_polynomial_division(monkeypatch, capsys
         out = capsys.readouterr().out
         assert code == 0, argv
         assert json.loads(out)["equal"] is True
+
+
+# pairwise-coprime denominators, so the lcm of a row or column is the
+# product of all of them
+COPRIME = (2**61 - 1, 2**31 - 1, 10**9 + 7, 998244353, 2**89 - 1, 10**9 + 9)
+table_entries = st.one_of(
+    matrix_entries,
+    st.builds(Fraction, st.integers(-(2**40), 2**40), st.sampled_from(COPRIME)),
+)
+
+
+@st.composite
+def rows_and_colsets(draw):
+    height = draw(st.integers(min_value=1, max_value=7))
+    width = draw(st.integers(min_value=1, max_value=6))
+    rows = [draw(st.lists(table_entries, min_size=width, max_size=width)) for _ in range(height)]
+    for i in draw(st.sets(st.integers(0, height - 1), max_size=1)):
+        rows[i] = [0] * width
+    size = draw(st.integers(min_value=1, max_value=min(height, width)))
+    colset = sorted(draw(st.sets(st.integers(1, width), min_size=size, max_size=size)))
+    return rows, tuple(colset)
+
+
+@settings(deadline=None, max_examples=300)
+@given(rows_and_colsets())
+def test_minor_table_matches_each_minor(case):
+    rows, colset = case
+    table = minor_table(rows, colset)
+    row_sets = list(combinations(range(1, len(rows) + 1), len(colset)))
+    assert list(table) == row_sets
+    for rowset in row_sets:
+        value = table[rowset]
+        assert isinstance(value, Fraction)
+        assert value == det(minor(rows, rowset, colset)), rowset
+
+
+def test_minor_table_on_polynomial_rows_and_bad_index_sets():
+    m = symbolic(4, 3)
+    for colset in ((2,), (1, 3), (1, 2, 3)):
+        table = minor_table(m, colset)
+        assert len(table) == len(list(combinations(range(4), len(colset))))
+        for rowset, value in table.items():
+            assert value == det(minor(m, rowset, colset)), (rowset, colset)
+    for colset in ((), (3, 1), (2, 2), (1, 4), (0, 1)):
+        with pytest.raises(UsageError):
+            minor_table(m, colset)
+    with pytest.raises(UsageError):
+        minor_table([[1, 2, 3]], (1, 2))  # more columns than rows
+
+
+@st.composite
+def column_lists(draw):
+    length = draw(st.integers(min_value=0, max_value=6))
+    column = st.one_of(
+        st.lists(table_entries, min_size=length, max_size=length), st.just([0] * length)
+    )
+    return (
+        draw(st.lists(column, min_size=1, max_size=4)),
+        draw(st.lists(column, min_size=1, max_size=4)),
+    )
+
+
+@settings(deadline=None, max_examples=200)
+@given(column_lists())
+def test_products_match_dot(case):
+    xcols, ycols = case
+    cells = products(xcols, ycols)
+    assert cells == [[dot(x, y) for y in ycols] for x in xcols]
+    assert all(isinstance(value, Fraction) for row in cells for value in row)
+
+
+def test_products_of_polynomial_and_int_columns():
+    a = symbolic(3, 2)
+    xcols = [list(col) for col in zip(*a)]
+    zero = LaurentPoly.zero(6)
+    ycols = [[LaurentPoly.variable(6, 1), zero, a[2][0] * a[0][1]], [zero] * 3]
+    assert products(xcols, ycols) == [[dot(x, y) for y in ycols] for x in xcols]
+    assert products([[1, -2, 3]], [[4, 5, -6], [0, 0, 0]]) == [[-24, 0]]
