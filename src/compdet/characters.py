@@ -5,6 +5,9 @@ Each character is a quotient of two determinants built from power matrices
 (x_i ** a_j), optionally folded with the reciprocal power.  The quotients
 divide exactly in the Laurent ring, so everything here is exact: symbolic
 characters come out as Laurent polynomials, numeric ones as Fractions.
+Numerically, all the alternants at one tuple of values are maximal minors
+of a single power matrix, one row per exponent they use, and one
+pmatrix.minor_table of it yields every numerator and the denominator.
 
 The verification entry points check the four denominator product formulas,
 the determinant identity for the grid of characters evaluated at nested
@@ -19,7 +22,7 @@ from math import comb
 from .combin import binom_nonneg, compositions, iota, partitions_in_box, subsets_lex
 from .errors import DomainError, ParameterError, UsageError
 from .laurent import LaurentPoly, pow_stored, sqrt_fraction
-from .pmatrix import det, det_fractions
+from .pmatrix import det, det_fractions, minor_table
 from .report import VerifyReport, canonical_hash, hash_parts, render
 from .sampling import (
     MAX_RETRIES,
@@ -170,25 +173,35 @@ def _character_grid(family, partitions, col_values):
     """Characters at each partition (rows) and value tuple (columns), as
     Fractions, with the numerator alternants they were divided from.
 
-    Each column's denominator alternant is computed once and each
-    numerator once; every value tuple must have the same length n."""
+    Every alternant of a column is a maximal minor of one power matrix,
+    whose row r holds the column's entries at the r-th largest exponent
+    any of the grid's alternants uses.  Each lambda + delta, and delta
+    itself, then sits on an increasing row set, so one minor_table per
+    column gives each numerator and the column's denominator with no sign
+    change.  On the verifiers' grids the exponents form one consecutive
+    run and every minor of the table is an alternant of the grid.  Every
+    value tuple must have the same length n."""
     n = len(col_values[0])
     padded = [_padded_partition(lam, n) for lam in partitions]
     delta = family_shift(family, n)
+    alphas = [tuple(lam[j] + delta[j] for j in range(n)) for lam in padded]
+    exponents = sorted(set(delta).union(*alphas), reverse=True)
+    row_of = {a: r for r, a in enumerate(exponents, 1)}
+    tables = []
     denominators = []
     for values in col_values:
-        denominator = det_fractions(char_matrix_values(family, delta, values))
+        power_rows = list(zip(*char_matrix_values(family, exponents, values)))
+        table = minor_table(power_rows, range(1, n + 1))
+        denominator = table[tuple(row_of[a] for a in delta)]
         if denominator == 0:
             raise ParameterError("character denominator vanished at the sample point")
+        tables.append(table)
         denominators.append(denominator)
     grid = []
     numerators = []
-    for lam in padded:
-        alpha = tuple(lam[j] + delta[j] for j in range(n))
-        row = [
-            det_fractions(char_matrix_values(family, alpha, values))
-            for values in col_values
-        ]
+    for lam, alpha in zip(padded, alphas):
+        cell = tuple(row_of[a] for a in alpha)
+        row = [table[cell] for table in tables]
         factor = 2 if family == EVEN_ORTH and lam[n - 1] != 0 else 1
         grid.append([factor * v / d for v, d in zip(row, denominators)])
         numerators.append(row)
@@ -257,46 +270,14 @@ def verify_denominators(n):
     )
 
 
-class VariableGrid:
-    """s groups of n variables; group k occupies ring positions
-    (k-1)*n+1 .. k*n."""
-
-    __slots__ = ("s", "n")
-
-    def __init__(self, s, n):
-        if s < 1 or n < 1:
-            raise UsageError("grid needs positive group count and group size")
-        self.s = s
-        self.n = n
-
-    @property
-    def num_vars(self):
-        return self.s * self.n
-
-    def var_index(self, k, j):
-        if not (1 <= k <= self.s and 1 <= j <= self.n):
-            raise UsageError(f"grid position ({k}, {j}) out of range")
-        return (k - 1) * self.n + j
-
-    def group_indices(self, k):
-        return tuple(self.var_index(k, j) for j in range(1, self.n + 1))
-
-
-def specialize_X(mu, grid):
-    """Indices of the variables selected by a composition: the first mu_k
-    positions of each group."""
-    if len(mu) != grid.s:
-        raise UsageError(f"composition {mu} does not match {grid.s} groups")
-    return iota(mu, grid.n)
-
-
-def delta_prefactor(family, mu, grid):
-    """Denominator alternant at the selected variables, written as the
-    closed product: single-variable factors for sp and odd-orth, and a
+def delta_prefactor(family, mu, n):
+    """Denominator alternant at the variables a composition selects (the
+    first mu_k of each group of n, iota(mu, n)), written as the closed
+    product: single-variable factors for sp and odd-orth, and a
     difference-reflection factor for every pair, in selection order."""
     _require_family(family)
-    nv = grid.num_vars
-    sel = specialize_X(mu, grid)
+    nv = len(mu) * n
+    sel = iota(mu, n)
     one = LaurentPoly.const(nv, 1)
     out = one
 
@@ -324,10 +305,10 @@ def _pair_factor_value(family, u, v):
     return (v - u) * (1 - u * v) / (u * v)
 
 
-def _delta_prefactor_value(family, mu, grid, point):
-    """delta_prefactor(family, mu, grid).eval(point), a Fraction, taken
+def _delta_prefactor_value(family, mu, n, point):
+    """delta_prefactor(family, mu, n).eval(point), a Fraction, taken
     factor by factor without building the polynomial."""
-    values = [Fraction(point[i - 1]) for i in specialize_X(mu, grid)]
+    values = [Fraction(point[i - 1]) for i in iota(mu, n)]
     out = Fraction(1)
     if family in (SP, ODD_ORTH):
         for x in values:
@@ -383,16 +364,15 @@ def verify_theorem_schur(family, s, n, seed, substitution=False):
     if s < 1 or n < 1:
         raise UsageError("need positive s and n")
     t0 = time.perf_counter()
-    grid = VariableGrid(s, n)
     rng = SplitMix64(seed)
     if substitution:
         point = _substitution_point(s, n, rng)
     else:
-        point = sample_point(grid.num_vars, rng)
+        point = sample_point(s * n, rng)
 
     rows = partitions_in_box(n, s - 1)
     cols = compositions(s, n)
-    col_values = [tuple(point[i - 1] for i in specialize_X(mu, grid)) for mu in cols]
+    col_values = [tuple(point[i - 1] for i in iota(mu, n)) for mu in cols]
 
     matrix, raw = _character_grid(family, rows, col_values)
     lhs = det_fractions(matrix)
@@ -402,7 +382,7 @@ def verify_theorem_schur(family, s, n, seed, substitution=False):
     det_raw = det_fractions(raw)
     prefactor = Fraction(1)
     for mu in cols:
-        prefactor *= _delta_prefactor_value(family, mu, grid, point)
+        prefactor *= _delta_prefactor_value(family, mu, n, point)
     two_power = 0
     if family == EVEN_ORTH:
         two_power = binom_nonneg(s + n - 2, n - 1)

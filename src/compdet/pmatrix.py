@@ -15,9 +15,10 @@ arithmetic by the type of the first entry.
   each row primitive (the classic contrast of Brown, JACM 1971, between
   primitive and subresultant remainder sequences).  The value is a
   Fraction;
-* polynomial entries go to det_minor_expansion, division-free dynamic
-  programming over column subsets, which suits small polynomial entries in
-  many variables, where elimination products blow up.
+* polynomial entries go to det_minor_expansion, the full-height entry of
+  their minor_table: division-free dynamic programming over row subsets,
+  which suits small polynomial entries in many variables, where
+  elimination products blow up.
 
 det_cofactor (naive cofactor expansion, capped at size ORACLE_BOUND_DEFAULT
 unless the caller passes another bound) and det_fraction_free (polynomial
@@ -25,12 +26,14 @@ Bareiss with exact LaurentPoly.exquo steps) take polynomial rows; they are
 library functions and test cross-checks only.  Both eliminations pivot on
 the first row with a nonzero entry in the column.
 
-On rational entries the small minors and the inner products run on
-integers: `minor_table` clears each row by its lcm over a column set and
-forms every minor on that column set by one Laplace expansion, and
-`products` clears each column by its lcm once; each result is one
-Fraction, the integer value over the product of the scales.  Polynomial
-entries take `det` of each minor and `dot` of each pair of columns.
+`minor_table` is the one Laplace expansion, for both rings: it forms
+every minor on a column set, each smaller minor once.  Polynomial rows
+accumulate each minor in one term dict.  Rational rows run on integers:
+each row is cleared by its lcm over the column set, and each minor is one
+Fraction, the integer value over the product of its rows' scales.
+`products` clears each rational column by its lcm once, so each inner
+product is one integer sum over two scales; polynomial columns take `dot`
+of each pair.
 
 Row/column index sets at the public surface are 1-based sorted tuples, the
 same convention the combinatorial maps use.
@@ -77,35 +80,46 @@ def minor_table(rows, colset):
     """Every minor on one column set: {I: det rows^I_colset} over the
     1-based row sets I with len(colset) elements, keyed by sorted tuples.
 
-    Rational rows are cleared of denominators by their lcm over colset.
-    Laplace expansion along the columns then runs on integer row subsets:
-    level k holds every k-row minor of the first k columns, each a signed
-    sum of entries of column k times minors of level k-1, so every smaller
-    minor is computed once.  Each minor is divided by the product of its
-    rows' scales.  Polynomial rows take det of each minor."""
+    Laplace expansion along the columns: level k holds every k-row minor
+    of the first k columns, each a signed sum of entries of column k times
+    minors of level k-1, so every smaller minor is computed once.  Rational
+    rows are first cleared of denominators by their lcm over colset, the
+    expansion runs on ints, and each minor is divided by the product of its
+    rows' scales.  Polynomial rows accumulate each minor in one term dict."""
     colset = tuple(colset)
     height = len(colset)
     _check_indices(rows, tuple(range(1, height + 1)), colset)
-    if isinstance(rows[0][0], LaurentPoly):
-        return {
-            I: det(minor(rows, I, colset))
-            for I in combinations(range(1, len(rows) + 1), height)
-        }
-    scales, cleared = zip(*(_cleared([row[j - 1] for j in colset]) for row in rows))
-    level = {(): 1}
+    poly = isinstance(rows[0][0], LaurentPoly)
+    if poly:
+        nv = rows[0][0].num_vars
+        unit = unit_key(nv)
+        entries = [[row[j - 1]._terms for j in colset] for row in rows]
+        level = {(): {unit: 1}}
+    else:
+        scales, entries = zip(*(_cleared([row[j - 1] for j in colset]) for row in rows))
+        level = {(): 1}
     for c in range(height):
         first_sign = -1 if c % 2 else 1
         below = level
         level = {}
         for subset in combinations(range(len(rows)), c + 1):
-            total = 0
+            total = {} if poly else 0
             sign = first_sign
             for t, i in enumerate(subset):
-                entry = cleared[i][c]
+                entry = entries[i][c]
                 if entry:
-                    total += sign * entry * below[subset[:t] + subset[t + 1 :]]
+                    sub = below[subset[:t] + subset[t + 1 :]]
+                    if not poly:
+                        total += sign * entry * sub
+                    elif sub:
+                        muladd_terms(total, sub, entry, unit, sign)
                 sign = -sign
             level[subset] = total
+    if poly:
+        return {
+            tuple(i + 1 for i in subset): LaurentPoly(nv, terms)
+            for subset, terms in level.items()
+        }
     return {
         tuple(i + 1 for i in subset): Fraction(value, prod(scales[i] for i in subset))
         for subset, value in level.items()
@@ -215,31 +229,13 @@ def det_fraction_free(rows):
 
 
 def det_minor_expansion(rows):
-    """Division-free determinant of polynomial rows: row-by-row Laplace
-    expansion with memoized minors over column subsets.  Cost grows with 2^n
-    but each step multiplies a minor by a single matrix entry, which is where
-    sparse symbolic entries win big over elimination."""
+    """Division-free determinant of polynomial rows: the full-height entry
+    of their minor_table.  Cost grows with 2^n but each step multiplies a
+    minor by a single matrix entry, which is where sparse symbolic entries
+    win big over elimination."""
     _require_square(rows)
-    n = len(rows)
-    nv = rows[0][0].num_vars
-    unit = unit_key(nv)
-    prev = {(): LaurentPoly.const(nv, 1)}
-    for r in range(1, n + 1):
-        cur = {}
-        row = rows[r - 1]
-        for subset in combinations(range(n), r):
-            acc = {}
-            sign = 1 if (r - 1) % 2 == 0 else -1
-            for p, j in enumerate(subset):
-                entry = row[j]
-                if not entry.is_zero():
-                    sub = prev[subset[:p] + subset[p + 1 :]]
-                    if not sub.is_zero():
-                        muladd_terms(acc, sub._terms, entry._terms, unit, sign)
-                sign = -sign
-            cur[subset] = LaurentPoly(nv, acc)
-        prev = cur
-    return prev[tuple(range(n))]
+    full = tuple(range(1, len(rows) + 1))
+    return minor_table(rows, full)[full]
 
 
 def det_fractions(rows):

@@ -3,6 +3,8 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from compdet.characters import (
     EVEN_ORTH,
@@ -10,7 +12,6 @@ from compdet.characters import (
     GL,
     ODD_ORTH,
     SP,
-    VariableGrid,
     _character_grid,
     _delta_prefactor_value,
     char_matrix,
@@ -20,17 +21,16 @@ from compdet.characters import (
     delta_prefactor,
     family_shift,
     rhs_pair_product,
-    specialize_X,
     staircase_delta,
     verify_denominators,
     verify_prop_detS,
     verify_theorem_schur,
 )
-from compdet.combin import compositions, partitions_in_box, partitions_of
+from compdet.combin import compositions, iota, partitions_in_box, partitions_of
 from compdet.errors import DomainError, ParameterError, UsageError
 from compdet.laurent import LaurentPoly
-from compdet.pmatrix import det, det_fractions
-from compdet.sampling import SplitMix64, sample_point
+from compdet.pmatrix import det, det_fractions, minor_table
+from compdet.sampling import SplitMix64, point_is_admissible, sample_point
 
 from oracles import schur_tableau_poly
 
@@ -137,33 +137,20 @@ def test_denominator_product_formulas():
 
 def test_selected_denominator_equals_closed_prefactor():
     for s, n in [(2, 2), (3, 2), (2, 3)]:
-        grid = VariableGrid(s, n)
-        nv = grid.num_vars
+        nv = s * n
         point = sample_point(nv, SplitMix64(s * 10 + n))
         for family in FAMILIES:
             shift = family_shift(family, n)
             for mu in compositions(s, n):
-                sel = specialize_X(mu, grid)
+                sel = iota(mu, n)
                 value = det(char_matrix(family, shift, sel, nv))
-                closed = delta_prefactor(family, mu, grid)
+                closed = delta_prefactor(family, mu, n)
                 # the numeric check takes the same product factor by factor
-                at_point = _delta_prefactor_value(family, mu, grid, point)
+                at_point = _delta_prefactor_value(family, mu, n, point)
                 assert at_point == closed.eval(point), (family, s, n, mu)
                 if family == EVEN_ORTH:
                     closed = closed * 2
                 assert value == closed, (family, s, n, mu)
-
-
-def test_grid_indexing():
-    grid = VariableGrid(3, 2)
-    assert grid.num_vars == 6
-    assert grid.var_index(2, 1) == 3
-    assert grid.group_indices(3) == (5, 6)
-    assert specialize_X((1, 0, 1), grid) == (1, 5)
-    with pytest.raises(UsageError):
-        grid.var_index(4, 1)
-    with pytest.raises(UsageError):
-        specialize_X((1, 1), grid)
 
 
 def test_pair_exponent_difference_collapse():
@@ -234,23 +221,92 @@ def test_single_alphabet_identity():
 
 
 def test_grid_verifiers_compute_each_alternant_once(monkeypatch):
+    tables = []
     sizes = []
+
+    def counting_table(rows, colset):
+        tables.append(len(rows))
+        return minor_table(rows, colset)
 
     def counting(rows):
         sizes.append(len(rows))
         return det_fractions(rows)
 
+    monkeypatch.setattr("compdet.characters.minor_table", counting_table)
     monkeypatch.setattr("compdet.characters.det_fractions", counting)
-    # 10 partitions by 10 compositions: one denominator per column, one
-    # numerator per cell, shared by the character grid and the raw grid
+    # 10 partitions by 10 compositions: one minor table per column, over
+    # the 5 exponents 4..0, holds the C(5, 3) = 10 alternants of the column,
+    # shared by the character grid and the raw grid; only the two grid
+    # determinants are eliminations
     assert verify_theorem_schur(GL, 3, 3, seed=0).equal
-    assert sizes.count(3) == 10 + 100
-    assert sizes.count(10) == 2
+    assert tables == [5] * 10
+    assert sizes == [10, 10]
+    tables.clear()
     sizes.clear()
-    # 6 partitions by 6 subsets, and the one grid determinant
+    # 6 partitions by 6 subsets, C(4, 2) = 6 alternants per table, and the
+    # one grid determinant
     assert verify_prop_detS(SP, 4, 2, seed=0).equal
-    assert sizes.count(2) == 6 + 36
-    assert sizes.count(6) == 1
+    assert tables == [4] * 6
+    assert sizes == [6]
+    tables.clear()
+    # a lone partition takes only the exponents of its two alternants
+    character_value(GL, (30,), sample_point(4, SplitMix64(1)))
+    assert tables == [5]
+
+
+@st.composite
+def grid_cases(draw):
+    n = draw(st.integers(min_value=1, max_value=4))
+    root = st.builds(Fraction, st.integers(1, 40), st.integers(1, 40))
+    col_values = draw(
+        st.lists(
+            st.lists(root, min_size=n, max_size=n).map(lambda xs: tuple(x * x for x in xs)),
+            min_size=1,
+            max_size=3,
+        )
+    )
+    for values in col_values:
+        assume(point_is_admissible(values))
+    parts = st.lists(st.integers(0, 4), max_size=n).map(lambda ps: tuple(sorted(ps, reverse=True)))
+    partitions = draw(st.lists(parts, min_size=1, max_size=5))
+    return draw(st.sampled_from(FAMILIES)), partitions, col_values
+
+
+@settings(deadline=None, max_examples=150)
+@given(grid_cases())
+def test_character_grid_matches_per_cell_alternants(case):
+    family, partitions, col_values = case
+    n = len(col_values[0])
+    delta = family_shift(family, n)
+    # the empty partition and a lone partition are the shapes character_value
+    # asks for
+    for lams in (partitions, [()], partitions[:1]):
+        grid, numerators = _character_grid(family, lams, col_values)
+        for lam, grid_row, num_row in zip(lams, grid, numerators):
+            padded = lam + (0,) * (n - len(lam))
+            alpha = tuple(padded[j] + delta[j] for j in range(n))
+            factor = 2 if family == EVEN_ORTH and padded[-1] else 1
+            for values, value, numerator in zip(col_values, grid_row, num_row):
+                expected = det_fractions(char_matrix_values(family, alpha, values))
+                assert numerator == expected, (family, lam, values)
+                denominator = det_fractions(char_matrix_values(family, delta, values))
+                assert value == factor * expected / denominator, (family, lam, values)
+
+
+def test_character_grid_matches_three_variable_characters():
+    # the schur-det grids at n = 3: every cell equals the symbolic
+    # character evaluated at the column's values
+    n = 3
+    for s in (3, 2):
+        point = sample_point(s * n, SplitMix64(s))
+        col_values = [tuple(point[i - 1] for i in iota(mu, n)) for mu in compositions(s, n)]
+        partitions = partitions_in_box(n, s - 1)
+        for family in FAMILIES:
+            grid, _ = _character_grid(family, partitions, col_values)
+            for lam, grid_row in zip(partitions, grid):
+                symbolic = character(family, lam, num_vars=n)
+                for values, value in zip(col_values, grid_row):
+                    assert value == symbolic.eval(values), (family, s, lam, values)
 
 
 def test_character_grid_matches_symbolic_characters():

@@ -315,7 +315,7 @@ def test_det_dispatches_constants_to_det_fractions():
 
 def test_det_sends_polynomial_rows_to_minor_expansion():
     m = symbolic(3, 3)
-    assert det(m) == det_minor_expansion(m)
+    assert det(m) == det_minor_expansion(m) == leibniz_det(m)
     x = LaurentPoly.variable(2, 1)
     y = LaurentPoly.variable(2, 2, -1)
     rows = [[x + y, x * y, LaurentPoly.const(2, 3)], [y, x, y * y], [x, x - y, y]]
@@ -386,12 +386,18 @@ def test_minor_table_matches_each_minor(case):
 
 
 def test_minor_table_on_polynomial_rows_and_bad_index_sets():
+    x = LaurentPoly.variable(2, 1)
+    y = LaurentPoly.variable(2, 2, -1)
+    zero = LaurentPoly.zero(2)
+    # zero entries, a zero row and minors that cancel to zero
+    sparse = [[x + y, x * y, zero], [zero, zero, zero], [x, x * y, y], [x + y, x * y, y * y]]
+    for m in (symbolic(4, 3), sparse):
+        for colset in ((2,), (1, 3), (1, 2, 3)):
+            table = minor_table(m, colset)
+            assert len(table) == len(list(combinations(range(4), len(colset))))
+            for rowset, value in table.items():
+                assert value == leibniz_det(minor(m, rowset, colset)), (rowset, colset)
     m = symbolic(4, 3)
-    for colset in ((2,), (1, 3), (1, 2, 3)):
-        table = minor_table(m, colset)
-        assert len(table) == len(list(combinations(range(4), len(colset))))
-        for rowset, value in table.items():
-            assert value == det(minor(m, rowset, colset)), (rowset, colset)
     for colset in ((), (3, 1), (2, 2), (1, 4), (0, 1)):
         with pytest.raises(UsageError):
             minor_table(m, colset)
