@@ -5,8 +5,12 @@ Each character is a quotient of two determinants built from power matrices
 (x_i ** a_j), optionally folded with the reciprocal power.  The quotients
 divide exactly in the Laurent ring, so everything here is exact: symbolic
 characters come out as Laurent polynomials, numeric ones as Fractions.
-Numerically, all the alternants at one tuple of values are maximal minors
-of a single power matrix, one row per exponent they use, and one
+Both rings share one power-matrix builder, char_matrix, and one closed
+product form of the denominator alternant, alternant_product (a pair factor
+per variable pair times a single-variable factor); each takes a power
+function, pow_stored on rational values or variable_power on variable
+indices.  Numerically, all the alternants at one tuple of values are maximal
+minors of a single power matrix, one row per exponent they use, and one
 pmatrix.minor_table of it yields every numerator and the denominator.
 
 The verification entry points check the four denominator product formulas,
@@ -16,12 +20,13 @@ variable subsets, and the smaller single-alphabet determinant identity.
 
 import time
 from fractions import Fraction
+from functools import partial
 from itertools import combinations
 from math import comb
 
 from .combin import binom_nonneg, compositions, iota, partitions_in_box, subsets_lex
-from .errors import DomainError, ParameterError, UsageError
-from .laurent import LaurentPoly, pow_stored, sqrt_fraction
+from .errors import CapabilityError, DomainError, ParameterError, UsageError
+from .laurent import LaurentPoly, pow_stored
 from .pmatrix import det, det_fractions, minor_table
 from .report import VerifyReport, canonical_hash, hash_parts, render
 from .sampling import (
@@ -37,6 +42,10 @@ SP = "sp"
 ODD_ORTH = "odd-orth"
 EVEN_ORTH = "even-orth"
 FAMILIES = (GL, SP, ODD_ORTH, EVEN_ORTH)
+
+# Beyond this many variables the odd-orth and sp sides of denominators
+# (n! * 2**n terms) no longer fit in memory.
+DENOMINATORS_CAP = 7
 
 # How each family folds the reciprocal power into a matrix entry.
 _FOLD = {GL: "plain", SP: "minus", ODD_ORTH: "minus", EVEN_ORTH: "plus"}
@@ -90,51 +99,31 @@ def _padded_partition(lam, n):
     return lam + (0,) * (n - len(lam))
 
 
-def char_matrix(family, alpha, var_indices, num_vars):
-    """Power matrix of the family at exponents alpha, rows over the chosen
-    variables and columns over alpha.  Entries are x**a, x**a - x**-a or
-    x**a + x**-a depending on the family fold."""
+def variable_power(num_vars):
+    """The power of char_matrix and alternant_product over num_vars-variable
+    Laurent polynomials: (i, e2) -> x_i^(e2/2) for a variable index i."""
+    return partial(LaurentPoly.variable, num_vars)
+
+
+def char_matrix(family, alpha, xs, power):
+    """Power matrix of the family at exponents alpha, one row per coordinate
+    x in xs and one column per exponent a.  Entries are x**a, x**a - x**-a
+    or x**a + x**-a depending on the family fold, with power(x, e2) raising
+    x to the stored half-unit exponent e2: pow_stored over rational values,
+    variable_power(num_vars) over variable indices."""
     _require_family(family)
     fold = _FOLD[family]
+    exponents = [_stored_exponent(a) for a in alpha]
     rows = []
-    for idx in var_indices:
+    for x in xs:
         row = []
-        for a in alpha:
-            a2 = _stored_exponent(a)
-            if a2 == 0:
-                if fold == "plain":
-                    row.append(LaurentPoly.const(num_vars, 1))
-                elif fold == "minus":
-                    row.append(LaurentPoly.zero(num_vars))
-                else:
-                    row.append(LaurentPoly.const(num_vars, 2))
-                continue
-            entry = LaurentPoly.variable(num_vars, idx, a2)
+        for a2 in exponents:
+            entry = power(x, a2)
             if fold == "minus":
-                entry = entry - LaurentPoly.variable(num_vars, idx, -a2)
+                entry = entry - power(x, -a2)
             elif fold == "plus":
-                entry = entry + LaurentPoly.variable(num_vars, idx, -a2)
+                entry = entry + power(x, -a2)
             row.append(entry)
-        rows.append(row)
-    return rows
-
-
-def char_matrix_values(family, alpha, values):
-    """Same grid as char_matrix but evaluated at explicit rational values."""
-    _require_family(family)
-    fold = _FOLD[family]
-    rows = []
-    for v in values:
-        v = Fraction(v)
-        row = []
-        for a in alpha:
-            a2 = _stored_exponent(a)
-            if fold == "plain":
-                row.append(pow_stored(v, a2))
-            elif fold == "minus":
-                row.append(pow_stored(v, a2) - pow_stored(v, -a2))
-            else:
-                row.append(pow_stored(v, a2) + pow_stored(v, -a2))
         rows.append(row)
     return rows
 
@@ -156,8 +145,9 @@ def character(family, lam, var_indices=None, num_vars=None):
     lam = _padded_partition(lam, n)
     delta = family_shift(family, n)
     alpha_num = tuple(lam[j] + delta[j] for j in range(n))
-    numerator = det(char_matrix(family, alpha_num, var_indices, num_vars))
-    denominator = det(char_matrix(family, delta, var_indices, num_vars))
+    power = variable_power(num_vars)
+    numerator = det(char_matrix(family, alpha_num, var_indices, power))
+    denominator = det(char_matrix(family, delta, var_indices, power))
     if family == EVEN_ORTH and lam[n - 1] != 0:
         numerator = numerator * 2
     return numerator.exquo(denominator)
@@ -190,7 +180,7 @@ def _character_grid(family, partitions, col_values):
     tables = []
     denominators = []
     for values in col_values:
-        power_rows = list(zip(*char_matrix_values(family, exponents, values)))
+        power_rows = list(zip(*char_matrix(family, exponents, values, pow_stored)))
         table = minor_table(power_rows, range(1, n + 1))
         denominator = table[tuple(row_of[a] for a in delta)]
         if denominator == 0:
@@ -208,60 +198,70 @@ def _character_grid(family, partitions, col_values):
     return grid, numerators
 
 
+def _single_factor(family, x, power):
+    """x^(1/2) - x^(-1/2) for odd-orth, x - 1/x for sp."""
+    e2 = 1 if family == ODD_ORTH else 2
+    return power(x, e2) - power(x, -e2)
+
+
+def _pair_factor(family, u, v, power, one):
+    """u - v for gl, (v - u)(1 - uv)/(uv) for the folded families."""
+    if family == GL:
+        return power(u, 2) - power(v, 2)
+    uv = power(u, 2) * power(v, 2)
+    return (power(v, 2) - power(u, 2)) * (one - uv) * power(u, -2) * power(v, -2)
+
+
+def alternant_product(family, xs, power, one):
+    """Closed product form of the denominator alternant
+    det char_matrix(family, family_shift(family, len(xs)), xs, power): the
+    pair factor over every pair of xs in order, then for sp and odd-orth the
+    single factor of each x.  The even-orth alternant is twice this product,
+    the pair product alone.  one is the one of power's ring."""
+    _require_family(family)
+    out = one
+    for u, v in combinations(xs, 2):
+        out = out * _pair_factor(family, u, v, power, one)
+    if family in (SP, ODD_ORTH):
+        for x in xs:
+            out = out * _single_factor(family, x, power)
+    return out
+
+
 def verify_denominators(n):
     """Check the four closed product formulas for the alternant
     denominators in n variables, exactly."""
+    if n > DENOMINATORS_CAP:
+        raise CapabilityError(f"denominators supports n <= {DENOMINATORS_CAP}")
     if n < 1:
         raise UsageError("need at least one variable")
     t0 = time.perf_counter()
+    xs = range(1, n + 1)
+    power = variable_power(n)
     one = LaurentPoly.const(n, 1)
-
-    def var(i, e2=2):
-        return LaurentPoly.variable(n, i, e2)
-
-    pair_prod = one
-    for i, j in combinations(range(1, n + 1), 2):
-        d = (var(j) - var(i)) * (one - var(i) * var(j)) * var(i, -2) * var(j, -2)
-        pair_prod = pair_prod * d
-
-    vandermonde = one
-    for i, j in combinations(range(1, n + 1), 2):
-        vandermonde = vandermonde * (var(i) - var(j))
-
-    # Multiply the binomial factors into the large pair product one at a
-    # time: each step is a two-term product.
-    sign = (-1) ** n
-    odd_rhs = pair_prod * sign
-    sp_rhs = pair_prod * sign
-    for i in range(1, n + 1):
-        odd_rhs = odd_rhs * ((one - var(i)) * var(i, -1))
-        sp_rhs = sp_rhs * ((one - var(i) * var(i)) * var(i, -2))
-
-    even_rhs = pair_prod * 2
-
-    rhs_by_family = {
-        GL: vandermonde,
-        ODD_ORTH: odd_rhs,
-        SP: sp_rhs,
-        EVEN_ORTH: even_rhs,
-    }
-    indices = tuple(range(1, n + 1))
+    # sp, odd-orth and even-orth share the pair product; the single factors
+    # go into it one two-term product at a time
+    pairs = alternant_product(EVEN_ORTH, xs, power, one)
+    rhs_by_family = {GL: alternant_product(GL, xs, power, one), EVEN_ORTH: pairs * 2}
+    for family in (SP, ODD_ORTH):
+        rhs = pairs
+        for x in xs:
+            rhs = rhs * _single_factor(family, x, power)
+        rhs_by_family[family] = rhs
     detail = {}
     lhs_parts = []
     rhs_parts = []
     for family in FAMILIES:
-        delta = family_shift(family, n)
-        lhs = det(char_matrix(family, delta, indices, n))
+        lhs = det(char_matrix(family, family_shift(family, n), xs, power))
         rhs = rhs_by_family[family]
         detail[family] = lhs == rhs
         text = render(lhs)
         lhs_parts.append(text)
         rhs_parts.append(text if detail[family] else render(rhs))
-    equal = all(detail.values())
     return VerifyReport(
         identity="denominators",
         mode="symbolic",
-        equal=equal,
+        equal=all(detail.values()),
         lhs_hash=hash_parts(lhs_parts),
         rhs_hash=hash_parts(rhs_parts),
         n=n,
@@ -272,51 +272,10 @@ def verify_denominators(n):
 
 def delta_prefactor(family, mu, n):
     """Denominator alternant at the variables a composition selects (the
-    first mu_k of each group of n, iota(mu, n)), written as the closed
-    product: single-variable factors for sp and odd-orth, and a
-    difference-reflection factor for every pair, in selection order."""
-    _require_family(family)
+    first mu_k of each group of n, iota(mu, n)), as the closed product over
+    s*n-variable Laurent polynomials (half of the alternant for even-orth)."""
     nv = len(mu) * n
-    sel = iota(mu, n)
-    one = LaurentPoly.const(nv, 1)
-    out = one
-
-    def var(i, e2=2):
-        return LaurentPoly.variable(nv, i, e2)
-
-    if family == SP:
-        for i in sel:
-            out = out * (var(i) - var(i, -2))
-    elif family == ODD_ORTH:
-        for i in sel:
-            out = out * (var(i, 1) - var(i, -1))
-    for p, q in combinations(range(len(sel)), 2):
-        u, v = sel[p], sel[q]
-        if family == GL:
-            out = out * (var(u) - var(v))
-        else:
-            out = out * (var(v) - var(u)) * (one - var(u) * var(v)) * var(u, -2) * var(v, -2)
-    return out
-
-
-def _pair_factor_value(family, u, v):
-    if family == GL:
-        return u - v
-    return (v - u) * (1 - u * v) / (u * v)
-
-
-def _delta_prefactor_value(family, mu, n, point):
-    """delta_prefactor(family, mu, n).eval(point), a Fraction, taken
-    factor by factor without building the polynomial."""
-    values = [Fraction(point[i - 1]) for i in iota(mu, n)]
-    out = Fraction(1)
-    if family in (SP, ODD_ORTH):
-        for x in values:
-            root = x if family == SP else sqrt_fraction(x)
-            out *= root - 1 / root
-    for u, v in combinations(values, 2):
-        out *= _pair_factor_value(family, u, v)
-    return out
+    return alternant_product(family, iota(mu, n), variable_power(nv), LaurentPoly.const(nv, 1))
 
 
 def rhs_pair_product(family, s, n, point):
@@ -332,7 +291,7 @@ def rhs_pair_product(family, s, n, point):
                         continue
                     u = point[(k - 1) * n + i - 1]
                     v = point[(l - 1) * n + j - 1]
-                    out *= _pair_factor_value(family, u, v) ** e
+                    out *= _pair_factor(family, u, v, pow_stored, 1) ** e
     return out
 
 
@@ -381,8 +340,8 @@ def verify_theorem_schur(family, s, n, seed, substitution=False):
 
     det_raw = det_fractions(raw)
     prefactor = Fraction(1)
-    for mu in cols:
-        prefactor *= _delta_prefactor_value(family, mu, n, point)
+    for values in col_values:
+        prefactor *= alternant_product(family, values, pow_stored, Fraction(1))
     two_power = 0
     if family == EVEN_ORTH:
         two_power = binom_nonneg(s + n - 2, n - 1)
@@ -432,9 +391,9 @@ def verify_prop_detS(kind, s, n, seed):
     matrix, _ = _character_grid(kind, rows, col_values)
     lhs = det_fractions(matrix)
 
-    base = Fraction(1)
-    for i, j in combinations(range(s), 2):
-        base *= _pair_factor_value(kind, point[i], point[j])
+    # the pair product alone: even-orth's closed product has no single factors
+    pair_family = GL if kind == GL else EVEN_ORTH
+    base = alternant_product(pair_family, point, pow_stored, Fraction(1))
     exponent = comb(s - 2, n - 1) if s >= 2 else 0
     rhs = base**exponent
 

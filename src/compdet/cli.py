@@ -136,10 +136,12 @@ def _run_verify_once(args, seed):
         if identity == "sylvester":
             return verify_sylvester(s, n, mode=mode, seed=seed)
         return verify_gram(s, n, k0=args.k, mode=mode, seed=seed)
-    if mode == "symbolic" and identity != "denominators":
-        raise UsageError(f"{identity} only supports numeric mode")
     if identity == "denominators":
+        if mode == "numeric":
+            raise UsageError("denominators only supports symbolic mode")
         return verify_denominators(_need(args.n, "--n", identity))
+    if mode == "symbolic":
+        raise UsageError(f"{identity} only supports numeric mode")
     if identity == "schur-det":
         family = _need(args.family, "--family", identity)
         return verify_theorem_schur(

@@ -13,9 +13,8 @@ from compdet.characters import (
     ODD_ORTH,
     SP,
     _character_grid,
-    _delta_prefactor_value,
+    alternant_product,
     char_matrix,
-    char_matrix_values,
     character,
     character_value,
     delta_prefactor,
@@ -24,15 +23,16 @@ from compdet.characters import (
     staircase_delta,
     verify_denominators,
     verify_prop_detS,
+    variable_power,
     verify_theorem_schur,
 )
 from compdet.combin import compositions, iota, partitions_in_box, partitions_of
 from compdet.errors import DomainError, ParameterError, UsageError
-from compdet.laurent import LaurentPoly
+from compdet.laurent import LaurentPoly, pow_stored
 from compdet.pmatrix import det, det_fractions, minor_table
 from compdet.sampling import SplitMix64, point_is_admissible, sample_point
 
-from oracles import schur_tableau_poly
+from oracles import leibniz_det, schur_tableau_poly
 
 
 def poly_from(num_vars, text_terms):
@@ -120,6 +120,29 @@ def test_folded_characters_invariant_under_inversion():
     assert character_value(GL, (1,), values) != character_value(GL, (1,), flipped)
 
 
+@settings(deadline=None, max_examples=100)
+@given(
+    st.sampled_from(FAMILIES),
+    st.lists(st.integers(0, 12), max_size=4),
+    st.lists(st.builds(Fraction, st.integers(1, 30), st.integers(1, 30)), min_size=1, max_size=3),
+)
+def test_char_matrix_agrees_across_rings(family, halves, roots):
+    # exponent 0 and half-integer exponents, as odd-orth shifts use, on
+    # rows of variables and rows of perfect squares
+    alpha = [0] + [Fraction(h, 2) for h in halves]
+    point = [r * r for r in roots]
+    nv = len(point)
+    symbolic = char_matrix(family, alpha, range(1, nv + 1), variable_power(nv))
+    numeric = char_matrix(family, alpha, point, pow_stored)
+    assert [[entry.eval(point) for entry in row] for row in symbolic] == numeric
+
+
+def test_char_matrix_at_exponent_zero():
+    for family, entry in ((GL, 1), (SP, 0), (ODD_ORTH, 0), (EVEN_ORTH, 2)):
+        assert char_matrix(family, [0], [Fraction(4, 9)], pow_stored) == [[entry]]
+        assert char_matrix(family, [0], [2], variable_power(3)) == [[LaurentPoly.const(3, entry)]]
+
+
 def test_character_value_rejects_degenerate_point():
     with pytest.raises(ParameterError):
         character_value(SP, (1,), (Fraction(1),))
@@ -143,14 +166,18 @@ def test_selected_denominator_equals_closed_prefactor():
             shift = family_shift(family, n)
             for mu in compositions(s, n):
                 sel = iota(mu, n)
-                value = det(char_matrix(family, shift, sel, nv))
+                matrix = char_matrix(family, shift, sel, variable_power(nv))
+                value = det(matrix)
+                assert value == leibniz_det(matrix), (family, s, n, mu)
                 closed = delta_prefactor(family, mu, n)
-                # the numeric check takes the same product factor by factor
-                at_point = _delta_prefactor_value(family, mu, n, point)
+                # the numeric check takes the same product over rationals
+                values = [point[i - 1] for i in sel]
+                at_point = alternant_product(family, values, pow_stored, Fraction(1))
                 assert at_point == closed.eval(point), (family, s, n, mu)
-                if family == EVEN_ORTH:
-                    closed = closed * 2
-                assert value == closed, (family, s, n, mu)
+                factor = 2 if family == EVEN_ORTH else 1
+                alternant = det_fractions(char_matrix(family, shift, values, pow_stored))
+                assert alternant == factor * at_point, (family, s, n, mu)
+                assert value == closed * factor, (family, s, n, mu)
 
 
 def test_pair_exponent_difference_collapse():
@@ -287,9 +314,9 @@ def test_character_grid_matches_per_cell_alternants(case):
             alpha = tuple(padded[j] + delta[j] for j in range(n))
             factor = 2 if family == EVEN_ORTH and padded[-1] else 1
             for values, value, numerator in zip(col_values, grid_row, num_row):
-                expected = det_fractions(char_matrix_values(family, alpha, values))
+                expected = det_fractions(char_matrix(family, alpha, values, pow_stored))
                 assert numerator == expected, (family, lam, values)
-                denominator = det_fractions(char_matrix_values(family, delta, values))
+                denominator = det_fractions(char_matrix(family, delta, values, pow_stored))
                 assert value == factor * expected / denominator, (family, lam, values)
 
 
@@ -321,5 +348,5 @@ def test_character_grid_matches_symbolic_characters():
             for values, value, numerator in zip(col_values, grid_row, num_row):
                 expected = character(family, lam, num_vars=2).eval(values)
                 assert value == expected, (family, lam)
-                denominator = det_fractions(char_matrix_values(family, delta, values))
+                denominator = det_fractions(char_matrix(family, delta, values, pow_stored))
                 assert numerator * factor == value * denominator

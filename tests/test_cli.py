@@ -270,6 +270,20 @@ def test_verify_rejects_nonpositive_sizes(capsys, identity, mode, s, n):
     assert err == "error: s and n must be positive\n"
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["--n", "2", "--mode", "numeric"], "denominators only supports symbolic mode"),
+        (["--n", "8"], "denominators supports n <= 7"),
+    ],
+)
+def test_denominators_rejects_numeric_mode_and_sizes_past_the_cap(capsys, argv, message):
+    code, out, err = run_cli(capsys, ["verify", "denominators", *argv])
+    assert code == 2
+    assert out == ""
+    assert err == f"error: {message}\n"
+
+
 def _sweep_argvs():
     """Requests across every identity, mode, family and enumerate kind, with
     sizes that are 0, negative, small or outside the symbolic envelope, and
@@ -284,7 +298,7 @@ def _sweep_argvs():
     for mode in ("symbolic", "numeric"):
         for k in (-1, 0, 1, 4):
             cases.append(["gram", "--s", "3", "--n", "2", "--k", str(k), "--mode", mode])
-    cases += [["denominators", "--n", str(n)] for n in (-1, 0, 1, 3)]
+    cases += [["denominators", "--n", str(n)] for n in (-1, 0, 1, 3, 8)]
     cases += [["denominators"], ["denominators", "--n", "2", "--mode", "numeric"]]
     for family in ("gl", "sp", "odd-orth", "even-orth"):
         for s, n in ((2, 2), (1, 1), (0, 2), (2, -1)):
