@@ -10,7 +10,6 @@ functions.  It is pure Python with no dependencies.
 from ._backend import BACKEND
 from .characters import (
     FAMILIES,
-    character,
     character_value,
     verify_denominators,
     verify_prop_detS,
@@ -19,7 +18,6 @@ from .characters import (
 from .combin import compositions, compositions_positive, epsilon, iota
 from .compound import (
     CompoundSpec,
-    check_degree_balance,
     verify_gram,
     verify_leading_term,
     verify_main,
@@ -56,9 +54,7 @@ __all__ = [
     "SplitMix64",
     "UsageError",
     "VerifyReport",
-    "character",
     "character_value",
-    "check_degree_balance",
     "compositions",
     "compositions_positive",
     "epsilon",

@@ -2,16 +2,17 @@
 
 Four families are supported, tagged "gl", "sp", "odd-orth" and "even-orth".
 Each character is a quotient of two determinants built from power matrices
-(x_i ** a_j), optionally folded with the reciprocal power.  The quotients
-divide exactly in the Laurent ring, so everything here is exact: symbolic
-characters come out as Laurent polynomials, numeric ones as Fractions.
+(x_i ** a_j), optionally folded with the reciprocal power.  The verifiers
+evaluate characters at exact rational points, as Fractions; the symbolic
+character, a Laurent polynomial, is a test oracle (tests/oracles.py).
 Both rings share one power-matrix builder, char_matrix, and one closed
 product form of the denominator alternant, alternant_product (a pair factor
 per variable pair times a single-variable factor); each takes a power
 function, pow_stored on rational values or variable_power on variable
 indices.  Numerically, all the alternants at one tuple of values are maximal
 minors of a single power matrix, one row per exponent they use, and one
-pmatrix.minor_table of it yields every numerator and the denominator.
+pmatrix.minor_table of it yields every numerator and the denominator; the
+grid determinants go to pmatrix.det.
 
 The verification entry points check the four denominator product formulas,
 the determinant identity for the grid of characters evaluated at nested
@@ -27,7 +28,7 @@ from math import comb
 from .combin import binom_nonneg, compositions, iota, partitions_in_box, subsets_lex
 from .errors import CapabilityError, DomainError, ParameterError, UsageError
 from .laurent import LaurentPoly, pow_stored
-from .pmatrix import det, det_fractions, minor_table
+from .pmatrix import det, minor_table
 from .report import VerifyReport, canonical_hash, hash_parts, render
 from .sampling import (
     MAX_RETRIES,
@@ -126,31 +127,6 @@ def char_matrix(family, alpha, xs, power):
             row.append(entry)
         rows.append(row)
     return rows
-
-
-def character(family, lam, var_indices=None, num_vars=None):
-    """Character of the family at partition lam, as a Laurent polynomial.
-
-    Defaults to the first n variables of an n-variable ring where n is the
-    number of chosen variables.  The quotient of alternants is exact.
-    """
-    if var_indices is None:
-        if num_vars is None:
-            raise UsageError("need var_indices or num_vars")
-        var_indices = tuple(range(1, num_vars + 1))
-    var_indices = tuple(var_indices)
-    n = len(var_indices)
-    if num_vars is None:
-        num_vars = max(var_indices)
-    lam = _padded_partition(lam, n)
-    delta = family_shift(family, n)
-    alpha_num = tuple(lam[j] + delta[j] for j in range(n))
-    power = variable_power(num_vars)
-    numerator = det(char_matrix(family, alpha_num, var_indices, power))
-    denominator = det(char_matrix(family, delta, var_indices, power))
-    if family == EVEN_ORTH and lam[n - 1] != 0:
-        numerator = numerator * 2
-    return numerator.exquo(denominator)
 
 
 def character_value(family, lam, values):
@@ -270,14 +246,6 @@ def verify_denominators(n):
     )
 
 
-def delta_prefactor(family, mu, n):
-    """Denominator alternant at the variables a composition selects (the
-    first mu_k of each group of n, iota(mu, n)), as the closed product over
-    s*n-variable Laurent polynomials (half of the alternant for even-orth)."""
-    nv = len(mu) * n
-    return alternant_product(family, iota(mu, n), variable_power(nv), LaurentPoly.const(nv, 1))
-
-
 def rhs_pair_product(family, s, n, point):
     """Closed-form product over variable pairs from distinct groups, with
     the binomial exponent depending only on the in-group positions."""
@@ -334,11 +302,11 @@ def verify_theorem_schur(family, s, n, seed, substitution=False):
     col_values = [tuple(point[i - 1] for i in iota(mu, n)) for mu in cols]
 
     matrix, raw = _character_grid(family, rows, col_values)
-    lhs = det_fractions(matrix)
+    lhs = det(matrix)
     rhs = rhs_pair_product(family, s, n, point)
     equal_main = lhs == rhs
 
-    det_raw = det_fractions(raw)
+    det_raw = det(raw)
     prefactor = Fraction(1)
     for values in col_values:
         prefactor *= alternant_product(family, values, pow_stored, Fraction(1))
@@ -389,7 +357,7 @@ def verify_prop_detS(kind, s, n, seed):
     cols = subsets_lex(s, n)
     col_values = [tuple(point[i - 1] for i in subset) for subset in cols]
     matrix, _ = _character_grid(kind, rows, col_values)
-    lhs = det_fractions(matrix)
+    lhs = det(matrix)
 
     # the pair product alone: even-orth's closed product has no single factors
     pair_family = GL if kind == GL else EVEN_ORTH

@@ -10,8 +10,11 @@ Conventions used across the package:
   differ, lambda has the larger part.  Concretely this is descending
   lexicographic order on the raw tuples.
 * Box partitions are enumerated in descending lexicographic order on their
-  zero-padded tuples; that is exactly the order making the partition-to-
-  rowset map increasing in subset lex order.
+  zero-padded tuples, the row order of the character grids.
+
+Only the maps the verifiers and the CLI use live here.  The lemma maps the
+acceptance criteria check on top of them (dominance, the partition-to-
+rowset map, the dominance-off-one-slot test) live in tests/lemmas.py.
 """
 
 from itertools import combinations
@@ -44,11 +47,6 @@ def compositions(parts, weight, minimum=0):
 def compositions_positive(parts, weight):
     """Compositions with every part at least 1, in head-heavy order."""
     return compositions(parts, weight, minimum=1)
-
-
-def head_heavy_key(mu):
-    """Sort key putting compositions in head-heavy order when ascending."""
-    return tuple(-v for v in mu)
 
 
 def binom_nonneg(a, b):
@@ -88,33 +86,10 @@ def epsilon(left, right):
     return -1 if inversions % 2 else 1
 
 
-def rank_drop(mu, k):
-    """Weight of mu minus its k-th part (k is 1-based)."""
-    _check_slot(mu, k)
-    return sum(mu) - mu[k - 1]
-
-
-def dominated_except(lam, mu, k):
-    """True when lam_i <= mu_i at every position except the k-th (1-based),
-    where anything is allowed."""
-    _check_slot(mu, k)
-    if len(lam) != len(mu):
-        raise UsageError("compositions must have the same number of parts")
-    return all(a <= b for i, (a, b) in enumerate(zip(lam, mu)) if i != k - 1)
-
-
 def bump_except(mu, k):
     """Add 1 to every part except the k-th (1-based)."""
     _check_slot(mu, k)
     return tuple(v + (0 if i == k - 1 else 1) for i, v in enumerate(mu))
-
-
-def unbump_except(nu, k):
-    """Inverse of bump_except; every part off slot k must be positive."""
-    _check_slot(nu, k)
-    if any(v < 1 for i, v in enumerate(nu) if i != k - 1):
-        raise DomainError("cannot lower a zero part")
-    return tuple(v - (0 if i == k - 1 else 1) for i, v in enumerate(nu))
 
 
 def successor_slots(mu, k, width):
@@ -224,39 +199,9 @@ def partitions_in_box(num_parts, max_part):
     return out
 
 
-def dominance_leq(lam, mu):
-    """Dominance comparison of two partitions of the same weight: every
-    prefix sum of lam is at most the matching prefix sum of mu."""
-    if sum(lam) != sum(mu):
-        return False
-    width = max(len(lam), len(mu))
-    acc_l = acc_m = 0
-    for i in range(width):
-        acc_l += lam[i] if i < len(lam) else 0
-        acc_m += mu[i] if i < len(mu) else 0
-        if acc_l > acc_m:
-            return False
-    return True
-
-
 def conjugate(lam):
     """Transpose of the Young diagram, as a partition tuple."""
     lam = tuple(v for v in lam if v > 0)
     if not lam:
         return ()
     return tuple(sum(1 for v in lam if v > j) for j in range(lam[0]))
-
-
-def partition_to_rowset(lam, shift, num_parts):
-    """Strictly increasing subset {shift + i - 1 - lam_i : i = 1..num_parts}
-    built from a padded partition; the map reverses nothing, so descending
-    lex order on partitions becomes ascending lex order on subsets."""
-    lam = tuple(lam) + (0,) * (num_parts - len(lam))
-    if len(lam) != num_parts:
-        raise UsageError("partition has too many parts for the rowset")
-    out = tuple(shift + i - lam[i] for i in range(num_parts))
-    if any(v < 1 for v in out) or any(
-        out[i] >= out[i + 1] for i in range(num_parts - 1)
-    ):
-        raise DomainError("partition does not fit the box for this rowset")
-    return out

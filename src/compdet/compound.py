@@ -34,9 +34,9 @@ from .combin import (
 )
 from .errors import CapabilityError, UsageError
 from .laurent import LaurentPoly
-from .pmatrix import det, dot, minor, minor_table, products, symbolic
+from .pmatrix import det, minor, minor_table, products, symbolic
 from .report import VerifyReport, hash_parts, render, side_hashes
-from .sampling import SplitMix64
+from .sampling import SplitMix64, random_rational
 
 # (s, n) pairs with both s, n >= 2 where fully symbolic verification is
 # affordable; one-dimensional families (s == 1 or n == 1) are always fine.
@@ -78,17 +78,8 @@ class CompoundSpec:
 
 
 def _random_matrix(nrows, ncols, rng):
-    """Rows of random Fractions u/v with u, v in 1..2^16."""
-    top = 1 << 16
-    rows = []
-    for _ in range(nrows):
-        row = []
-        for _ in range(ncols):
-            u = rng.next_below(top) + 1
-            v = rng.next_below(top) + 1
-            row.append(Fraction(u, v))
-        rows.append(row)
-    return rows
+    """Rows of random Fractions u/v with u, v in 1..2^16, drawn row-major."""
+    return [[random_rational(rng, 16) for _ in range(ncols)] for _ in range(nrows)]
 
 
 def _maximal_minor(A, colset):
@@ -121,12 +112,6 @@ def vec_Vbar(spec, K):
     return out
 
 
-def laplace_pair(spec, J, K):
-    """Inner product <V_J, Vbar_K>; by the Laplace expansion it equals
-    epsilon(J, K) * det A_(J union K)."""
-    return dot(vec_V(spec, J), vec_Vbar(spec, K))
-
-
 def build_M(spec):
     """The compound matrix: rows I lex, columns mu head-heavy."""
     cols = [vec_V(spec, Jset) for Jset in spec.col_sets]
@@ -138,6 +123,14 @@ def build_Mhat(spec, partner_map):
     vec_Vbar at partner_map[mu]."""
     cols = [vec_Vbar(spec, partner_map[mu]) for mu in spec.col_comps]
     return [list(row) for row in zip(*cols)]
+
+
+def gram_matrix(spec, partner_map):
+    """T = transpose(M) * Mhat: the product of column lam of M with column
+    mu of Mhat at (lam, mu)."""
+    M = build_M(spec)
+    Mhat = build_Mhat(spec, partner_map)
+    return products(list(zip(*M)), list(zip(*Mhat)))
 
 
 def partner_map_for_variant(spec, k0=None):
@@ -177,8 +170,7 @@ def _support_is_triangular(pattern):
 def verify_gram_structure(spec, mode, seed=None, k0=None):
     """Check the pairing structure behind the compound factorization.
 
-    Builds T = transpose(M) * Mhat, one dot product of columns per entry,
-    and verifies, entry by entry, that
+    Builds T = gram_matrix(spec, partner_map) and checks each entry:
     T[lam, mu] = epsilon(iota(lam), partner(mu)) * det A_(iota(lam) u partner(mu)),
     which also pins the zero pattern exactly.  When the support of T admits
     only the identity permutation, det T is literally the product of the
@@ -189,9 +181,7 @@ def verify_gram_structure(spec, mode, seed=None, k0=None):
     """
     t0 = time.perf_counter()
     partner_map = partner_map_for_variant(spec, k0)
-    M = build_M(spec)
-    Mhat = build_Mhat(spec, partner_map)
-    T = products(list(zip(*M)), list(zip(*Mhat)))
+    T = gram_matrix(spec, partner_map)
     size = len(spec.col_comps)
     zero = spec.one * 0
 
@@ -359,6 +349,14 @@ def verify_main(s, n, mode="symbolic", seed=None):
 SYLVESTER_SYMBOLIC_CAP = 4
 
 
+def compound_matrix(A, n):
+    """The n-th compound of square A: det A^I_J at row set I and column
+    set J, both over the n-subsets in lex order."""
+    subsets = subsets_lex(len(A), n)
+    tables = [minor_table(A, J) for J in subsets]
+    return [[table[I] for table in tables] for I in subsets]
+
+
 def verify_sylvester(s, n, mode="symbolic", seed=None):
     """Classical compound identity for square A of size s:
     det(det A^I_J)_{I,J in n-subsets, lex} = (det A)^binom(s-1, n-1)."""
@@ -374,10 +372,7 @@ def verify_sylvester(s, n, mode="symbolic", seed=None):
         A = symbolic(s, s)
     else:
         A = _random_matrix(s, s, SplitMix64(seed))
-    subsets = subsets_lex(s, n)
-    tables = [minor_table(A, J) for J in subsets]
-    comp = [[table[I] for table in tables] for I in subsets]
-    lhs = det(comp)
+    lhs = det(compound_matrix(A, n))
     rhs = det(A) ** comb(s - 1, n - 1)
     equal = lhs == rhs
     lhs_hash, rhs_hash = side_hashes(lhs, rhs, equal)
@@ -404,11 +399,6 @@ def verify_gram(s, n, k0=None, mode="symbolic", seed=None):
     """
     spec, seed = _spec_for_mode(s, n, mode, seed)
     return verify_gram_structure(spec, mode, seed=seed, k0=k0)
-
-
-def check_degree_balance(s, n):
-    """Both sides of the main identity are homogeneous of the same degree."""
-    return n * comb(s + n - 1, n) == (s + n - 1) * comb(s + n - 2, n - 1)
 
 
 def verify_leading_term(s, n):

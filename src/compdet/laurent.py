@@ -188,35 +188,11 @@ class LaurentPoly:
         exps[i - 1] = exp2
         return cls.monomial(num_vars, 1, exps)
 
-    @classmethod
-    def from_terms(cls, num_vars, mapping):
-        """Build from {stored-exponent tuple: coefficient}."""
-        terms = {}
-        for exps2, c in mapping.items():
-            exps2 = tuple(exps2)
-            if len(exps2) != num_vars:
-                raise UsageError("exponent vector length != num_vars")
-            c = _as_coeff(c)
-            if c:
-                k = pack_exponents(exps2)
-                v = terms.get(k, 0) + c
-                if v:
-                    terms[k] = v
-                else:
-                    terms.pop(k, None)
-        return cls(num_vars, terms)
-
     # -- basic queries ----------------------------------------------------
-
-    def is_zero(self):
-        return not self._terms
 
     def __bool__(self):
         """False for the zero polynomial, as for a zero number."""
         return bool(self._terms)
-
-    def num_terms(self):
-        return len(self._terms)
 
     def terms(self):
         """Yield (stored-exponent tuple, coeff), leading term first."""
@@ -231,15 +207,8 @@ class LaurentPoly:
         k = max(self._terms)
         return unpack_key(k, self.num_vars), self._terms[k]
 
-    def constant_term(self):
-        return self._terms.get(unit_key(self.num_vars), 0)
-
     def coefficient(self, exps2):
         return self._terms.get(pack_exponents(tuple(exps2)), 0)
-
-    def is_integral_exponents(self):
-        """True when every stored exponent is even (no genuine half powers)."""
-        return all(all(e % 2 == 0 for e in m) for m, _ in self.terms())
 
     # -- ring operations ---------------------------------------------------
 
@@ -352,9 +321,9 @@ class LaurentPoly:
         if not isinstance(divisor, LaurentPoly):
             raise UsageError("divisor must be a LaurentPoly")
         self._check_ring(divisor)
-        if divisor.is_zero():
+        if not divisor:
             raise ZeroDivisionError("exact division by the zero polynomial")
-        if self.is_zero():
+        if not self:
             return LaurentPoly(self.num_vars)
         n = self.num_vars
         unit = unit_key(n)

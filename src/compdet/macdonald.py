@@ -24,7 +24,7 @@ from itertools import permutations
 from .characters import GL, rhs_pair_product
 from .combin import compositions, conjugate, iota, partitions_in_box, partitions_of
 from .errors import CapabilityError, ParameterError, UsageError
-from .pmatrix import det_fractions
+from .pmatrix import det
 from .report import VerifyReport, hash_parts, render
 from .sampling import SplitMix64, qt_is_admissible, sample_point, sample_qt
 
@@ -296,10 +296,10 @@ def verify_corollary_macdonald(s, n, seed, q=None, t=None):
 
     p_rows = [macdonald_P(lam, q, t) for lam in rows]
     q_rows = [macdonald_Q(lam, q, t) for lam in rows]
-    det_p = det_fractions(
+    det_p = det(
         [[evaluate_symfunc(row, values) for values in col_values] for row in p_rows]
     )
-    det_q = det_fractions(
+    det_q = det(
         [[evaluate_symfunc(row, values) for values in col_values] for row in q_rows]
     )
     rhs = rhs_pair_product(GL, s, n, point)

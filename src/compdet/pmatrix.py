@@ -5,7 +5,8 @@ polynomials in one ring (symbolic mode) or rationals, ints and Fractions
 (numeric mode).  `det`, `dot`, `minor_table` and `products` pick their
 arithmetic by the type of the first entry.
 
-`det` is the determinant every verifier calls:
+`det` is the determinant every verifier calls, for the compound matrices,
+the maximal minors and the character and macdonald grids alike:
 
 * rational entries go to det_fractions, elimination on primitive integer
   rows: each row is cleared of denominators by its lcm, and after every
@@ -22,9 +23,10 @@ arithmetic by the type of the first entry.
 
 det_cofactor (naive cofactor expansion, capped at size ORACLE_BOUND_DEFAULT
 unless the caller passes another bound) and det_fraction_free (polynomial
-Bareiss with exact LaurentPoly.exquo steps) take polynomial rows; they are
-library functions and test cross-checks only.  Both eliminations pivot on
-the first row with a nonzero entry in the column.
+Bareiss with exact LaurentPoly.exquo steps) take polynomial rows.  No
+verifier calls them: they are test cross-checks, kept here because the
+benchmark's span tracer (perfbench/spans.py) binds them.  Both eliminations
+pivot on the first row with a nonzero entry in the column.
 
 `minor_table` is the one Laplace expansion, for both rings: it forms
 every minor on a column set, each smaller minor once.  Polynomial rows
@@ -190,7 +192,7 @@ def det_cofactor(rows, bound=ORACLE_BOUND_DEFAULT):
         sign = 1
         for p, j in enumerate(cols):
             e = rows[r][j]
-            if not e.is_zero():
+            if e:
                 sub = rec(rowidx[1:], cols[:p] + cols[p + 1 :])
                 total = total + e * sub * sign
             sign = -sign
@@ -209,9 +211,9 @@ def det_fraction_free(rows):
     sign = 1
     prev = LaurentPoly.const(nv, 1)
     for k in range(n - 1):
-        if work[k][k].is_zero():
+        if not work[k][k]:
             for r in range(k + 1, n):
-                if not work[r][k].is_zero():
+                if work[r][k]:
                     work[k], work[r] = work[r], work[k]
                     sign = -sign
                     break

@@ -41,12 +41,17 @@ class SplitMix64:
         return self.next_u64() % bound
 
 
-def square_rational(rng, bits=32):
-    """Square of a random rational u/v with u, v in [1, 2**bits]."""
+def random_rational(rng, bits):
+    """Random rational u/v with u, v in [1, 2**bits], u drawn first."""
     top = 1 << bits
     u = rng.next_below(top) + 1
     v = rng.next_below(top) + 1
-    r = Fraction(u, v)
+    return Fraction(u, v)
+
+
+def square_rational(rng, bits=32):
+    """Square of random_rational(rng, bits)."""
+    r = random_rational(rng, bits)
     return r * r
 
 

@@ -3,6 +3,9 @@
 Everything here is deliberately naive: permutation-sum determinants,
 tableau enumeration, hand-derived closed forms.  The point is that none
 of it shares code paths with the package, so agreement is meaningful.
+The one exception is the symbolic character, a quotient of two polynomial
+alternants built with the package's char_matrix: it is the reference the
+numeric character grids are checked against, and the tableau sums check it.
 """
 
 from fractions import Fraction
@@ -10,7 +13,15 @@ from functools import lru_cache
 from itertools import permutations
 from math import factorial, lcm
 
+from compdet.characters import (
+    EVEN_ORTH,
+    _padded_partition,
+    char_matrix,
+    family_shift,
+    variable_power,
+)
 from compdet.laurent import LaurentPoly
+from compdet.pmatrix import det
 
 
 def perm_sign(perm):
@@ -136,6 +147,23 @@ def schur_tableau_value(shape, values):
                 term *= values[entry - 1]
         total += term
     return total
+
+
+def character(family, lam, num_vars):
+    """Character of the family at partition lam in the variables
+    x_1..x_num_vars, as a Laurent polynomial: the exact quotient of the
+    numerator alternant at lam + delta by the denominator alternant at
+    delta (times 2 for even-orth when the last part of lam is nonzero)."""
+    xs = range(1, num_vars + 1)
+    lam = _padded_partition(lam, num_vars)
+    delta = family_shift(family, num_vars)
+    alpha = tuple(part + shift for part, shift in zip(lam, delta))
+    power = variable_power(num_vars)
+    numerator = det(char_matrix(family, alpha, xs, power))
+    denominator = det(char_matrix(family, delta, xs, power))
+    if family == EVEN_ORTH and lam[-1] != 0:
+        numerator = numerator * 2
+    return numerator.exquo(denominator)
 
 
 def row_coefficient_ratio(q, t):
@@ -316,7 +344,7 @@ def canonical_reference(poly):
     This is the renderer LaurentPoly.canonical replaced; the fast one must
     produce the same string for every polynomial.
     """
-    if poly.is_zero():
+    if not poly:
         return "0"
     parts = []
     for exps2, c in poly.terms():

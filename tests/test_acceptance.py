@@ -15,7 +15,6 @@ from compdet.characters import (
     FAMILIES,
     GL,
     SP,
-    character,
     verify_denominators,
     verify_prop_detS,
     verify_theorem_schur,
@@ -24,11 +23,8 @@ from compdet.combin import (
     bump_except,
     compositions,
     compositions_positive,
-    dominance_leq,
-    dominated_except,
     epsilon,
     iota,
-    partition_to_rowset,
     partitions_in_box,
     partitions_of,
     subsets_lex,
@@ -36,7 +32,6 @@ from compdet.combin import (
 )
 from compdet.compound import (
     CompoundSpec,
-    laplace_pair,
     vec_V,
     vec_Vbar,
     verify_gram,
@@ -60,7 +55,8 @@ from compdet.pmatrix import (
 )
 from compdet.sampling import SplitMix64
 
-from oracles import inner_product_m, leibniz_det, schur_tableau_poly
+from lemmas import dominance_leq, dominated_except, laplace_pair, partition_to_rowset
+from oracles import character, inner_product_m, leibniz_det, schur_tableau_poly
 
 
 def _announce(num, name, ok):
@@ -272,8 +268,8 @@ def _det_oracle_equivalence():
             return False
         if det_minor_expansion(m) != reference:
             return False
-        fracs = [[m[i][j].constant_term() for j in range(size)] for i in range(size)]
-        if det_fractions(fracs) != reference.constant_term():
+        fracs = [[m[i][j].coefficient(()) for j in range(size)] for i in range(size)]
+        if det_fractions(fracs) != reference.coefficient(()):
             return False
     return True
 
@@ -286,7 +282,7 @@ def _laplace_exhaustive():
             got = laplace_pair(spec, J, K)
             sign = epsilon(J, K)
             if sign == 0:
-                if not got.is_zero():
+                if got:
                     return False
             else:
                 union = tuple(sorted(set(J) | set(K)))

@@ -15,9 +15,7 @@ from compdet.characters import (
     _character_grid,
     alternant_product,
     char_matrix,
-    character,
     character_value,
-    delta_prefactor,
     family_shift,
     rhs_pair_product,
     staircase_delta,
@@ -32,7 +30,7 @@ from compdet.laurent import LaurentPoly, pow_stored
 from compdet.pmatrix import det, det_fractions, minor_table
 from compdet.sampling import SplitMix64, point_is_admissible, sample_point
 
-from oracles import leibniz_det, schur_tableau_poly
+from oracles import character, leibniz_det, schur_tableau_poly
 
 
 def poly_from(num_vars, text_terms):
@@ -169,7 +167,9 @@ def test_selected_denominator_equals_closed_prefactor():
                 matrix = char_matrix(family, shift, sel, variable_power(nv))
                 value = det(matrix)
                 assert value == leibniz_det(matrix), (family, s, n, mu)
-                closed = delta_prefactor(family, mu, n)
+                closed = alternant_product(
+                    family, sel, variable_power(nv), LaurentPoly.const(nv, 1)
+                )
                 # the numeric check takes the same product over rationals
                 values = [point[i - 1] for i in sel]
                 at_point = alternant_product(family, values, pow_stored, Fraction(1))
@@ -260,7 +260,7 @@ def test_grid_verifiers_compute_each_alternant_once(monkeypatch):
         return det_fractions(rows)
 
     monkeypatch.setattr("compdet.characters.minor_table", counting_table)
-    monkeypatch.setattr("compdet.characters.det_fractions", counting)
+    monkeypatch.setattr("compdet.pmatrix.det_fractions", counting)
     # 10 partitions by 10 compositions: one minor table per column, over
     # the 5 exponents 4..0, holds the C(5, 3) = 10 alternants of the column,
     # shared by the character grid and the raw grid; only the two grid

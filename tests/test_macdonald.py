@@ -5,7 +5,7 @@ from itertools import permutations
 
 import pytest
 
-from compdet.combin import dominance_leq, partitions_in_box, partitions_of
+from compdet.combin import partitions_of
 from compdet.errors import CapabilityError, ParameterError, UsageError
 from compdet.macdonald import (
     MAX_WEIGHT,
@@ -21,6 +21,7 @@ from compdet.macdonald import (
     z_lambda,
 )
 
+from lemmas import dominance_leq
 from oracles import (
     expand_p_in_m,
     inner_product_m,
