@@ -4,12 +4,12 @@ The basis is built by Gram-Schmidt in power-sum coordinates, where the
 inner product is diagonal: p_rho has norm z_rho times the product of
 (1 - q**part) / (1 - t**part).  Each vector starts from a product of
 elementary symmetric functions, written in power sums by the generating
-formulas for e_k and h_k (Macdonald, Symmetric Functions and Hall
-Polynomials, ch. I §2).  Monomial coefficients are read off by the Hall
-pairing <f, h_mu>, under which h and m are dual bases and p_rho has norm
-z_rho (ibid., ch. I §4).  Everything is exact Fraction arithmetic; q and t
-are concrete rationals, never indeterminates, so each basis is a small
-cacheable table per weight.
+formula for e_k (Macdonald, Symmetric Functions and Hall Polynomials,
+ch. I §2).  The basis stays in power sums: P_lam is the sum of c_rho p_rho
+(ibid., ch. VI), and it is evaluated at a point from the power sums of the
+point.  Everything is exact Fraction arithmetic; q and t are concrete
+rationals, never indeterminates, so each basis is a small cacheable table
+per weight.
 
 The verification entry point evaluates the basis on nested variable
 subsets, takes the determinant of the resulting grid, and compares it with
@@ -19,17 +19,18 @@ the closed product forms, for both the monic and the dual normalization.
 import time
 from fractions import Fraction
 from functools import lru_cache
-from itertools import permutations
+from math import prod
 
 from .characters import GL, rhs_pair_product
 from .combin import compositions, conjugate, iota, partitions_in_box, partitions_of
 from .errors import CapabilityError, ParameterError, UsageError
-from .pmatrix import det
+from .pmatrix import _cleared, det
 from .report import VerifyReport, hash_parts, render
 from .sampling import SplitMix64, qt_is_admissible, sample_point, sample_qt
 
-# Bases are cached per weight.  Weight 10 reaches `macdonald (6,2)`, whose
-# report renders an integer past Python's int-to-str digit limit.
+# Bases are cached per weight.  Weights 10 and 12 reach `macdonald (6,2)`,
+# `(3,5)` and `(4,4)`, whose reports render integers past Python's
+# int-to-str digit limit.
 MAX_WEIGHT = 8
 
 
@@ -116,20 +117,19 @@ def _scaled(mdict, c):
 
 
 @lru_cache(maxsize=None)
-def _product_in_p(parts, signed):
-    """Product of e_k (signed) or h_k over the parts k, in power sums: a
-    dict mapping partitions rho to the Fraction coefficient of p_rho.
+def _product_in_p(parts):
+    """Product of e_k over the parts k, in power sums: a dict mapping
+    partitions rho to the Fraction coefficient of p_rho.
 
-    Uses h_k = sum over rho of p_rho / z_rho and e_k = sum over rho of
-    eps_rho p_rho / z_rho, with eps_rho = (-1)**(k - len(rho)), and
-    p_rho p_sigma = p_(rho u sigma)."""
+    Uses e_k = sum over rho of eps_rho p_rho / z_rho, with
+    eps_rho = (-1)**(k - len(rho)), and p_rho p_sigma = p_(rho u sigma)."""
     if not parts:
         return {(): Fraction(1)}
-    head = _product_in_p(parts[:-1], signed)
+    head = _product_in_p(parts[:-1])
     k = parts[-1]
     out = {}
     for rho in partitions_of(k):
-        c = Fraction(-1 if signed and (k - len(rho)) % 2 else 1, z_lambda(rho))
+        c = Fraction((-1) ** (k - len(rho)), z_lambda(rho))
         for sigma, d in head.items():
             key = tuple(sorted(sigma + rho, reverse=True))
             out[key] = out.get(key, 0) + c * d
@@ -138,32 +138,23 @@ def _product_in_p(parts, signed):
 
 @lru_cache(maxsize=None)
 def _basis_for_weight(weight, q, t):
-    """Monic basis of one weight, as monomial dicts keyed by partition.
+    """Monic basis of one weight, as power-sum dicts keyed by partition.
 
     Gram-Schmidt runs on power-sum vectors, where the inner product is
     diagonal.  The vector for lam starts from e_(lam'), which is m_lam plus
     terms lower in dominance, hence earlier in ascending lex order; so it
-    spans the same flag as m_lam and leaves the same residual.  The
-    coefficient of m_mu is the Hall pairing <f, h_mu>."""
+    spans the same flag as m_lam and leaves the same residual."""
     plist = _partitions_ascending(weight)
     norms_p = [inner_product_p(rho, rho, q, t) for rho in plist]
-
-    def in_p(parts, signed):
-        vec = _product_in_p(parts, signed)
-        return [vec.get(rho, 0) for rho in plist]
 
     def pair(f, g):
         return sum(a * b * w for a, b, w in zip(f, g, norms_p))
 
-    # h_mu scaled by the Hall norms z_rho, so <f, h_mu> is a plain dot product
-    hall_h = {
-        mu: [c * z_lambda(rho) for c, rho in zip(in_p(mu, False), plist)]
-        for mu in plist
-    }
     done = []
     basis = {}
-    for i, lam in enumerate(plist):
-        start = in_p(conjugate(lam), True)
+    for lam in plist:
+        vec = _product_in_p(conjugate(lam))
+        start = [vec.get(rho, 0) for rho in plist]
         f = start
         for g, norm in done:
             c = pair(start, g) / norm
@@ -173,20 +164,15 @@ def _basis_for_weight(weight, q, t):
         if norm == 0:
             raise ParameterError("isotropic basis vector; unusable parameters")
         done.append((f, norm))
-        # only m_mu with mu at or before lam in the order can occur
-        basis[lam] = {}
-        for mu in plist[: i + 1]:
-            c = sum(a * b for a, b in zip(f, hall_h[mu]))
-            if c:
-                basis[lam][mu] = c
+        basis[lam] = {rho: c for rho, c in zip(plist, f) if c}
     return basis
 
 
 def macdonald_P(lam, q, t):
-    """Monic basis element at concrete parameters, in the monomial basis.
+    """Monic basis element at concrete parameters, in power sums.
 
-    Returns a dict mapping partitions to Fraction coefficients.  Weight is
-    capped at MAX_WEIGHT.
+    Returns a dict mapping partitions rho to the Fraction coefficient of
+    p_rho.  Weight is capped at MAX_WEIGHT.
     """
     lam = _normalize_partition(lam)
     weight = sum(lam)
@@ -200,39 +186,27 @@ def macdonald_P(lam, q, t):
 
 
 def macdonald_Q(lam, q, t):
-    """Dual normalization: the monic element scaled by the cell product."""
+    """Dual normalization: the monic element scaled by the cell product,
+    in power sums like macdonald_P."""
     lam = _normalize_partition(lam)
     if sum(lam) == 0:
         return {(): Fraction(1)}
     return _scaled(macdonald_P(lam, q, t), b_lambda(lam, q, t))
 
 
-def monomial_sym_value(mu, values):
-    """Monomial symmetric function at explicit values: one term per
-    distinct rearrangement of the exponent vector."""
-    mu = _normalize_partition(mu)
-    values = tuple(Fraction(v) for v in values)
-    nv = len(values)
-    if len(mu) > nv:
-        return Fraction(0)
-    padded = mu + (0,) * (nv - len(mu))
-    total = Fraction(0)
-    for perm in set(permutations(padded)):
-        term = Fraction(1)
-        for v, e in zip(values, perm):
-            if e:
-                term *= v**e
-        total += term
-    return total
+def evaluate_symfunc(pdict, values):
+    """Evaluate a homogeneous power-sum vector at explicit rational values.
 
-
-def evaluate_symfunc(mdict, values):
-    """Evaluate a monomial-basis vector at explicit rational values."""
-    total = Fraction(0)
-    for mu, coeff in mdict.items():
-        if coeff:
-            total += Fraction(coeff) * monomial_sym_value(mu, values)
-    return total
+    The values are cleared once by the lcm D of their denominators, so
+    p_k = N_k / D**k with integer N_k, and every p_rho of the vector's
+    weight w is an integer over D**w: one sum, divided by D**w once."""
+    scale, ints = _cleared(values)
+    weight = sum(next(iter(pdict), ()))
+    psums = [sum(x**k for x in ints) for k in range(weight + 1)]
+    total = sum(
+        (c * prod(psums[k] for k in rho) for rho, c in pdict.items()), Fraction(0)
+    )
+    return total / scale**weight
 
 
 def printed_prefactor(s, n, q, t):

@@ -213,6 +213,41 @@ def expand_p_in_m(lam):
     return out
 
 
+def p_to_m(pdict):
+    """Power-sum vector in the monomial basis: the sum of c_rho times the
+    brute-force expansion of p_rho, with zeros dropped."""
+    out = {}
+    for rho, c in pdict.items():
+        for mu, coeff in expand_p_in_m(rho).items():
+            out[mu] = out.get(mu, 0) + c * coeff
+    return {mu: coeff for mu, coeff in out.items() if coeff}
+
+
+@lru_cache(maxsize=None)
+def monomial_sym_value(mu, values):
+    """Monomial symmetric function at explicit values: one term per
+    distinct rearrangement of the exponent vector."""
+    nv = len(values)
+    if len(mu) > nv:
+        return Fraction(0)
+    padded = tuple(mu) + (0,) * (nv - len(mu))
+    total = Fraction(0)
+    for perm in set(permutations(padded)):
+        term = Fraction(1)
+        for v, e in zip(values, perm):
+            term *= Fraction(v) ** e
+        total += term
+    return total
+
+
+def evaluate_monomial_vector(mdict, values):
+    """Monomial-basis vector at explicit values, term by term."""
+    values = tuple(values)
+    return sum(
+        (c * monomial_sym_value(mu, values) for mu, c in mdict.items()), Fraction(0)
+    )
+
+
 def _invert_matrix(matrix):
     """Inverse of a small square Fraction matrix by Gauss-Jordan."""
     n = len(matrix)

@@ -56,7 +56,7 @@ from compdet.pmatrix import (
 from compdet.sampling import SplitMix64
 
 from lemmas import dominance_leq, dominated_except, laplace_pair, partition_to_rowset
-from oracles import character, inner_product_m, leibniz_det, schur_tableau_poly
+from oracles import character, inner_product_m, leibniz_det, p_to_m, schur_tableau_poly
 
 
 def _announce(num, name, ok):
@@ -373,7 +373,7 @@ def _two_parameter_structure():
     q, t = Fraction(1, 2), Fraction(1, 3)
     for weight in range(1, 6):
         parts = partitions_of(weight)
-        basis = {lam: macdonald_P(lam, q, t) for lam in parts}
+        basis = {lam: p_to_m(macdonald_P(lam, q, t)) for lam in parts}
         for lam in parts:
             if basis[lam][lam] != 1:
                 return False

@@ -1,7 +1,6 @@
 """Two-parameter symmetric function basis and its determinant identity."""
 
 from fractions import Fraction
-from itertools import permutations
 
 import pytest
 
@@ -14,7 +13,6 @@ from compdet.macdonald import (
     inner_product_p,
     macdonald_P,
     macdonald_Q,
-    monomial_sym_value,
     pochhammer,
     printed_prefactor,
     verify_corollary_macdonald,
@@ -23,9 +21,11 @@ from compdet.macdonald import (
 
 from lemmas import dominance_leq
 from oracles import (
+    evaluate_monomial_vector,
     expand_p_in_m,
     inner_product_m,
     macdonald_P_monomial_route,
+    p_to_m,
     row_coefficient_ratio,
     schur_tableau_value,
 )
@@ -76,11 +76,11 @@ def test_cell_product_frozen():
 
 def test_monic_row_coefficient_matches_frozen_ratio():
     for q, t in QT_SAMPLES:
-        p = macdonald_P((2,), q, t)
+        p = p_to_m(macdonald_P((2,), q, t))
         assert p[(2,)] == 1
         assert p[(1, 1)] == row_coefficient_ratio(q, t)
     q, t = Fraction(1, 2), Fraction(1, 3)
-    assert macdonald_P((2,), q, t)[(1, 1)] == Fraction(6, 5)
+    assert p_to_m(macdonald_P((2,), q, t))[(1, 1)] == Fraction(6, 5)
 
 
 def test_basis_matches_monomial_route_gram_schmidt():
@@ -90,14 +90,14 @@ def test_basis_matches_monomial_route_gram_schmidt():
         for weight in range(1, MAX_WEIGHT + 1):
             for lam in partitions_of(weight):
                 expected = macdonald_P_monomial_route(lam, q, t)
-                assert macdonald_P(lam, q, t) == expected, lam
+                assert p_to_m(macdonald_P(lam, q, t)) == expected, lam
 
 
 def test_triangularity_in_dominance_order():
     for q, t in QT_SAMPLES[:2]:
         for weight in range(0, 6):
             for lam in partitions_of(weight):
-                p = macdonald_P(lam, q, t)
+                p = p_to_m(macdonald_P(lam, q, t))
                 assert p[lam] == 1
                 for mu, coeff in p.items():
                     if coeff:
@@ -108,7 +108,7 @@ def test_orthogonality_of_distinct_rows():
     for q, t in QT_SAMPLES[:2]:
         for weight in range(1, 6):
             parts = partitions_of(weight)
-            basis = {lam: macdonald_P(lam, q, t) for lam in parts}
+            basis = {lam: p_to_m(macdonald_P(lam, q, t)) for lam in parts}
             for lam in parts:
                 for mu in parts:
                     ip = inner_product_m(basis[lam], basis[mu], weight, q, t)
@@ -122,8 +122,8 @@ def test_dual_pairing_is_unitriangular():
     q, t = QT_SAMPLES[0]
     for weight in range(1, 6):
         for lam in partitions_of(weight):
-            p = macdonald_P(lam, q, t)
-            qq = macdonald_Q(lam, q, t)
+            p = p_to_m(macdonald_P(lam, q, t))
+            qq = p_to_m(macdonald_Q(lam, q, t))
             assert inner_product_m(p, qq, weight, q, t) == 1
 
 
@@ -163,23 +163,29 @@ def test_equal_parameters_degenerate_to_tableau_sums():
             assert got == schur_tableau_value(lam, values), lam
 
 
-def test_monomial_symmetric_value_against_brute_force():
-    values = (Fraction(2, 3), Fraction(5, 7), Fraction(1, 4))
-    for weight in range(1, 5):
-        for mu in partitions_of(weight, max_parts=3):
-            padded = tuple(mu) + (0,) * (3 - len(mu))
-            seen = set()
-            expected = Fraction(0)
-            for perm in permutations(padded):
-                if perm in seen:
-                    continue
-                seen.add(perm)
-                term = Fraction(1)
-                for v, e in zip(values, perm):
-                    term *= v**e
-                expected += term
-            assert monomial_sym_value(mu, values) == expected
-    assert monomial_sym_value((1, 1, 1), (Fraction(1), Fraction(2))) == 0
+def test_power_sum_evaluation_matches_monomial_route():
+    # distinct denominators in each tuple, so the values clear by a
+    # non-trivial lcm; the short tuples have fewer values than many
+    # partitions have parts
+    value_tuples = [
+        (),
+        (Fraction(2, 3),),
+        (Fraction(5, 7), Fraction(-1, 4)),
+        (Fraction(2, 3), Fraction(5, 7), Fraction(1, 4)),
+        tuple(Fraction(k, 2 * k + 1) for k in range(1, 9)),
+    ]
+    for q, t in QT_SAMPLES[:2]:
+        for weight in range(0, MAX_WEIGHT + 1):
+            for lam in partitions_of(weight):
+                got = macdonald_P(lam, q, t)
+                expected = macdonald_P_monomial_route(lam, q, t)
+                for values in value_tuples:
+                    assert evaluate_symfunc(got, values) == evaluate_monomial_vector(
+                        expected, values
+                    ), (lam, len(values))
+    for values in value_tuples:
+        assert evaluate_symfunc({(): Fraction(1)}, values) == 1
+        assert evaluate_symfunc({}, values) == 0
 
 
 def test_printed_scalar_equals_largest_row_cell_product():
@@ -223,6 +229,17 @@ def test_larger_grid_splits_printed_and_true_scalars():
 def test_monic_determinant_identity_more_sizes():
     for s, n in [(3, 1), (2, 3), (3, 2)]:
         report = verify_corollary_macdonald(s, n, seed=4)
+        assert report.detail["p_equal"], (s, n)
+        assert report.detail["q_equal_bproduct"], (s, n)
+
+
+def test_one_row_at_twelve_columns_and_sizes_at_the_cap():
+    # s = 1 has weight 0 at every n, so the cap admits any n
+    report = verify_corollary_macdonald(1, 12, seed=0)
+    assert report.equal
+    assert report.exit_code == 0
+    for s, n in [(2, 8), (9, 1)]:
+        report = verify_corollary_macdonald(s, n, seed=0)
         assert report.detail["p_equal"], (s, n)
         assert report.detail["q_equal_bproduct"], (s, n)
 
