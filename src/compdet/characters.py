@@ -346,7 +346,7 @@ def verify_prop_detS(kind, s, n, seed):
     in lexicographic order; the entry is the character at the subset.
     """
     if kind not in (GL, SP):
-        raise UsageError(f"kind must be {GL!r} or {SP!r}, got {kind!r}")
+        raise UsageError(f"prop12 supports the {GL} and {SP} families, got {kind!r}")
     if not 1 <= n <= s:
         raise UsageError("need 1 <= n <= s")
     t0 = time.perf_counter()

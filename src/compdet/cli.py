@@ -148,11 +148,11 @@ def _run_verify_once(args, seed):
             family, _need(args.s, "--s", identity), _need(args.n, "--n", identity), seed
         )
     if identity == "prop12":
-        family = _need(args.family, "--family", identity)
-        if family not in ("gl", "sp"):
-            raise UsageError("prop12 supports the gl and sp families")
         return verify_prop_detS(
-            family, _need(args.s, "--s", identity), _need(args.n, "--n", identity), seed
+            _need(args.family, "--family", identity),
+            _need(args.s, "--s", identity),
+            _need(args.n, "--n", identity),
+            seed,
         )
     if identity == "macdonald":
         return verify_corollary_macdonald(

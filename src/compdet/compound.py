@@ -18,6 +18,7 @@ never raised.
 """
 
 import time
+from collections import Counter
 from fractions import Fraction
 from math import comb
 
@@ -34,7 +35,7 @@ from .combin import (
 )
 from .errors import CapabilityError, UsageError
 from .laurent import LaurentPoly
-from .pmatrix import det, minor, minor_table, products, symbolic
+from .pmatrix import det, minor, minor_matrix, minor_table, products, symbolic
 from .report import VerifyReport, hash_parts, render, side_hashes
 from .sampling import SplitMix64, random_rational
 
@@ -86,15 +87,6 @@ def _maximal_minor(A, colset):
     return det(minor(A, tuple(range(1, len(A) + 1)), colset))
 
 
-def vec_V(spec, J):
-    """Vector of n x n minors det A^I_J over all row sets I in lex order."""
-    J = tuple(J)
-    if len(J) != spec.n:
-        raise UsageError(f"column set must have {spec.n} elements")
-    table = minor_table(spec.A, J)
-    return [table[I] for I in spec.row_sets]
-
-
 def vec_Vbar(spec, K):
     """Signed complementary minors: entry at I is
     (-1)^(sum(I) - n(n+1)/2) * det A^(complement of I)_K."""
@@ -114,23 +106,16 @@ def vec_Vbar(spec, K):
 
 def build_M(spec):
     """The compound matrix: rows I lex, columns mu head-heavy."""
-    cols = [vec_V(spec, Jset) for Jset in spec.col_sets]
-    return [list(row) for row in zip(*cols)]
-
-
-def build_Mhat(spec, partner_map):
-    """Companion matrix of signed complementary minors; column mu holds
-    vec_Vbar at partner_map[mu]."""
-    cols = [vec_Vbar(spec, partner_map[mu]) for mu in spec.col_comps]
-    return [list(row) for row in zip(*cols)]
+    return minor_matrix(spec.A, spec.row_sets, spec.col_sets)
 
 
 def gram_matrix(spec, partner_map):
     """T = transpose(M) * Mhat: the product of column lam of M with column
-    mu of Mhat at (lam, mu)."""
+    mu of Mhat, the signed complementary minors vec_Vbar at partner_map[mu]."""
     M = build_M(spec)
-    Mhat = build_Mhat(spec, partner_map)
-    return products(list(zip(*M)), list(zip(*Mhat)))
+    return products(
+        list(zip(*M)), [vec_Vbar(spec, partner_map[mu]) for mu in spec.col_comps]
+    )
 
 
 def partner_map_for_variant(spec, k0=None):
@@ -165,120 +150,6 @@ def _support_is_triangular(pattern):
                 if not indegree[j]:
                     ready.append(j)
     return removed == size
-
-
-def verify_gram_structure(spec, mode, seed=None, k0=None):
-    """Check the pairing structure behind the compound factorization.
-
-    Builds T = gram_matrix(spec, partner_map) and checks each entry:
-    T[lam, mu] = epsilon(iota(lam), partner(mu)) * det A_(iota(lam) u partner(mu)),
-    which also pins the zero pattern exactly.  When the support of T admits
-    only the identity permutation, det T is literally the product of the
-    diagonal entries, giving det T = sign * prod_mu det A_(iota(mu) u partner(mu))
-    with sign the product of the diagonal epsilons.  If several permutations
-    fit the support, the determinant is computed directly instead.  The
-    report records mode and seed as given.
-    """
-    t0 = time.perf_counter()
-    partner_map = partner_map_for_variant(spec, k0)
-    T = gram_matrix(spec, partner_map)
-    size = len(spec.col_comps)
-    zero = spec.one * 0
-
-    def union(lam, mu):
-        return tuple(sorted(set(iota(lam, spec.n)) | set(partner_map[mu])))
-
-    union_cache = {}
-
-    def union_det(cols):
-        if cols not in union_cache:
-            union_cache[cols] = _maximal_minor(spec.A, cols)
-        return union_cache[cols]
-
-    entries_ok = True
-    bad_cell = None
-    pattern = [[False] * size for _ in range(size)]
-    pattern_rows = []
-    lhs_parts = []
-    rhs_parts = []
-    for i, lam in enumerate(spec.col_comps):
-        row_chars = []
-        for j, mu in enumerate(spec.col_comps):
-            sign = epsilon(iota(lam, spec.n), partner_map[mu])
-            actual = T[i][j]
-            if sign == 0:
-                expected = zero
-            else:
-                expected = union_det(union(lam, mu)) * sign
-            ok = actual == expected
-            if not ok and entries_ok:
-                entries_ok = False
-                bad_cell = (format_composition(lam), format_composition(mu))
-            nonzero = bool(actual)
-            pattern[i][j] = nonzero
-            row_chars.append("*" if nonzero else ".")
-            # equal cells render to the same text, so render it once
-            text = render(actual)
-            lhs_parts.append(text)
-            rhs_parts.append(text if ok else render(expected))
-        pattern_rows.append("".join(row_chars))
-
-    diag_sign = 1
-    factor_mult = {}
-    diag_ok = True
-    for i, mu in enumerate(spec.col_comps):
-        eps = epsilon(iota(mu, spec.n), partner_map[mu])
-        if eps == 0 or not pattern[i][i]:
-            diag_ok = False
-            break
-        diag_sign *= eps
-        key = format_subset(union(mu, mu))
-        factor_mult[key] = factor_mult.get(key, 0) + 1
-
-    full_diagonal = all(pattern[i][i] for i in range(size))
-    unique_support = full_diagonal and _support_is_triangular(pattern)
-
-    det_equal = False
-    method = None
-    if entries_ok and diag_ok:
-        if unique_support:
-            # det T has a single surviving Leibniz term, the diagonal one.
-            det_equal = True
-            method = "unique-support-permutation"
-        else:
-            lhs_det = det(T)
-            rhs_det = spec.one * diag_sign
-            for mu in spec.col_comps:
-                rhs_det = rhs_det * union_det(union(mu, mu))
-            det_equal = lhs_det == rhs_det
-            method = "direct-determinant"
-
-    equal = entries_ok and diag_ok and det_equal
-    detail = {
-        "variant": "pinned" if k0 is not None else "colored",
-        "entry_identity_ok": entries_ok,
-        "zero_pattern": pattern_rows,
-        "unique_support_permutation": unique_support,
-        "det_method": method,
-        "factor_multiplicity": factor_mult,
-    }
-    if k0 is not None:
-        detail["k"] = k0
-    if bad_cell is not None:
-        detail["first_bad_cell"] = list(bad_cell)
-    return VerifyReport(
-        identity="gram",
-        mode=mode,
-        equal=equal,
-        lhs_hash=hash_parts(lhs_parts),
-        rhs_hash=hash_parts(rhs_parts),
-        s=spec.s,
-        n=spec.n,
-        seed=seed,
-        sign=diag_sign if diag_ok else None,
-        elapsed_ms=int((time.perf_counter() - t0) * 1000),
-        detail=detail,
-    )
 
 
 def check_symbolic_envelope(s, n):
@@ -349,14 +220,6 @@ def verify_main(s, n, mode="symbolic", seed=None):
 SYLVESTER_SYMBOLIC_CAP = 4
 
 
-def compound_matrix(A, n):
-    """The n-th compound of square A: det A^I_J at row set I and column
-    set J, both over the n-subsets in lex order."""
-    subsets = subsets_lex(len(A), n)
-    tables = [minor_table(A, J) for J in subsets]
-    return [[table[I] for table in tables] for I in subsets]
-
-
 def verify_sylvester(s, n, mode="symbolic", seed=None):
     """Classical compound identity for square A of size s:
     det(det A^I_J)_{I,J in n-subsets, lex} = (det A)^binom(s-1, n-1)."""
@@ -372,7 +235,8 @@ def verify_sylvester(s, n, mode="symbolic", seed=None):
         A = symbolic(s, s)
     else:
         A = _random_matrix(s, s, SplitMix64(seed))
-    lhs = det(compound_matrix(A, n))
+    subsets = subsets_lex(s, n)
+    lhs = det(minor_matrix(A, subsets, subsets))
     rhs = det(A) ** comb(s - 1, n - 1)
     equal = lhs == rhs
     lhs_hash, rhs_hash = side_hashes(lhs, rhs, equal)
@@ -391,14 +255,102 @@ def verify_sylvester(s, n, mode="symbolic", seed=None):
 
 
 def verify_gram(s, n, k0=None, mode="symbolic", seed=None):
-    """Entry point for the pairing-structure check on a fresh matrix.
+    """Check the pairing structure behind the compound factorization on a
+    fresh matrix.
 
     Without k0 the partner slots are chosen by the first maximal part of
     each composition; with k0 they are pinned to that coordinate, with the
-    special rule for the concentrated compositions.
+    special rule for the concentrated compositions.  Builds T =
+    gram_matrix(spec, partner_map) and checks each entry:
+    T[lam, mu] = epsilon(iota(lam), partner(mu)) * det A_(iota(lam) u partner(mu)),
+    which also pins the zero pattern exactly.  When the support of T admits
+    only the identity permutation, det T is literally the product of the
+    diagonal entries, giving det T = sign * prod_mu det A_(iota(mu) u partner(mu))
+    with sign the product of the diagonal epsilons.  If several permutations
+    fit the support, the determinant is computed directly instead.
     """
+    t0 = time.perf_counter()
     spec, seed = _spec_for_mode(s, n, mode, seed)
-    return verify_gram_structure(spec, mode, seed=seed, k0=k0)
+    partner_map = partner_map_for_variant(spec, k0)
+    T = gram_matrix(spec, partner_map)
+    pattern = [[bool(cell) for cell in row] for row in T]
+    zero = spec.one * 0
+    union_dets = {}
+    bad_cell = None
+    lhs_parts = []
+    rhs_parts = []
+    # the diagonal up to its first zero sign or zero cell
+    diag_ok = True
+    diag_sign = 1
+    diag_unions = []
+    for i, J in enumerate(spec.col_sets):
+        for j, mu in enumerate(spec.col_comps):
+            K = partner_map[mu]
+            sign = epsilon(J, K)
+            if sign:
+                # J and K are disjoint
+                union = tuple(sorted(J + K))
+                if union not in union_dets:
+                    union_dets[union] = _maximal_minor(spec.A, union)
+                expected = union_dets[union] * sign
+            else:
+                expected = zero
+            actual = T[i][j]
+            ok = actual == expected
+            if not ok and bad_cell is None:
+                bad_cell = [format_composition(spec.col_comps[i]), format_composition(mu)]
+            # equal cells render to the same text, so render it once
+            text = render(actual)
+            lhs_parts.append(text)
+            rhs_parts.append(text if ok else render(expected))
+            if i == j and diag_ok:
+                diag_ok = bool(sign) and pattern[i][i]
+                if diag_ok:
+                    diag_sign *= sign
+                    diag_unions.append(union)
+
+    entries_ok = bad_cell is None
+    full_diagonal = all(pattern[i][i] for i in range(len(T)))
+    unique_support = full_diagonal and _support_is_triangular(pattern)
+    det_equal = False
+    method = None
+    if entries_ok and diag_ok:
+        if unique_support:
+            # det T has a single surviving Leibniz term, the diagonal one.
+            det_equal = True
+            method = "unique-support-permutation"
+        else:
+            rhs_det = spec.one * diag_sign
+            for union in diag_unions:
+                rhs_det = rhs_det * union_dets[union]
+            det_equal = det(T) == rhs_det
+            method = "direct-determinant"
+
+    detail = {
+        "variant": "pinned" if k0 is not None else "colored",
+        "entry_identity_ok": entries_ok,
+        "zero_pattern": ["".join("*" if c else "." for c in row) for row in pattern],
+        "unique_support_permutation": unique_support,
+        "det_method": method,
+        "factor_multiplicity": Counter(format_subset(u) for u in diag_unions),
+    }
+    if k0 is not None:
+        detail["k"] = k0
+    if bad_cell is not None:
+        detail["first_bad_cell"] = bad_cell
+    return VerifyReport(
+        identity="gram",
+        mode=mode,
+        equal=entries_ok and diag_ok and det_equal,
+        lhs_hash=hash_parts(lhs_parts),
+        rhs_hash=hash_parts(rhs_parts),
+        s=s,
+        n=n,
+        seed=seed,
+        sign=diag_sign if diag_ok else None,
+        elapsed_ms=int((time.perf_counter() - t0) * 1000),
+        detail=detail,
+    )
 
 
 def verify_leading_term(s, n):

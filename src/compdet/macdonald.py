@@ -278,11 +278,7 @@ def verify_corollary_macdonald(s, n, seed, q=None, t=None):
     )
     rhs = rhs_pair_product(GL, s, n, point)
 
-    b_product = Fraction(1)
-    for lam in rows:
-        stripped = _normalize_partition(lam)
-        if stripped:
-            b_product *= b_lambda(stripped, q, t)
+    b_product = prod((b_lambda(lam, q, t) for lam in rows), start=Fraction(1))
     printed = printed_prefactor(s, n, q, t)
 
     p_equal = det_p == rhs

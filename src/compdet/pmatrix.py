@@ -33,6 +33,9 @@ every minor on a column set, each smaller minor once.  Polynomial rows
 accumulate each minor in one term dict.  Rational rows run on integers:
 each row is cleared by its lcm over the column set, and each minor is one
 Fraction, the integer value over the product of its rows' scales.
+`minor_matrix` is the one builder of a matrix of minors (the compound
+matrix M and the n-th compound of a square matrix): one minor_table per
+column set.
 `products` clears each rational column by its lcm once, so each inner
 product is one integer sum over two scales; polynomial columns take `dot`
 of each pair.
@@ -126,6 +129,13 @@ def minor_table(rows, colset):
         tuple(i + 1 for i in subset): Fraction(value, prod(scales[i] for i in subset))
         for subset, value in level.items()
     }
+
+
+def minor_matrix(rows, row_sets, col_sets):
+    """The matrix of minors [[det rows^I_J for J in col_sets] for I in
+    row_sets], each column read off one minor_table."""
+    tables = [minor_table(rows, J) for J in col_sets]
+    return [[table[I] for table in tables] for I in row_sets]
 
 
 def dot(xs, ys):

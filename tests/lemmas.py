@@ -8,14 +8,16 @@ statements they encode against the package's own maps:
 * dominance_leq: the dominance order the macdonald basis is triangular in;
 * partition_to_rowset: the map taking box partitions in descending lex
   order to row sets in ascending lex order;
+* vec_V: the minor vector det A^I_J over the row sets I of a spec, the
+  column of the compound matrix at J;
 * laplace_pair: the inner product of a minor vector with a complementary
   one, which the Laplace expansion evaluates.
 """
 
 from compdet.combin import _check_slot
-from compdet.compound import vec_V, vec_Vbar
+from compdet.compound import vec_Vbar
 from compdet.errors import DomainError, UsageError
-from compdet.pmatrix import dot
+from compdet.pmatrix import dot, minor_table
 
 
 def dominated_except(lam, mu, k):
@@ -55,6 +57,15 @@ def partition_to_rowset(lam, shift, num_parts):
     ):
         raise DomainError("partition does not fit the box for this rowset")
     return out
+
+
+def vec_V(spec, J):
+    """Vector of n x n minors det A^I_J over all row sets I in lex order."""
+    J = tuple(J)
+    if len(J) != spec.n:
+        raise UsageError(f"column set must have {spec.n} elements")
+    table = minor_table(spec.A, J)
+    return [table[I] for I in spec.row_sets]
 
 
 def laplace_pair(spec, J, K):

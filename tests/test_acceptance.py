@@ -32,7 +32,6 @@ from compdet.combin import (
 )
 from compdet.compound import (
     CompoundSpec,
-    vec_V,
     vec_Vbar,
     verify_gram,
     verify_leading_term,
@@ -55,7 +54,13 @@ from compdet.pmatrix import (
 )
 from compdet.sampling import SplitMix64
 
-from lemmas import dominance_leq, dominated_except, laplace_pair, partition_to_rowset
+from lemmas import (
+    dominance_leq,
+    dominated_except,
+    laplace_pair,
+    partition_to_rowset,
+    vec_V,
+)
 from oracles import character, inner_product_m, leibniz_det, p_to_m, schur_tableau_poly
 
 

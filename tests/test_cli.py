@@ -179,11 +179,13 @@ def test_verify_rejects_symbolic_for_numeric_only(capsys):
 
 
 def test_verify_family_gate(capsys):
-    code, _, err = run_cli(
+    code, out, err = run_cli(
         capsys,
         ["verify", "prop12", "--family", "odd-orth", "--s", "3", "--n", "2"],
     )
     assert code == 2
+    assert out == ""
+    assert err == "error: prop12 supports the gl and sp families, got 'odd-orth'\n"
     code, out, _ = run_cli(
         capsys,
         ["verify", "prop12", "--family", "sp", "--s", "3", "--n", "2"],

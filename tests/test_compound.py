@@ -5,13 +5,14 @@ from math import comb
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from lemmas import dominated_except, laplace_pair
+from lemmas import dominated_except, laplace_pair, vec_V
 from oracles import support_permutation_count
 
-from compdet import cli, pmatrix
+from compdet import cli, compound, pmatrix
 from compdet.combin import (
     compositions,
     epsilon,
+    format_composition,
     iota,
     partner_slots_pinned,
     subsets_lex,
@@ -23,7 +24,6 @@ from compdet.compound import (
     _support_is_triangular,
     build_M,
     check_symbolic_envelope,
-    vec_V,
     vec_Vbar,
     verify_gram,
     verify_leading_term,
@@ -286,6 +286,74 @@ def test_gram_other_sizes_and_modes():
         assert report.equal, (s, n)
     with pytest.raises(UsageError):
         verify_gram(2, 2, k0=3)
+
+
+def _zero_diagonal_cell(monkeypatch, index):
+    """Make gram_matrix return T with its index-th diagonal cell zeroed."""
+    real = compound.gram_matrix
+
+    def patched(spec, partner_map):
+        T = real(spec, partner_map)
+        T[index][index] = T[index][index] * 0
+        return T
+
+    monkeypatch.setattr(compound, "gram_matrix", patched)
+
+
+@pytest.mark.parametrize("k0", [None, 1])
+@pytest.mark.parametrize(
+    "index, counted",
+    [
+        # the factors of the diagonal cells before the failing one, only
+        (2, {"{1,2,3,5}": 1, "{1,3,4,5}": 1}),
+        (0, {}),
+    ],
+)
+def test_gram_diagonal_failure_counts_the_cells_before_it(monkeypatch, k0, index, counted):
+    _zero_diagonal_cell(monkeypatch, index)
+    report = verify_gram(3, 2, k0=k0)
+    cell = format_composition(compositions(3, 2)[index])
+    assert not report.equal
+    assert report.sign is None
+    assert report.detail["factor_multiplicity"] == counted
+    assert report.detail["first_bad_cell"] == [cell, cell]
+    assert report.detail["det_method"] is None
+    assert report.detail["unique_support_permutation"] is False
+
+
+@pytest.mark.parametrize(
+    "call, cell",
+    [
+        # cell ((2,0,0), (1,1,0)) alone uses the 2nd maximal minor
+        (2, ["(2,0,0)", "(1,1,0)"]),
+        # the diagonal cells at (1,1,0) and (0,2,0) share the 4th
+        (4, ["(1,1,0)", "(1,1,0)"]),
+    ],
+)
+def test_gram_entry_failure_names_the_first_bad_cell(monkeypatch, call, cell):
+    real = compound._maximal_minor
+    calls = 0
+
+    def off(A, cols):
+        nonlocal calls
+        calls += 1
+        value = real(A, cols)
+        return value + 1 if calls == call else value
+
+    monkeypatch.setattr(compound, "_maximal_minor", off)
+    report = verify_gram(3, 2, mode="numeric", seed=0)
+    assert not report.equal
+    assert report.detail["entry_identity_ok"] is False
+    assert report.detail["first_bad_cell"] == cell
+    # a bad entry leaves the diagonal and its support intact
+    assert report.sign == -1
+    assert report.detail["factor_multiplicity"] == {
+        "{1,2,3,5}": 1,
+        "{1,3,4,5}": 2,
+        "{1,3,5,6}": 3,
+    }
+    assert report.detail["unique_support_permutation"] is True
+    assert report.detail["det_method"] is None
 
 
 @st.composite

@@ -11,18 +11,17 @@ of `sylvester`.  The one-dimensional shapes stop at s+n-1 = 6: at 8, the
 
 import pytest
 
-from compdet.combin import compositions_positive, iota
+from compdet.combin import compositions_positive, iota, subsets_lex
 from compdet.compound import (
     SYMBOLIC_CASES,
     CompoundSpec,
     _maximal_minor,
     _random_matrix,
     build_M,
-    compound_matrix,
     gram_matrix,
     partner_map_for_variant,
 )
-from compdet.pmatrix import det, symbolic
+from compdet.pmatrix import det, minor_matrix, symbolic
 from compdet.sampling import SplitMix64
 
 LINE_SHAPES = [(1, n) for n in range(1, 7)] + [(s, 1) for s in range(2, 7)]
@@ -65,5 +64,6 @@ def test_sylvester_sides_agree_across_modes(s):
     point = [x for row in numeric_A for x in row]
     assert det(A).eval(point) == det(numeric_A)
     for n in range(1, s + 1):
-        value = det(compound_matrix(A, n)).eval(point)
-        assert value == det(compound_matrix(numeric_A, n)), n
+        subsets = subsets_lex(s, n)
+        value = det(minor_matrix(A, subsets, subsets)).eval(point)
+        assert value == det(minor_matrix(numeric_A, subsets, subsets)), n
