@@ -338,12 +338,16 @@ def verify_theorem_schur(family, s, n, seed, substitution=False):
 
 
 def verify_prop_detS(kind, s, n, seed):
-    """Numeric check of the single-alphabet determinant identity, up to a
-    recorded global sign.
+    """Numeric check of the single-alphabet determinant identity, sign
+    included.
 
     Rows are the partitions inside the (s-n)^n box in decreasing
     lexicographic order, columns the n-element subsets of the s variables
-    in lexicographic order; the entry is the character at the subset.
+    in lexicographic order; the entry is the character at the subset.  In
+    these orders the determinant equals the power of the pair product
+    exactly, so a grid with permuted rows or columns fails.  The report's
+    sign is the observed ratio of the two sides: 1, -1, or None when they
+    differ by more than a sign.
     """
     if kind not in (GL, SP):
         raise UsageError(f"prop12 supports the {GL} and {SP} families, got {kind!r}")
@@ -365,12 +369,8 @@ def verify_prop_detS(kind, s, n, seed):
     exponent = comb(s - 2, n - 1) if s >= 2 else 0
     rhs = base**exponent
 
-    if lhs == rhs:
-        equal, sign = True, 1
-    elif lhs == -rhs:
-        equal, sign = True, -1
-    else:
-        equal, sign = False, None
+    equal = lhs == rhs
+    sign = 1 if equal else -1 if lhs == -rhs else None
     return VerifyReport(
         identity="prop12",
         mode="numeric",

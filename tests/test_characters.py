@@ -1,11 +1,13 @@
 """Classical-group characters and the character-grid determinant checks."""
 
+import json
 from fractions import Fraction
 
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from compdet import characters, cli
 from compdet.characters import (
     EVEN_ORTH,
     FAMILIES,
@@ -239,12 +241,41 @@ def test_single_alphabet_identity():
         for s, n in [(3, 2), (4, 2), (3, 1), (4, 4)]:
             report = verify_prop_detS(kind, s, n, seed=13)
             assert report.equal, (kind, s, n)
-            assert report.sign in (1, -1)
+            assert report.sign == 1
             assert report.detail["kind"] == kind
     with pytest.raises(UsageError):
         verify_prop_detS(ODD_ORTH, 3, 2, seed=0)
     with pytest.raises(UsageError):
         verify_prop_detS(GL, 2, 3, seed=0)
+
+
+def run_prop12_on_permuted_grid(monkeypatch, capsys, permute, argv):
+    def permuted_grid(family, partitions, col_values):
+        grid, numerators = _character_grid(family, partitions, col_values)
+        return permute(grid), numerators
+
+    monkeypatch.setattr(characters, "_character_grid", permuted_grid)
+    code = cli.main(["verify", "prop12", *argv])
+    return code, json.loads(capsys.readouterr().out)
+
+
+def test_prop12_fails_on_reversed_columns(monkeypatch, capsys):
+    # 6 subsets of 4 variables: the reversal is an odd permutation
+    code, report = run_prop12_on_permuted_grid(
+        monkeypatch, capsys, lambda grid: [row[::-1] for row in grid],
+        ["--family", "gl", "--s", "4", "--n", "2"],
+    )
+    assert code == 1
+    assert report["equal"] is False and report["sign"] == -1
+
+
+def test_prop12_fails_on_swapped_rows(monkeypatch, capsys):
+    code, report = run_prop12_on_permuted_grid(
+        monkeypatch, capsys, lambda grid: [grid[1], grid[0], *grid[2:]],
+        ["--family", "sp", "--s", "5", "--n", "2"],
+    )
+    assert code == 1
+    assert report["equal"] is False and report["sign"] == -1
 
 
 def test_grid_verifiers_compute_each_alternant_once(monkeypatch):

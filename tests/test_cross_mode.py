@@ -6,8 +6,11 @@ pmatrix.symbolic numbers its variables.  The values must equal the numeric
 sides exactly: det M and each maximal minor of `main`, every cell of T in
 `gram` for every partner variant, and the compound determinant and det A
 of `sylvester`.  The one-dimensional shapes stop at s+n-1 = 6: at 8, the
-40,320-term det M alone takes seconds to evaluate.
+40,320-term det M alone takes seconds to evaluate.  A det_fractions that
+clears the columns but drops their scales must fail these comparisons.
 """
+
+from fractions import Fraction
 
 import pytest
 
@@ -21,6 +24,7 @@ from compdet.compound import (
     gram_matrix,
     partner_map_for_variant,
 )
+from compdet import pmatrix
 from compdet.pmatrix import det, minor_matrix, symbolic
 from compdet.sampling import SplitMix64
 
@@ -67,3 +71,17 @@ def test_sylvester_sides_agree_across_modes(s):
         subsets = subsets_lex(s, n)
         value = det(minor_matrix(A, subsets, subsets)).eval(point)
         assert value == det(minor_matrix(numeric_A, subsets, subsets)), n
+
+
+def test_cross_mode_catches_dropped_column_scales(monkeypatch):
+    real = pmatrix.det_fractions
+
+    def unscaled_columns(rows):
+        columns = zip(*([Fraction(v) for v in row] for row in rows))
+        return real([pmatrix._cleared(col)[1] for col in columns])
+
+    monkeypatch.setattr(pmatrix, "det_fractions", unscaled_columns)
+    with pytest.raises(AssertionError):
+        test_main_sides_agree_across_modes(2, 3)
+    with pytest.raises(AssertionError):
+        test_sylvester_sides_agree_across_modes(3)

@@ -4,7 +4,9 @@ The in-package algorithms (cofactor recursion, polynomial fraction-free
 elimination, division-free minor expansion, primitive-row elimination on
 rationals) are cross-checked against a permutation-sum oracle on random
 rational matrices and on small symbolic ones, and det_fractions against the
-integer Bareiss elimination it replaced.  `det` must agree with
+integer Bareiss elimination it replaced and against itself on the
+transpose, with rows, columns or both scaled, since it clears by rows or by
+columns, whichever form has fewer bits.  `det` must agree with
 det_fractions on rational rows and with det_minor_expansion on polynomial
 rows, `dot` with a plain sum of products, and no verifier may reach the
 test-only routines.
@@ -213,16 +215,32 @@ matrix_entries = st.one_of(
     st.fractions(min_value=-20, max_value=20, max_denominator=30),
 )
 # large factors a whole row shares, as the rows of the verifiers' matrices do
-row_factors = st.sampled_from((1, -1, 2**64 + 13, -(3**40), 10**30, Fraction(1, 7**20)))
+ROW_FACTORS = (1, -1, 2**64 + 13, -(3**40), 10**30, Fraction(1, 7**20))
+row_factors = st.sampled_from(ROW_FACTORS)
+# pairwise-coprime denominators, so the lcm of a row or column is the
+# product of all of them
+COPRIME = (2**61 - 1, 2**31 - 1, 10**9 + 7, 998244353, 2**89 - 1, 10**9 + 9)
+# one denominator a whole column shares, as a character grid's value tuple
+# does, or a row factor
+column_factors = st.one_of(
+    row_factors, st.builds(Fraction, st.sampled_from((1, -3, 5)), st.sampled_from(COPRIME))
+)
 
 
 @st.composite
 def rational_matrices(draw):
     n = draw(st.integers(min_value=0, max_value=7))
     rows = [draw(st.lists(matrix_entries, min_size=n, max_size=n)) for _ in range(n)]
-    for row in rows:
-        factor = draw(row_factors)
-        row[:] = [v * factor for v in row]
+    scaled = draw(st.sampled_from(("rows", "columns", "both")))
+    if scaled != "columns":
+        for row in rows:
+            factor = draw(row_factors)
+            row[:] = [v * factor for v in row]
+    if scaled != "rows":
+        for j in range(n):
+            factor = draw(column_factors)
+            for row in rows:
+                row[j] *= factor
     if n:
         for i in draw(st.sets(st.integers(0, n - 1), max_size=1)):
             rows[i] = [0] * n
@@ -237,9 +255,45 @@ def rational_matrices(draw):
 def test_det_fractions_matches_bareiss_reference(rows):
     value = det_fractions(rows)
     assert isinstance(value, Fraction)
-    assert value == det_bareiss_reference(rows)
+    assert value == det_bareiss_reference(rows) == det_fractions(transpose(rows))
     if 1 <= len(rows) <= 5:
         assert value == leibniz_det([[Fraction(v) for v in row] for row in rows])
+
+
+def transpose(rows):
+    return [list(col) for col in zip(*rows)]
+
+
+def cleared_rows(rows):
+    return [pmatrix._cleared([Fraction(v) for v in row]) for row in rows]
+
+
+def test_character_grid_is_cleared_by_columns(monkeypatch, capsys):
+    argv = ["schur-det", "--family", "sp", "--s", "3", "--n", "3", "--mode", "numeric"]
+    # the character grid; the raw alternant grid follows
+    grid = matrices_of_a_verify_run(monkeypatch, capsys, argv)[0]
+    by_columns = cleared_rows(transpose(grid))
+    assert pmatrix._bits(by_columns) < pmatrix._bits(cleared_rows(grid))
+    assert pmatrix._cheaper_orientation(grid) == by_columns
+
+
+def test_row_structured_matrix_keeps_the_rows():
+    base = [[3, -1, 4, 1, -5, 9], [2, 6, -5, 3, 5, -8], [9, 7, 9, -3, 2, 3],
+            [8, -4, 6, 2, 6, 4], [3, 3, -8, 3, 2, 7], [9, 5, 0, 2, -8, 8]]
+    rows = [[v * f for v in row] for row, f in zip(base, ROW_FACTORS)]
+    by_rows = cleared_rows(rows)
+    assert pmatrix._bits(by_rows) < pmatrix._bits(cleared_rows(transpose(rows)))
+    assert pmatrix._cheaper_orientation(rows) == by_rows
+
+
+def test_orientation_tie_keeps_the_rows():
+    # rows clear to [1, 6] and [35, 1], columns to [1, 10] and [21, 1]:
+    # 11 bits each
+    rows = [[Fraction(1, 2), 3], [5, Fraction(1, 7)]]
+    by_rows, by_columns = cleared_rows(rows), cleared_rows(transpose(rows))
+    assert by_rows != by_columns
+    assert pmatrix._bits(by_rows) == pmatrix._bits(by_columns) == 11
+    assert pmatrix._cheaper_orientation(rows) == by_rows
 
 
 def test_det_fractions_pivot_swap_between_rows_with_different_multipliers():
@@ -279,7 +333,8 @@ def test_det_fractions_negative_pivot():
     assert det_fractions(rows) == leibniz_det(rows)
 
 
-def test_det_fractions_on_the_compound_matrix_of_a_verify_run(monkeypatch, capsys):
+def matrices_of_a_verify_run(monkeypatch, capsys, argv):
+    """Every matrix a passing `compdet verify` run hands det_fractions."""
     captured = []
 
     def capture(rows):
@@ -287,10 +342,14 @@ def test_det_fractions_on_the_compound_matrix_of_a_verify_run(monkeypatch, capsy
         return det_fractions(rows)
 
     monkeypatch.setattr(pmatrix, "det_fractions", capture)
-    argv = ["verify", "main", "--mode", "numeric", "--s", "4", "--n", "3", "--seed", "0"]
-    assert cli.main(argv) == 0
+    assert cli.main(["verify", *argv, "--seed", "0"]) == 0
     capsys.readouterr()
-    compound = max(captured, key=len)
+    return captured
+
+
+def test_det_fractions_on_the_compound_matrix_of_a_verify_run(monkeypatch, capsys):
+    argv = ["main", "--mode", "numeric", "--s", "4", "--n", "3"]
+    compound = max(matrices_of_a_verify_run(monkeypatch, capsys, argv), key=len)
     assert len(compound) == 20
     assert det_fractions(compound) == det_bareiss_reference(compound)
 
@@ -351,9 +410,6 @@ def test_cli_paths_avoid_the_oracles_and_polynomial_division(monkeypatch, capsys
         assert json.loads(out)["equal"] is True
 
 
-# pairwise-coprime denominators, so the lcm of a row or column is the
-# product of all of them
-COPRIME = (2**61 - 1, 2**31 - 1, 10**9 + 7, 998244353, 2**89 - 1, 10**9 + 9)
 table_entries = st.one_of(
     matrix_entries,
     st.builds(Fraction, st.integers(-(2**40), 2**40), st.sampled_from(COPRIME)),
