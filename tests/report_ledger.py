@@ -1,0 +1,126 @@
+"""The report ledger: what `compdet` prints on a fixed list of requests.
+
+Report bytes, every field but `elapsed_ms`, are the behavioural contract.
+For each request the ledger (report_ledger.json) holds the argv, the exit
+code of `cli.main` or the name of the exception it raises, the standard
+error, and the SHA-256 of the standard output with `elapsed_ms` left out:
+the key is dropped from every parsed JSON report, and the `elapsed_ms:`
+line from text output.  tests/test_report_ledger.py replays it.
+
+The requests:
+  - the argvs of test_cli.py's sweep, which reach every identity, mode,
+    family and enumerate kind, and every usage error;
+  - every benchmark check (perfbench/checks.py) at seeds 0-2, except
+    `denominators --n 6`, the one that takes seconds;
+  - `--format text --repeats 2` on one check per identity.
+
+Usage, from the repository root:
+
+    python tests/report_ledger.py           # replay; list the entries that differ
+    python tests/report_ledger.py --write   # re-record report_ledger.json
+"""
+
+import argparse
+import contextlib
+import hashlib
+import io
+import json
+import runpy
+import sys
+from pathlib import Path
+
+HERE = Path(__file__).resolve().parent
+ROOT = HERE.parent
+if str(ROOT / "src") not in sys.path:
+    sys.path.insert(0, str(ROOT / "src"))
+
+from compdet import cli  # noqa: E402
+from test_cli import _sweep_argvs  # noqa: E402
+
+LEDGER_PATH = HERE / "report_ledger.json"
+SEEDS = (0, 1, 2)
+SKIPPED_CHECKS = ("denominators --n 6",)
+TEXT_CHECKS = (
+    "main --s 3 --n 3 --mode numeric",
+    "sylvester --s 3 --n 2",
+    "gram --s 2 --n 2",
+    "denominators --n 3",
+    "schur-det --family sp --s 2 --n 2",
+    "prop12 --family gl --s 4 --n 2",
+    "macdonald --s 2 --n 2",
+)
+
+
+def requests():
+    """Every argv of the ledger, in ledger order."""
+    workloads = runpy.run_path(str(ROOT / "perfbench" / "checks.py"))["WORKLOADS"]
+    argvs = list(_sweep_argvs())
+    for checks in workloads.values():
+        for check in checks:
+            if check in SKIPPED_CHECKS:
+                continue
+            for seed in SEEDS:
+                argvs.append(["verify", *check.split(), "--seed", str(seed)])
+    for check in TEXT_CHECKS:
+        argvs.append(["verify", *check.split(), "--format", "text", "--repeats", "2"])
+    return argvs
+
+
+def stable_stdout(argv, out):
+    """Standard output without elapsed_ms: JSON reports re-serialized as the
+    reports are, without the key; text line by line, without its line."""
+    if argv[0] == "verify" and "text" not in argv and out:
+        data = json.loads(out)
+        for report in data if isinstance(data, list) else [data]:
+            report.pop("elapsed_ms")
+        return json.dumps(data, sort_keys=True, separators=(",", ":"))
+    return "".join(
+        line for line in out.splitlines(True) if not line.startswith("elapsed_ms:")
+    )
+
+
+def run_request(argv):
+    """The ledger entry of one request."""
+    out = io.StringIO()
+    err = io.StringIO()
+    entry = {"argv": argv}
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            entry["exit"] = cli.main(argv)
+        except Exception as exc:  # a crash is an outcome the ledger records
+            entry["raises"] = type(exc).__name__
+    entry["stderr"] = err.getvalue()
+    stdout = stable_stdout(argv, out.getvalue()) if "exit" in entry else out.getvalue()
+    entry["stdout_sha256"] = hashlib.sha256(stdout.encode("utf-8")).hexdigest()
+    return entry
+
+
+def differences(ledger):
+    """(argv, recorded entry, replayed entry) of each entry that differs."""
+    out = []
+    for want in ledger:
+        got = run_request(want["argv"])
+        if got != want:
+            out.append((want["argv"], want, got))
+    return out
+
+
+def main(argv=None):
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--write", action="store_true", help="re-record the ledger")
+    args = parser.parse_args(argv)
+    if args.write:
+        ledger = [run_request(argv) for argv in requests()]
+        LEDGER_PATH.write_text(json.dumps(ledger, indent=1) + "\n", encoding="utf-8")
+        print(f"wrote {len(ledger)} entries to {LEDGER_PATH.name}")
+        return 0
+    ledger = json.loads(LEDGER_PATH.read_text(encoding="utf-8"))
+    diffs = differences(ledger)
+    for argv, want, got in diffs:
+        print(" ".join(argv), json.dumps(want), json.dumps(got), sep="\n  ")
+    print(f"{len(diffs)} of {len(ledger)} entries differ")
+    return 1 if diffs else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
