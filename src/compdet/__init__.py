@@ -34,7 +34,6 @@ from .laurent import LaurentPoly
 from .macdonald import (
     inner_product_p,
     macdonald_P,
-    macdonald_Q,
     verify_corollary_macdonald,
 )
 from .report import VerifyReport
@@ -61,7 +60,6 @@ __all__ = [
     "inner_product_p",
     "iota",
     "macdonald_P",
-    "macdonald_Q",
     "verify_corollary_macdonald",
     "verify_denominators",
     "verify_gram",

@@ -29,12 +29,13 @@ from .combin import binom_nonneg, compositions, iota, partitions_in_box, subsets
 from .errors import CapabilityError, DomainError, ParameterError, UsageError
 from .laurent import LaurentPoly, pow_stored
 from .pmatrix import det, minor_table
-from .report import VerifyReport, canonical_hash, hash_parts, render
+from .report import VerifyReport, compare_sides
 from .sampling import (
     MAX_RETRIES,
     SplitMix64,
     point_is_admissible,
     sample_point,
+    sample_seed,
     square_rational,
 )
 
@@ -224,25 +225,17 @@ def verify_denominators(n):
         for x in xs:
             rhs = rhs * _single_factor(family, x, power)
         rhs_by_family[family] = rhs
-    detail = {}
-    lhs_parts = []
-    rhs_parts = []
-    for family in FAMILIES:
-        lhs = det(char_matrix(family, family_shift(family, n), xs, power))
-        rhs = rhs_by_family[family]
-        detail[family] = lhs == rhs
-        text = render(lhs)
-        lhs_parts.append(text)
-        rhs_parts.append(text if detail[family] else render(rhs))
+    lhs = [det(char_matrix(f, family_shift(f, n), xs, power)) for f in FAMILIES]
+    flags, lhs_hash, rhs_hash = compare_sides(lhs, [rhs_by_family[f] for f in FAMILIES])
     return VerifyReport(
         identity="denominators",
         mode="symbolic",
-        equal=all(detail.values()),
-        lhs_hash=hash_parts(lhs_parts),
-        rhs_hash=hash_parts(rhs_parts),
+        equal=all(flags),
+        lhs_hash=lhs_hash,
+        rhs_hash=rhs_hash,
         n=n,
         elapsed_ms=int((time.perf_counter() - t0) * 1000),
-        detail=detail,
+        detail=dict(zip(FAMILIES, flags)),
     )
 
 
@@ -263,10 +256,10 @@ def rhs_pair_product(family, s, n, point):
     return out
 
 
-def _substitution_point(s, n, rng, retries=MAX_RETRIES):
+def _substitution_point(s, n, rng):
     """Grid point of the shape (geometric in j) * (group constant), built
     from squared rationals so half powers stay rational."""
-    for _ in range(retries):
+    for _ in range(MAX_RETRIES):
         ratio = square_rational(rng, bits=8)
         group = [square_rational(rng, bits=16) for _ in range(s)]
         point = tuple(
@@ -274,7 +267,9 @@ def _substitution_point(s, n, rng, retries=MAX_RETRIES):
         )
         if point_is_admissible(point):
             return point
-    raise ParameterError(f"no admissible substituted point after {retries} attempts")
+    raise ParameterError(
+        f"no admissible substituted point after {MAX_RETRIES} attempts"
+    )
 
 
 def verify_theorem_schur(family, s, n, seed, substitution=False):
@@ -291,6 +286,7 @@ def verify_theorem_schur(family, s, n, seed, substitution=False):
     if s < 1 or n < 1:
         raise UsageError("need positive s and n")
     t0 = time.perf_counter()
+    seed = sample_seed("numeric", seed)
     rng = SplitMix64(seed)
     if substitution:
         point = _substitution_point(s, n, rng)
@@ -304,7 +300,7 @@ def verify_theorem_schur(family, s, n, seed, substitution=False):
     matrix, raw = _character_grid(family, rows, col_values)
     lhs = det(matrix)
     rhs = rhs_pair_product(family, s, n, point)
-    equal_main = lhs == rhs
+    (equal_main,), lhs_hash, rhs_hash = compare_sides([lhs], [rhs])
 
     det_raw = det(raw)
     prefactor = Fraction(1)
@@ -327,8 +323,8 @@ def verify_theorem_schur(family, s, n, seed, substitution=False):
         identity="schur-det",
         mode="numeric",
         equal=equal_main and bookkeeping_ok,
-        lhs_hash=canonical_hash(render(lhs)),
-        rhs_hash=canonical_hash(render(rhs)),
+        lhs_hash=lhs_hash,
+        rhs_hash=rhs_hash,
         s=s,
         n=n,
         seed=seed,
@@ -354,8 +350,8 @@ def verify_prop_detS(kind, s, n, seed):
     if not 1 <= n <= s:
         raise UsageError("need 1 <= n <= s")
     t0 = time.perf_counter()
-    rng = SplitMix64(seed)
-    point = sample_point(s, rng)
+    seed = sample_seed("numeric", seed)
+    point = sample_point(s, SplitMix64(seed))
 
     rows = partitions_in_box(n, s - n)
     cols = subsets_lex(s, n)
@@ -369,14 +365,14 @@ def verify_prop_detS(kind, s, n, seed):
     exponent = comb(s - 2, n - 1) if s >= 2 else 0
     rhs = base**exponent
 
-    equal = lhs == rhs
+    (equal,), lhs_hash, rhs_hash = compare_sides([lhs], [rhs])
     sign = 1 if equal else -1 if lhs == -rhs else None
     return VerifyReport(
         identity="prop12",
         mode="numeric",
         equal=equal,
-        lhs_hash=canonical_hash(render(lhs)),
-        rhs_hash=canonical_hash(render(rhs)),
+        lhs_hash=lhs_hash,
+        rhs_hash=rhs_hash,
         s=s,
         n=n,
         seed=seed,

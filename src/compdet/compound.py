@@ -36,8 +36,8 @@ from .combin import (
 from .errors import CapabilityError, UsageError
 from .laurent import LaurentPoly
 from .pmatrix import det, minor, minor_matrix, minor_table, products, symbolic
-from .report import VerifyReport, hash_parts, render, side_hashes
-from .sampling import SplitMix64, random_rational
+from .report import VerifyReport, compare_sides
+from .sampling import SplitMix64, random_rational, sample_seed
 
 # (s, n) pairs with both s, n >= 2 where fully symbolic verification is
 # affordable; one-dimensional families (s == 1 or n == 1) are always fine.
@@ -169,21 +169,11 @@ def check_symbolic_envelope(s, n):
         )
 
 
-def _sample_seed(mode, seed):
-    """The seed a check samples with and reports: none in symbolic mode,
-    and 0 when a numeric caller gives none."""
-    if mode == "symbolic":
-        return None
-    if mode == "numeric":
-        return 0 if seed is None else seed
-    raise UsageError(f"unknown mode {mode!r}")
-
-
 def _spec_for_mode(s, n, mode, seed):
     """The spec of a check, and the seed it was sampled with."""
     if s < 1 or n < 1:
         raise UsageError("s and n must be positive")
-    seed = _sample_seed(mode, seed)
+    seed = sample_seed(mode, seed)
     if mode == "symbolic":
         check_symbolic_envelope(s, n)
         return CompoundSpec.symbolic(s, n), seed
@@ -201,8 +191,7 @@ def verify_main(s, n, mode="symbolic", seed=None):
     rhs_sets = [iota(nu, n) for nu in compositions_positive(s, s + n - 1)]
     for cols in rhs_sets:
         rhs = rhs * _maximal_minor(spec.A, cols)
-    equal = lhs == rhs
-    lhs_hash, rhs_hash = side_hashes(lhs, rhs, equal)
+    (equal,), lhs_hash, rhs_hash = compare_sides([lhs], [rhs])
     return VerifyReport(
         identity="main",
         mode=mode,
@@ -226,7 +215,7 @@ def verify_sylvester(s, n, mode="symbolic", seed=None):
     t0 = time.perf_counter()
     if not 1 <= n <= s:
         raise UsageError("need s >= n >= 1")
-    seed = _sample_seed(mode, seed)
+    seed = sample_seed(mode, seed)
     if mode == "symbolic":
         if s > SYLVESTER_SYMBOLIC_CAP:
             raise CapabilityError(
@@ -238,8 +227,7 @@ def verify_sylvester(s, n, mode="symbolic", seed=None):
     subsets = subsets_lex(s, n)
     lhs = det(minor_matrix(A, subsets, subsets))
     rhs = det(A) ** comb(s - 1, n - 1)
-    equal = lhs == rhs
-    lhs_hash, rhs_hash = side_hashes(lhs, rhs, equal)
+    (equal,), lhs_hash, rhs_hash = compare_sides([lhs], [rhs])
     return VerifyReport(
         identity="sylvester",
         mode=mode,
@@ -276,9 +264,7 @@ def verify_gram(s, n, k0=None, mode="symbolic", seed=None):
     pattern = [[bool(cell) for cell in row] for row in T]
     zero = spec.one * 0
     union_dets = {}
-    bad_cell = None
-    lhs_parts = []
-    rhs_parts = []
+    expected = []
     # the diagonal up to its first zero sign or zero cell
     diag_ok = True
     diag_sign = 1
@@ -292,24 +278,17 @@ def verify_gram(s, n, k0=None, mode="symbolic", seed=None):
                 union = tuple(sorted(J + K))
                 if union not in union_dets:
                     union_dets[union] = _maximal_minor(spec.A, union)
-                expected = union_dets[union] * sign
+                expected.append(union_dets[union] * sign)
             else:
-                expected = zero
-            actual = T[i][j]
-            ok = actual == expected
-            if not ok and bad_cell is None:
-                bad_cell = [format_composition(spec.col_comps[i]), format_composition(mu)]
-            # equal cells render to the same text, so render it once
-            text = render(actual)
-            lhs_parts.append(text)
-            rhs_parts.append(text if ok else render(expected))
+                expected.append(zero)
             if i == j and diag_ok:
                 diag_ok = bool(sign) and pattern[i][i]
                 if diag_ok:
                     diag_sign *= sign
                     diag_unions.append(union)
 
-    entries_ok = bad_cell is None
+    cell_ok, lhs_hash, rhs_hash = compare_sides([c for row in T for c in row], expected)
+    entries_ok = all(cell_ok)
     full_diagonal = all(pattern[i][i] for i in range(len(T)))
     unique_support = full_diagonal and _support_is_triangular(pattern)
     det_equal = False
@@ -336,14 +315,18 @@ def verify_gram(s, n, k0=None, mode="symbolic", seed=None):
     }
     if k0 is not None:
         detail["k"] = k0
-    if bad_cell is not None:
-        detail["first_bad_cell"] = bad_cell
+    if not entries_ok:
+        i, j = divmod(cell_ok.index(False), len(T))
+        detail["first_bad_cell"] = [
+            format_composition(spec.col_comps[i]),
+            format_composition(spec.col_comps[j]),
+        ]
     return VerifyReport(
         identity="gram",
         mode=mode,
         equal=entries_ok and diag_ok and det_equal,
-        lhs_hash=hash_parts(lhs_parts),
-        rhs_hash=hash_parts(rhs_parts),
+        lhs_hash=lhs_hash,
+        rhs_hash=rhs_hash,
         s=s,
         n=n,
         seed=seed,
@@ -377,8 +360,7 @@ def verify_leading_term(s, n):
     lead_exps, lead_coeff = d.leading_term()
     expected = LaurentPoly.monomial(nv, 1, expected_exps)
     actual = LaurentPoly.monomial(nv, lead_coeff, list(lead_exps))
-    equal = actual == expected
-    lhs_hash, rhs_hash = side_hashes(actual, expected, equal)
+    (equal,), lhs_hash, rhs_hash = compare_sides([actual], [expected])
     return VerifyReport(
         identity="leading-term",
         mode="symbolic",

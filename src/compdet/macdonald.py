@@ -25,8 +25,8 @@ from .characters import GL, rhs_pair_product
 from .combin import compositions, conjugate, iota, partitions_in_box, partitions_of
 from .errors import CapabilityError, ParameterError, UsageError
 from .pmatrix import _cleared, det
-from .report import VerifyReport, hash_parts, render
-from .sampling import SplitMix64, qt_is_admissible, sample_point, sample_qt
+from .report import VerifyReport, compare_sides
+from .sampling import SplitMix64, qt_is_admissible, sample_point, sample_qt, sample_seed
 
 # Bases are cached per weight.  Weights 10 and 12 reach `macdonald (6,2)`,
 # `(3,5)` and `(4,4)`, whose reports render integers past Python's
@@ -112,10 +112,6 @@ def inner_product_p(lam, mu, q, t):
     return norm
 
 
-def _scaled(mdict, c):
-    return {mu: coeff * c for mu, coeff in mdict.items() if coeff * c != 0}
-
-
 @lru_cache(maxsize=None)
 def _product_in_p(parts):
     """Product of e_k over the parts k, in power sums: a dict mapping
@@ -185,15 +181,6 @@ def macdonald_P(lam, q, t):
     return dict(_basis_for_weight(weight, q, t)[lam])
 
 
-def macdonald_Q(lam, q, t):
-    """Dual normalization: the monic element scaled by the cell product,
-    in power sums like macdonald_P."""
-    lam = _normalize_partition(lam)
-    if sum(lam) == 0:
-        return {(): Fraction(1)}
-    return _scaled(macdonald_P(lam, q, t), b_lambda(lam, q, t))
-
-
 def evaluate_symfunc(pdict, values):
     """Evaluate a homogeneous power-sum vector at explicit rational values.
 
@@ -254,6 +241,7 @@ def verify_corollary_macdonald(s, n, seed, q=None, t=None):
             f"row partitions reach weight {max_weight}, above the cap of {MAX_WEIGHT}"
         )
     t0 = time.perf_counter()
+    seed = sample_seed("numeric", seed)
     rng = SplitMix64(seed)
     if q is None:
         q, t = sample_qt(rng)
@@ -269,20 +257,19 @@ def verify_corollary_macdonald(s, n, seed, q=None, t=None):
     col_values = [tuple(point[i - 1] for i in iota(mu, n)) for mu in cols]
 
     p_rows = [macdonald_P(lam, q, t) for lam in rows]
-    q_rows = [macdonald_Q(lam, q, t) for lam in rows]
-    det_p = det(
-        [[evaluate_symfunc(row, values) for values in col_values] for row in p_rows]
-    )
-    det_q = det(
-        [[evaluate_symfunc(row, values) for values in col_values] for row in q_rows]
-    )
+    p_grid = [[evaluate_symfunc(row, values) for values in col_values] for row in p_rows]
+    # Q_lam = b_lam * P_lam, so the Q grid is the P grid scaled row by row
+    b = [b_lambda(lam, q, t) for lam in rows]
+    det_p = det(p_grid)
+    det_q = det([[b_lam * v for v in row] for b_lam, row in zip(b, p_grid)])
     rhs = rhs_pair_product(GL, s, n, point)
 
-    b_product = prod((b_lambda(lam, q, t) for lam in rows), start=Fraction(1))
+    b_product = prod(b, start=Fraction(1))
     printed = printed_prefactor(s, n, q, t)
 
-    p_equal = det_p == rhs
-    q_equal_printed_prefactor = det_q == printed * rhs
+    (p_equal, q_equal_printed_prefactor), lhs_hash, rhs_hash = compare_sides(
+        [det_p, det_q], [rhs, printed * rhs]
+    )
     prefactor_identity = b_product == printed
     q_equal_bproduct = det_q == b_product * rhs
 
@@ -301,8 +288,8 @@ def verify_corollary_macdonald(s, n, seed, q=None, t=None):
         identity="macdonald",
         mode="numeric",
         equal=equal,
-        lhs_hash=hash_parts([render(det_p), render(det_q)]),
-        rhs_hash=hash_parts([render(rhs), render(printed * rhs)]),
+        lhs_hash=lhs_hash,
+        rhs_hash=rhs_hash,
         s=s,
         n=n,
         seed=seed,

@@ -4,10 +4,13 @@ A verification never raises on mathematical disagreement; it returns a
 report with equal=False and the two side hashes differing.  Exceptions are
 reserved for bad usage and bad parameters.
 
-`render` is the one way a verdict value becomes text, for the hashes and
-for the rationals in `detail`: a Laurent polynomial renders as its
-canonical() form, a rational as str().  A 0-variable polynomial and the
-rational it holds render alike.
+`compare_sides` is the one verdict step of every verifier: it compares
+the two sides value by value and hashes each side as its values' texts,
+one per line.  An equal pair is compared once and rendered once.  `render`
+is the one way a verdict value becomes text, for the hashes and for the
+rationals in `detail`: a Laurent polynomial renders as its canonical()
+form, a rational as str().  A 0-variable polynomial and the rational it
+holds render alike.
 
 The JSON form is deterministic for a fixed (identity, parameters, seed):
 keys are sorted, separators fixed, and values exact.  The elapsed_ms field
@@ -17,7 +20,7 @@ comparisons.
 
 import hashlib
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from fractions import Fraction
 
 from .laurent import LaurentPoly
@@ -41,16 +44,26 @@ def canonical_hash(text):
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
-def side_hashes(lhs, rhs, equal):
-    """Hashes of the renderings of two sides.  Equal sides have the same
-    rendering: it is made once."""
-    lhs_hash = canonical_hash(render(lhs))
-    return lhs_hash, lhs_hash if equal else canonical_hash(render(rhs))
+def compare_sides(lhs, rhs):
+    """Compare two equal-length sides pair by pair and hash each side.
 
-
-def hash_parts(parts):
-    """Hash a sequence of canonical strings, one per line."""
-    return canonical_hash("\n".join(parts))
+    Returns (flags, lhs_hash, rhs_hash): flags[i] is lhs[i] == rhs[i], and
+    each hash is that of its side's renderings, one per line.  Each pair is
+    compared once, an equal pair is rendered once, and when every pair is
+    equal the one text is hashed once."""
+    flags = []
+    lhs_texts = []
+    rhs_texts = []
+    for left, right in zip(lhs, rhs, strict=True):
+        equal = left == right
+        text = render(left)
+        flags.append(equal)
+        lhs_texts.append(text)
+        rhs_texts.append(text if equal else render(right))
+    lhs_hash = canonical_hash("\n".join(lhs_texts))
+    if all(flags):
+        return flags, lhs_hash, lhs_hash
+    return flags, lhs_hash, canonical_hash("\n".join(rhs_texts))
 
 
 @dataclass
@@ -68,21 +81,13 @@ class VerifyReport:
     detail: dict = field(default_factory=dict)
 
     def to_dict(self):
-        out = {
-            "schema": SCHEMA_VERSION,
-            "identity": self.identity,
-            "mode": self.mode,
-            "equal": self.equal,
-            "s": self.s,
-            "n": self.n,
-            "seed": self.seed,
-            "sign": self.sign,
-            "lhs_hash": self.lhs_hash,
-            "rhs_hash": self.rhs_hash,
-            "elapsed_ms": self.elapsed_ms,
-        }
-        if self.detail:
-            out["detail"] = _plain(self.detail)
+        # not dataclasses.asdict, which rebuilds a Counter in detail from
+        # its (key, count) pairs
+        out = {f.name: getattr(self, f.name) for f in fields(self)}
+        out["schema"] = SCHEMA_VERSION
+        detail = out.pop("detail")
+        if detail:
+            out["detail"] = _plain(detail)
         return out
 
     def to_json(self):

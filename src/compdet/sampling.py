@@ -13,10 +13,20 @@ values in {0, 1, -1}, and pairs multiplying to 1.
 
 from fractions import Fraction
 
-from .errors import ParameterError
+from .errors import ParameterError, UsageError
 
 MASK64 = (1 << 64) - 1
 MAX_RETRIES = 32
+
+
+def sample_seed(mode, seed):
+    """The seed a check samples with and reports: none in symbolic mode,
+    and 0 when a numeric caller gives none."""
+    if mode == "symbolic":
+        return None
+    if mode == "numeric":
+        return 0 if seed is None else seed
+    raise UsageError(f"unknown mode {mode!r}")
 
 
 class SplitMix64:
@@ -71,13 +81,13 @@ def point_is_admissible(values):
     return True
 
 
-def sample_point(num_vars, rng, retries=MAX_RETRIES):
+def sample_point(num_vars, rng):
     """Admissible tuple of num_vars squared rationals."""
-    for _ in range(retries):
+    for _ in range(MAX_RETRIES):
         values = tuple(square_rational(rng) for _ in range(num_vars))
         if point_is_admissible(values):
             return values
-    raise ParameterError(f"no admissible point after {retries} attempts")
+    raise ParameterError(f"no admissible point after {MAX_RETRIES} attempts")
 
 
 def qt_is_admissible(q, t):
@@ -85,9 +95,9 @@ def qt_is_admissible(q, t):
     return 0 < q < 1 and 0 < t < 1 and q != t
 
 
-def sample_qt(rng, retries=MAX_RETRIES):
+def sample_qt(rng):
     """Admissible (q, t) pair of 16-bit rationals strictly inside (0, 1)."""
-    for _ in range(retries):
+    for _ in range(MAX_RETRIES):
         pair = []
         for _ in range(2):
             den = rng.next_below((1 << 16) - 1) + 2
@@ -96,4 +106,4 @@ def sample_qt(rng, retries=MAX_RETRIES):
         q, t = pair
         if qt_is_admissible(q, t):
             return q, t
-    raise ParameterError(f"no admissible (q, t) after {retries} attempts")
+    raise ParameterError(f"no admissible (q, t) after {MAX_RETRIES} attempts")

@@ -3,16 +3,18 @@
 import json
 from fractions import Fraction
 
+import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from compdet import report as report_module
 from compdet.laurent import LaurentPoly
 from compdet.report import (
     SCHEMA_VERSION,
     VOLATILE_FIELDS,
     VerifyReport,
     canonical_hash,
-    hash_parts,
+    compare_sides,
     render,
 )
 
@@ -87,10 +89,29 @@ def test_exit_codes():
     assert sample_report(equal=False).exit_code == 1
 
 
-def test_hash_helpers():
+def test_hash_helpers(monkeypatch):
     assert canonical_hash("x") == canonical_hash("x")
     assert canonical_hash("x") != canonical_hash("y")
-    assert hash_parts(["a", "b"]) == canonical_hash("a\nb")
+    hashed = []
+    monkeypatch.setattr(
+        report_module, "canonical_hash", lambda text: hashed.append(text) or text
+    )
+    x = LaurentPoly.variable(2, 1)
+    # each side hashes its values' texts, one per line
+    flags, lhs, rhs = compare_sides([x, Fraction(1, 2)], [x * 1, Fraction(1, 3)])
+    assert flags == [True, False]
+    assert (lhs, rhs) == ("x1\n1/2", "x1\n1/3")
+    assert len(hashed) == 2
+    # equal sides share one text, hashed once
+    hashed.clear()
+    assert compare_sides([x, Fraction(1, 2)], [x, Fraction(2, 4)]) == (
+        [True, True],
+        "x1\n1/2",
+        "x1\n1/2",
+    )
+    assert len(hashed) == 1
+    with pytest.raises(ValueError):
+        compare_sides([x], [x, x])
 
 
 rationals = st.one_of(

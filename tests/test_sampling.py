@@ -5,7 +5,9 @@ from math import isqrt
 
 import pytest
 
+from compdet.characters import verify_prop_detS, verify_theorem_schur
 from compdet.errors import ParameterError
+from compdet.macdonald import verify_corollary_macdonald
 from compdet.sampling import (
     SplitMix64,
     point_is_admissible,
@@ -81,3 +83,22 @@ def test_qt_sampling():
     for seed in range(5):
         q, t = sample_qt(SplitMix64(seed))
         assert 0 < q < 1 and 0 < t < 1 and q != t
+
+
+@pytest.mark.parametrize(
+    "verify",
+    [
+        lambda seed: verify_theorem_schur("sp", 2, 2, seed),
+        lambda seed: verify_prop_detS("gl", 4, 2, seed),
+        lambda seed: verify_corollary_macdonald(2, 2, seed),
+    ],
+    ids=["schur-det", "prop12", "macdonald"],
+)
+def test_numeric_verifiers_sample_at_seed_zero_without_a_seed(verify):
+    # as the compound verifiers do: no seed samples at 0, and says so
+    unseeded = verify(None)
+    seeded = verify(0)
+    assert unseeded.seed == 0 == seeded.seed
+    assert (unseeded.lhs_hash, unseeded.rhs_hash) == (seeded.lhs_hash, seeded.rhs_hash)
+    assert unseeded.detail == seeded.detail
+    assert verify(7).seed == 7
