@@ -256,6 +256,16 @@ def rhs_pair_product(family, s, n, point):
     return out
 
 
+def nested_subset_grid(s, n, point):
+    """Rows and column values of the grids on nested variable subsets: the
+    partitions inside the (s-1)^n box in decreasing lexicographic order,
+    and for each head-heavy composition mu of n into s parts the values of
+    point at iota(mu, n)."""
+    rows = partitions_in_box(n, s - 1)
+    cols = compositions(s, n)
+    return rows, [tuple(point[i - 1] for i in iota(mu, n)) for mu in cols]
+
+
 def _substitution_point(s, n, rng):
     """Grid point of the shape (geometric in j) * (group constant), built
     from squared rationals so half powers stay rational."""
@@ -275,10 +285,9 @@ def _substitution_point(s, n, rng):
 def verify_theorem_schur(family, s, n, seed, substitution=False):
     """Numeric check of the character-grid determinant identity.
 
-    Rows are the partitions inside the (s-1)^n box in decreasing
-    lexicographic order, columns the head-heavy compositions of s into n
-    parts; the entry is the family character at the partition, evaluated
-    at the variables selected by the composition.  The determinant must
+    Rows and columns are those of nested_subset_grid; the entry is the
+    family character at the row partition, evaluated at the column's
+    values.  The determinant must
     equal the closed pair product.  A second, independent bookkeeping
     check ties the undivided alternant grid to the same determinant.
     """
@@ -293,10 +302,7 @@ def verify_theorem_schur(family, s, n, seed, substitution=False):
     else:
         point = sample_point(s * n, rng)
 
-    rows = partitions_in_box(n, s - 1)
-    cols = compositions(s, n)
-    col_values = [tuple(point[i - 1] for i in iota(mu, n)) for mu in cols]
-
+    rows, col_values = nested_subset_grid(s, n, point)
     matrix, raw = _character_grid(family, rows, col_values)
     lhs = det(matrix)
     rhs = rhs_pair_product(family, s, n, point)

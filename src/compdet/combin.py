@@ -17,7 +17,7 @@ acceptance criteria check on top of them (dominance, the partition-to-
 rowset map, the dominance-off-one-slot test) live in tests/lemmas.py.
 """
 
-from itertools import combinations
+from itertools import combinations, combinations_with_replacement
 from math import comb
 
 from .errors import DomainError, UsageError
@@ -186,17 +186,7 @@ def partitions_in_box(num_parts, max_part):
     num_parts entries, in descending lex order on the padded tuples."""
     if num_parts < 0 or max_part < 0:
         raise UsageError("box dimensions must be non-negative")
-    out = []
-
-    def rec(prefix, largest, slots):
-        if slots == 0:
-            out.append(prefix)
-            return
-        for v in range(largest, -1, -1):
-            rec(prefix + (v,), v, slots - 1)
-
-    rec((), max_part, num_parts)
-    return out
+    return list(combinations_with_replacement(range(max_part, -1, -1), num_parts))
 
 
 def conjugate(lam):

@@ -19,18 +19,18 @@ the closed product forms, for both the monic and the dual normalization.
 import time
 from fractions import Fraction
 from functools import lru_cache
-from math import prod
+from math import factorial, prod
 
-from .characters import GL, rhs_pair_product
-from .combin import compositions, conjugate, iota, partitions_in_box, partitions_of
+from .characters import GL, nested_subset_grid, rhs_pair_product
+from .combin import conjugate, partitions_of
 from .errors import CapabilityError, ParameterError, UsageError
 from .pmatrix import _cleared, det
 from .report import VerifyReport, compare_sides
 from .sampling import SplitMix64, qt_is_admissible, sample_point, sample_qt, sample_seed
 
-# Bases are cached per weight.  Weights 10 and 12 reach `macdonald (6,2)`,
-# `(3,5)` and `(4,4)`, whose reports render integers past Python's
-# int-to-str digit limit.
+# Bases are cached per weight, for one (q, t) at a time.  Weights 10 and
+# 12 reach `macdonald (6,2)`, `(3,5)` and `(4,4)`, whose reports render
+# integers past Python's int-to-str digit limit.
 MAX_WEIGHT = 8
 
 
@@ -51,10 +51,7 @@ def z_lambda(lam):
     out = 1
     for part in set(lam):
         count = lam.count(part)
-        fact = 1
-        for i in range(2, count + 1):
-            fact *= i
-        out *= part**count * fact
+        out *= part**count * factorial(count)
     return out
 
 
@@ -86,12 +83,6 @@ def b_lambda(lam, q, t):
                 raise ParameterError("degenerate parameters in cell product")
             out *= (1 - q**arm * t ** (leg + 1)) / den
     return out
-
-
-def _partitions_ascending(weight):
-    """Partitions of the weight in increasing lexicographic order, which
-    extends dominance order."""
-    return sorted(partitions_of(weight))
 
 
 def inner_product_p(lam, mu, q, t):
@@ -132,15 +123,16 @@ def _product_in_p(parts):
     return out
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=MAX_WEIGHT)
 def _basis_for_weight(weight, q, t):
     """Monic basis of one weight, as power-sum dicts keyed by partition.
 
     Gram-Schmidt runs on power-sum vectors, where the inner product is
-    diagonal.  The vector for lam starts from e_(lam'), which is m_lam plus
-    terms lower in dominance, hence earlier in ascending lex order; so it
+    diagonal, over the partitions in ascending lex order, which extends
+    dominance order.  The vector for lam starts from e_(lam'), which is
+    m_lam plus terms lower in dominance, hence earlier in that order; so it
     spans the same flag as m_lam and leaves the same residual."""
-    plist = _partitions_ascending(weight)
+    plist = partitions_of(weight)[::-1]
     norms_p = [inner_product_p(rho, rho, q, t) for rho in plist]
 
     def pair(f, g):
@@ -225,11 +217,12 @@ def verify_corollary_macdonald(s, n, seed, q=None, t=None):
     with that product instead.  The overall flag is the conjunction of the
     two claims as printed.
 
-    Only the monic identity (p_equal) and the dual identity with the cell
-    product (q_equal_bproduct) hold at every size.  The printed scalar is
-    the cell factor of the (s-1)^n rectangle alone (see printed_prefactor),
-    so the two printed claims, and with them the overall flag, hold only
-    for s == 1 or (s, n) == (2, 1).
+    The dual determinant is the monic one times the cell product, the
+    product of b_lambda over the rows, so q_equal_bproduct is p_equal
+    scaled by that nonzero product; only these two hold at every size.
+    The printed scalar is the cell factor of the (s-1)^n rectangle alone
+    (see printed_prefactor), so the two printed claims, and with them the
+    overall flag, hold only for s == 1 or (s, n) == (2, 1).
     """
     if s < 1 or n < 1:
         raise UsageError("need positive s and n")
@@ -252,19 +245,15 @@ def verify_corollary_macdonald(s, n, seed, q=None, t=None):
             raise ParameterError("parameters must lie strictly in (0, 1) and differ")
     point = sample_point(s * n, rng)
 
-    rows = partitions_in_box(n, s - 1)
-    cols = compositions(s, n)
-    col_values = [tuple(point[i - 1] for i in iota(mu, n)) for mu in cols]
-
+    rows, col_values = nested_subset_grid(s, n, point)
     p_rows = [macdonald_P(lam, q, t) for lam in rows]
     p_grid = [[evaluate_symfunc(row, values) for values in col_values] for row in p_rows]
-    # Q_lam = b_lam * P_lam, so the Q grid is the P grid scaled row by row
-    b = [b_lambda(lam, q, t) for lam in rows]
+    # Q_lam = b_lam * P_lam scales row lam of the grid, so by multilinearity
+    # the Q grid's determinant is the P grid's times the cell product
+    b_product = prod((b_lambda(lam, q, t) for lam in rows), start=Fraction(1))
     det_p = det(p_grid)
-    det_q = det([[b_lam * v for v in row] for b_lam, row in zip(b, p_grid)])
+    det_q = b_product * det_p
     rhs = rhs_pair_product(GL, s, n, point)
-
-    b_product = prod(b, start=Fraction(1))
     printed = printed_prefactor(s, n, q, t)
 
     (p_equal, q_equal_printed_prefactor), lhs_hash, rhs_hash = compare_sides(

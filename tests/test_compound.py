@@ -1,5 +1,7 @@
 """Compound matrices: minor vectors, expansion pairings, factorizations."""
 
+import json
+from fractions import Fraction
 from math import comb
 
 import pytest
@@ -24,13 +26,14 @@ from compdet.compound import (
     _support_is_triangular,
     build_M,
     check_symbolic_envelope,
+    partner_map_for_variant,
     vec_Vbar,
     verify_gram,
     verify_leading_term,
     verify_main,
     verify_sylvester,
 )
-from compdet.errors import CapabilityError, UsageError
+from compdet.errors import CapabilityError, DomainError, UsageError
 from compdet.laurent import LaurentPoly
 from compdet.pmatrix import det, det_fractions, minor, symbolic
 from compdet.sampling import SplitMix64
@@ -395,6 +398,43 @@ def test_gram_at_35_columns_takes_the_unique_support_route():
     assert report.equal
     assert report.detail["unique_support_permutation"]
     assert report.detail["det_method"] == "unique-support-permutation"
+
+
+def test_predicted_gram_support_admits_only_the_identity():
+    # the lemma behind gram's one determinant route: every cell of T equals
+    # its prediction, so the support of T lies inside the predicted sign
+    # pattern; with a zero-free diagonal and no cycle there, only the
+    # identity permutation fits inside either support
+    patterns = 0
+    for s in range(1, 6):
+        for n in range(1, 6):
+            spec = CompoundSpec(s, n, [[0] * (s * n)] * (s + n - 1), Fraction(1))
+            for k0 in [None, *range(1, s + 1)]:
+                try:
+                    partner_map = partner_map_for_variant(spec, k0)
+                except DomainError:
+                    # pinned partners need blocks of width >= 2
+                    assert n == 1 and k0 is not None
+                    continue
+                pattern = [
+                    [bool(epsilon(J, partner_map[mu])) for mu in spec.col_comps]
+                    for J in spec.col_sets
+                ]
+                assert all(pattern[i][i] for i in range(len(pattern))), (s, n, k0)
+                assert _support_is_triangular(pattern), (s, n, k0)
+                patterns += 1
+    assert patterns == 86
+
+
+def test_gram_support_with_a_second_permutation_is_unequal(monkeypatch, capsys):
+    monkeypatch.setattr(compound, "_support_is_triangular", lambda pattern: False)
+    argv = ["verify", "gram", "--s", "3", "--n", "2", "--mode", "numeric", "--seed", "0"]
+    assert cli.main(argv) == 1
+    report = json.loads(capsys.readouterr().out)
+    assert report["equal"] is False
+    assert report["detail"]["entry_identity_ok"] is True
+    assert report["detail"]["unique_support_permutation"] is False
+    assert report["detail"]["det_method"] is None
 
 
 def test_sylvester_identity():

@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from compdet import macdonald
 from compdet.combin import partitions_of
 from compdet.errors import CapabilityError, ParameterError, UsageError
 from compdet.macdonald import (
@@ -243,6 +244,30 @@ def test_one_row_at_twelve_columns_and_sizes_at_the_cap():
         report = verify_corollary_macdonald(s, n, seed=0)
         assert report.detail["p_equal"], (s, n)
         assert report.detail["q_equal_bproduct"], (s, n)
+
+
+def test_basis_cache_holds_one_parameter_pair():
+    # every seed samples a new (q, t); the cache keeps the bases of one
+    for seed in range(4):
+        verify_corollary_macdonald(5, 2, seed=seed)
+    assert macdonald._basis_for_weight.cache_info().currsize <= MAX_WEIGHT
+
+
+def test_one_grid_determinant_per_check(monkeypatch):
+    calls = 0
+    real = macdonald.det
+
+    def counting(rows):
+        nonlocal calls
+        calls += 1
+        return real(rows)
+
+    monkeypatch.setattr(macdonald, "det", counting)
+    for s, n in [(2, 1), (2, 2), (3, 2), (5, 2)]:
+        calls = 0
+        report = verify_corollary_macdonald(s, n, seed=0)
+        assert calls == 1, (s, n)
+        assert report.detail["q_equal_bproduct"] == report.detail["p_equal"]
 
 
 def test_parameter_validation():
