@@ -138,7 +138,10 @@ def character_value(family, lam, values):
 
 def _character_grid(family, partitions, col_values):
     """Characters at each partition (rows) and value tuple (columns), as
-    Fractions, with the numerator alternants they were divided from.
+    Fractions, with each column's denominator alternant: the cell at
+    lambda is f_lambda times its numerator alternant over the denominator,
+    f_lambda = 2 for an even-orth lambda with n nonzero parts and 1
+    otherwise.
 
     Every alternant of a column is a maximal minor of one power matrix,
     whose row r holds the column's entries at the r-th largest exponent
@@ -165,14 +168,11 @@ def _character_grid(family, partitions, col_values):
         tables.append(table)
         denominators.append(denominator)
     grid = []
-    numerators = []
     for lam, alpha in zip(padded, alphas):
         cell = tuple(row_of[a] for a in alpha)
-        row = [table[cell] for table in tables]
         factor = 2 if family == EVEN_ORTH and lam[n - 1] != 0 else 1
-        grid.append([factor * v / d for v, d in zip(row, denominators)])
-        numerators.append(row)
-    return grid, numerators
+        grid.append([factor * t[cell] / d for t, d in zip(tables, denominators)])
+    return grid, denominators
 
 
 def _single_factor(family, x, power):
@@ -288,8 +288,12 @@ def verify_theorem_schur(family, s, n, seed, substitution=False):
     Rows and columns are those of nested_subset_grid; the entry is the
     family character at the row partition, evaluated at the column's
     values.  The determinant must
-    equal the closed pair product.  A second, independent bookkeeping
-    check ties the undivided alternant grid to the same determinant.
+    equal the closed pair product.  The bookkeeping check asks each
+    column's denominator alternant to equal alternant_product, doubled for
+    even-orth.  Since each cell is f_lambda times a numerator alternant over
+    its column's denominator, that fixes the determinant of the undivided
+    alternant grid at det grid * prod alternant_product * 2^two_power
+    (2^two_power * prod f_lambda = 2^(number of columns) for even-orth).
     """
     _require_family(family)
     if s < 1 or n < 1:
@@ -303,19 +307,16 @@ def verify_theorem_schur(family, s, n, seed, substitution=False):
         point = sample_point(s * n, rng)
 
     rows, col_values = nested_subset_grid(s, n, point)
-    matrix, raw = _character_grid(family, rows, col_values)
+    matrix, denominators = _character_grid(family, rows, col_values)
     lhs = det(matrix)
     rhs = rhs_pair_product(family, s, n, point)
     (equal_main,), lhs_hash, rhs_hash = compare_sides([lhs], [rhs])
 
-    det_raw = det(raw)
-    prefactor = Fraction(1)
-    for values in col_values:
-        prefactor *= alternant_product(family, values, pow_stored, Fraction(1))
-    two_power = 0
-    if family == EVEN_ORTH:
-        two_power = binom_nonneg(s + n - 2, n - 1)
-    bookkeeping_ok = det_raw == lhs * prefactor * 2**two_power
+    two = 2 if family == EVEN_ORTH else 1
+    bookkeeping_ok = all(
+        den == two * alternant_product(family, values, pow_stored, Fraction(1))
+        for den, values in zip(denominators, col_values)
+    )
 
     detail = {
         "family": family,
@@ -324,7 +325,7 @@ def verify_theorem_schur(family, s, n, seed, substitution=False):
         "rows": len(rows),
     }
     if family == EVEN_ORTH:
-        detail["two_power"] = two_power
+        detail["two_power"] = binom_nonneg(s + n - 2, n - 1)
     return VerifyReport(
         identity="schur-det",
         mode="numeric",

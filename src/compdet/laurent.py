@@ -272,9 +272,8 @@ class LaurentPoly:
         while e:
             if e & 1:
                 result = result * base
-            base_needed = e > 1
             e >>= 1
-            if base_needed and e:
+            if e:
                 base = base * base
         return result
 

@@ -9,19 +9,13 @@ arithmetic by the type of the first entry.
 the maximal minors and the character and macdonald grids alike:
 
 * rational entries go to det_fractions, elimination on primitive integer
-  rows: the matrix is cleared of denominators either row by row or column
-  by column, each line by its lcm, whichever integer form has fewer total
-  bits (rows on a tie; det A^T = det A, so the columns' form is eliminated
-  as rows), and after every step the gcd of each new row is divided out
-  into an exact rational row multiplier.  Unlike integer Bareiss (Bareiss
-  1968), which carries the common factors of the factoring minors through
-  every step, this keeps each row primitive (the classic contrast of Brown,
-  JACM 1971, between primitive and subresultant remainder sequences).  The
-  value is a Fraction.  The columns win on the character grids, where one
-  column is one value tuple and shares its denominators, and on M, whose
-  column J carries the row scales of A over J: there they halve the bits
-  and cut the paper-size determinants 2x to 7x (det_fractions has the
-  timings);
+  rows: each column is cleared of denominators by its lcm (det A^T = det A,
+  so the columns are eliminated as rows), and after every step the gcd of
+  each new row is divided out into an exact rational row multiplier.
+  Unlike integer Bareiss (Bareiss 1968), which carries the common factors
+  of the factoring minors through every step, this keeps each row
+  primitive (the classic contrast of Brown, JACM 1971, between primitive
+  and subresultant remainder sequences).  The value is a Fraction;
 * polynomial entries go to det_minor_expansion, the full-height entry of
   their minor_table: division-free dynamic programming over row subsets,
   which suits small polynomial entries in many variables, where
@@ -260,32 +254,24 @@ def det_fractions(rows):
     """Determinant of a square nested list of rationals, as a Fraction.
 
     Elimination on primitive integer rows.  Each row is an integer row times
-    an exact rational multiplier, a reduced (num, den) pair of ints; a row
-    starts cleared of denominators by their lcm.  The rows are those of the
-    matrix or, when clearing each column by its lcm gives integer entries of
-    fewer total bits, those of its transpose, which has the same
-    determinant (_cheaper_orientation).  A step replaces every
-    row below the pivot by pivot*x - a*y, divides out the gcd of the new row
-    and moves it, over the pivot, into the row's multiplier.  The integer
-    rows are the primitive parts of the Schur-complement rows, so no operand
-    exceeds its integer Bareiss counterpart; on the verifiers' matrices,
-    whose minors factor, they are up to ten times smaller.  The determinant
-    is the signed product of the true pivots, multiplier times pivot.
-
-    All det_fractions calls of a paper-size check at seed 0, rows only
-    against the cheaper orientation, in median CPU seconds of 7 alternating
-    runs (2 vCPUs, Python 3.11.7): prop12 gl (8,3) 2.36 against 0.64,
-    schur-det gl (4,4) 2.43 against 0.33, numeric main (5,4) 1.75 against
-    0.86.  Numeric sylvester (8,4), a near tie whose columns clear to 0.5%
-    fewer bits, went from 0.61 to 0.68: near a tie either side may
-    eliminate a few percent faster, and the second clearing costs about
-    2%."""
+    an exact rational multiplier, a reduced (num, den) pair of ints.  The
+    rows are the columns of the matrix, each cleared of denominators by its
+    lcm; the transpose has the same determinant.  On the character grids a
+    column is one value tuple and shares its denominators, and column J of
+    M carries the row scales of A over J, so the columns clear to 0.4 to 0.7
+    times the bits of the rows.  A step replaces every row below the pivot
+    by pivot*x - a*y, divides out the gcd of the new row and moves it, over
+    the pivot, into the row's multiplier.  The integer rows are the
+    primitive parts of the Schur-complement rows, so no operand exceeds its
+    integer Bareiss counterpart; on the verifiers' matrices, whose minors
+    factor, they are up to ten times smaller.  The determinant is the signed
+    product of the true pivots, multiplier times pivot."""
     _require_square(rows)
     n = len(rows)
     if n == 0:
         return Fraction(1)
     # each row of work is (multiplier numerator, denominator, integer row)
-    work = [(1, scale, cleared) for scale, cleared in _cheaper_orientation(rows)]
+    work = [(1, scale, ints) for scale, ints in map(_cleared, zip(*rows))]
     # the determinant of the eliminated leading block, in lowest terms
     num, den = 1, 1
     # each step eliminates the leading column of the shrinking working block
@@ -324,23 +310,6 @@ def det_fractions(rows):
             work[i] = (mult_num // h, mult_den // h, new)
     last_num, last_den, (entry,) = work[0]
     return Fraction(num * last_num * entry, den * last_den)
-
-
-def _cheaper_orientation(rows):
-    """The square rational rows cleared line by line, as (scale, ints)
-    pairs: each row by its lcm, or each column by its lcm, whichever gives
-    integer entries of fewer total bits; the rows on a tie.  Since
-    det A^T = det A, either form has the determinant of rows."""
-    fractions = [[v if isinstance(v, Fraction) else Fraction(v) for v in row] for row in rows]
-    by_rows = [_cleared(row) for row in fractions]
-    by_cols = [_cleared(col) for col in zip(*fractions)]
-    if _bits(by_cols) < _bits(by_rows):
-        return by_cols
-    return by_rows
-
-
-def _bits(lines):
-    return sum(v.bit_length() for _, ints in lines for v in ints)
 
 
 def det(rows):

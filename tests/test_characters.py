@@ -236,6 +236,20 @@ def test_character_grid_identity_substituted_point():
     assert report.detail["substitution"] is True
 
 
+def test_bookkeeping_catches_a_wrong_denominator_product(monkeypatch, capsys):
+    # twice the closed product no longer matches any column's denominator;
+    # the pair product of the main side does not use alternant_product
+    real = characters.alternant_product
+    monkeypatch.setattr(
+        characters, "alternant_product", lambda *args: 2 * real(*args)
+    )
+    argv = ["verify", "schur-det", "--family", "sp", "--s", "2", "--n", "2", "--mode", "numeric"]
+    assert cli.main(argv) == 1
+    report = json.loads(capsys.readouterr().out)
+    assert report["detail"]["bookkeeping_ok"] is False
+    assert report["equal"] is False
+
+
 def test_single_alphabet_identity():
     for kind in (GL, SP):
         for s, n in [(3, 2), (4, 2), (3, 1), (4, 4)]:
@@ -251,8 +265,8 @@ def test_single_alphabet_identity():
 
 def run_prop12_on_permuted_grid(monkeypatch, capsys, permute, argv):
     def permuted_grid(family, partitions, col_values):
-        grid, numerators = _character_grid(family, partitions, col_values)
-        return permute(grid), numerators
+        grid, denominators = _character_grid(family, partitions, col_values)
+        return permute(grid), denominators
 
     monkeypatch.setattr(characters, "_character_grid", permuted_grid)
     code = cli.main(["verify", "prop12", *argv])
@@ -293,12 +307,11 @@ def test_grid_verifiers_compute_each_alternant_once(monkeypatch):
     monkeypatch.setattr("compdet.characters.minor_table", counting_table)
     monkeypatch.setattr("compdet.pmatrix.det_fractions", counting)
     # 10 partitions by 10 compositions: one minor table per column, over
-    # the 5 exponents 4..0, holds the C(5, 3) = 10 alternants of the column,
-    # shared by the character grid and the raw grid; only the two grid
-    # determinants are eliminations
+    # the 5 exponents 4..0, holds the C(5, 3) = 10 alternants of the column;
+    # only the grid determinant is an elimination
     assert verify_theorem_schur(GL, 3, 3, seed=0).equal
     assert tables == [5] * 10
-    assert sizes == [10, 10]
+    assert sizes == [10]
     tables.clear()
     sizes.clear()
     # 6 partitions by 6 subsets, C(4, 2) = 6 alternants per table, and the
@@ -339,16 +352,17 @@ def test_character_grid_matches_per_cell_alternants(case):
     # the empty partition and a lone partition are the shapes character_value
     # asks for
     for lams in (partitions, [()], partitions[:1]):
-        grid, numerators = _character_grid(family, lams, col_values)
-        for lam, grid_row, num_row in zip(lams, grid, numerators):
+        grid, denominators = _character_grid(family, lams, col_values)
+        for values, denominator in zip(col_values, denominators):
+            expected = det_fractions(char_matrix(family, delta, values, pow_stored))
+            assert denominator == expected, (family, values)
+        for lam, grid_row in zip(lams, grid):
             padded = lam + (0,) * (n - len(lam))
             alpha = tuple(padded[j] + delta[j] for j in range(n))
             factor = 2 if family == EVEN_ORTH and padded[-1] else 1
-            for values, value, numerator in zip(col_values, grid_row, num_row):
+            for values, value, denominator in zip(col_values, grid_row, denominators):
                 expected = det_fractions(char_matrix(family, alpha, values, pow_stored))
-                assert numerator == expected, (family, lam, values)
-                denominator = det_fractions(char_matrix(family, delta, values, pow_stored))
-                assert value == factor * expected / denominator, (family, lam, values)
+                assert value * denominator / factor == expected, (family, lam, values)
 
 
 def test_character_grid_matches_three_variable_characters():
@@ -373,11 +387,15 @@ def test_character_grid_matches_symbolic_characters():
     partitions = [(2, 1), (1, 1), (1,), ()]
     for family in FAMILIES:
         delta = family_shift(family, 2)
-        grid, numerators = _character_grid(family, partitions, col_values)
-        for lam, grid_row, num_row in zip(partitions, grid, numerators):
+        grid, denominators = _character_grid(family, partitions, col_values)
+        for values, denominator in zip(col_values, denominators):
+            assert denominator == det_fractions(char_matrix(family, delta, values, pow_stored))
+        for lam, grid_row in zip(partitions, grid):
+            padded = lam + (0,) * (2 - len(lam))
+            alpha = tuple(padded[j] + delta[j] for j in range(2))
             factor = 2 if family == EVEN_ORTH and len(lam) == 2 else 1
-            for values, value, numerator in zip(col_values, grid_row, num_row):
+            for values, value, denominator in zip(col_values, grid_row, denominators):
                 expected = character(family, lam, num_vars=2).eval(values)
                 assert value == expected, (family, lam)
-                denominator = det_fractions(char_matrix(family, delta, values, pow_stored))
-                assert numerator * factor == value * denominator
+                numerator = det_fractions(char_matrix(family, alpha, values, pow_stored))
+                assert value * denominator / factor == numerator, (family, lam)

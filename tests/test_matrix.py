@@ -5,8 +5,8 @@ elimination, division-free minor expansion, primitive-row elimination on
 rationals) are cross-checked against a permutation-sum oracle on random
 rational matrices and on small symbolic ones, and det_fractions against the
 integer Bareiss elimination it replaced and against itself on the
-transpose, with rows, columns or both scaled, since it clears by rows or by
-columns, whichever form has fewer bits.  `det` must agree with
+transpose, with rows, columns or both scaled, since it clears each column
+by its lcm and eliminates the transpose.  `det` must agree with
 det_fractions on rational rows and with det_minor_expansion on polynomial
 rows, `dot` with a plain sum of products, and no verifier may reach the
 test-only routines.
@@ -214,7 +214,8 @@ matrix_entries = st.one_of(
     st.integers(min_value=-9, max_value=9),
     st.fractions(min_value=-20, max_value=20, max_denominator=30),
 )
-# large factors a whole row shares, as the rows of the verifiers' matrices do
+# large factors a whole row shares; no verifier matrix clears to fewer bits
+# by rows than by columns by more than 3%, but a general matrix may
 ROW_FACTORS = (1, -1, 2**64 + 13, -(3**40), 10**30, Fraction(1, 7**20))
 row_factors = st.sampled_from(ROW_FACTORS)
 # pairwise-coprime denominators, so the lcm of a row or column is the
@@ -264,36 +265,19 @@ def transpose(rows):
     return [list(col) for col in zip(*rows)]
 
 
-def cleared_rows(rows):
-    return [pmatrix._cleared([Fraction(v) for v in row]) for row in rows]
-
-
-def test_character_grid_is_cleared_by_columns(monkeypatch, capsys):
-    argv = ["schur-det", "--family", "sp", "--s", "3", "--n", "3", "--mode", "numeric"]
-    # the character grid; the raw alternant grid follows
-    grid = matrices_of_a_verify_run(monkeypatch, capsys, argv)[0]
-    by_columns = cleared_rows(transpose(grid))
-    assert pmatrix._bits(by_columns) < pmatrix._bits(cleared_rows(grid))
-    assert pmatrix._cheaper_orientation(grid) == by_columns
-
-
-def test_row_structured_matrix_keeps_the_rows():
+def test_row_structured_matrix():
     base = [[3, -1, 4, 1, -5, 9], [2, 6, -5, 3, 5, -8], [9, 7, 9, -3, 2, 3],
             [8, -4, 6, 2, 6, 4], [3, 3, -8, 3, 2, 7], [9, 5, 0, 2, -8, 8]]
     rows = [[v * f for v in row] for row, f in zip(base, ROW_FACTORS)]
-    by_rows = cleared_rows(rows)
-    assert pmatrix._bits(by_rows) < pmatrix._bits(cleared_rows(transpose(rows)))
-    assert pmatrix._cheaper_orientation(rows) == by_rows
+    assert det_fractions(rows) == det_bareiss_reference(rows) == det_fractions(transpose(rows))
 
 
-def test_orientation_tie_keeps_the_rows():
+def test_matrix_whose_rows_and_columns_clear_to_equal_bits():
     # rows clear to [1, 6] and [35, 1], columns to [1, 10] and [21, 1]:
     # 11 bits each
     rows = [[Fraction(1, 2), 3], [5, Fraction(1, 7)]]
-    by_rows, by_columns = cleared_rows(rows), cleared_rows(transpose(rows))
-    assert by_rows != by_columns
-    assert pmatrix._bits(by_rows) == pmatrix._bits(by_columns) == 11
-    assert pmatrix._cheaper_orientation(rows) == by_rows
+    assert det_fractions(rows) == det_bareiss_reference(rows) == det_fractions(transpose(rows))
+    assert det_fractions(rows) == Fraction(-209, 14)
 
 
 def test_det_fractions_pivot_swap_between_rows_with_different_multipliers():
@@ -352,6 +336,13 @@ def test_det_fractions_on_the_compound_matrix_of_a_verify_run(monkeypatch, capsy
     compound = max(matrices_of_a_verify_run(monkeypatch, capsys, argv), key=len)
     assert len(compound) == 20
     assert det_fractions(compound) == det_bareiss_reference(compound)
+
+
+@pytest.mark.parametrize("family", ["gl", "sp", "odd-orth", "even-orth"])
+def test_one_grid_determinant_per_schur_det_check(monkeypatch, capsys, family):
+    argv = ["schur-det", "--family", family, "--s", "3", "--n", "2", "--mode", "numeric"]
+    (grid,) = matrices_of_a_verify_run(monkeypatch, capsys, argv)
+    assert len(grid) == 6
 
 
 def test_det_dispatches_constants_to_det_fractions():
