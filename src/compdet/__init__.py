@@ -10,7 +10,6 @@ functions.  It is pure Python with no dependencies.
 from ._backend import BACKEND
 from .characters import (
     FAMILIES,
-    character_value,
     verify_denominators,
     verify_prop_detS,
     verify_theorem_schur,
@@ -53,7 +52,6 @@ __all__ = [
     "SplitMix64",
     "UsageError",
     "VerifyReport",
-    "character_value",
     "compositions",
     "compositions_positive",
     "epsilon",

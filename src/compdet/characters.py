@@ -2,17 +2,21 @@
 
 Four families are supported, tagged "gl", "sp", "odd-orth" and "even-orth".
 Each character is a quotient of two determinants built from power matrices
-(x_i ** a_j), optionally folded with the reciprocal power.  The verifiers
-evaluate characters at exact rational points, as Fractions; the symbolic
-character, a Laurent polynomial, is a test oracle (tests/oracles.py).
-Both rings share one power-matrix builder, char_matrix, and one closed
-product form of the denominator alternant, alternant_product (a pair factor
-per variable pair times a single-variable factor); each takes a power
-function, pow_stored on rational values or variable_power on variable
-indices.  Numerically, all the alternants at one tuple of values are maximal
-minors of a single power matrix, one row per exponent they use, and one
-pmatrix.minor_table of it yields every numerator and the denominator; the
-grid determinants go to pmatrix.det.
+(x_i ** a_j), optionally folded with the reciprocal power.  Exponents are
+integers or half-integers and are carried in half-units, as in
+compdet.laurent: the stored int e2 stands for the exponent e2/2.  The
+verifiers evaluate characters at exact rational points given by the square
+roots r_i of their coordinates (compdet.sampling), so x_i**(e2/2) is the
+integer power r_i**e2, as a Fraction; the symbolic character, a Laurent
+polynomial, is a test oracle (tests/oracles.py).  Both rings share one
+power-matrix builder, char_matrix, and one closed product form of the
+denominator alternant, alternant_product (a pair factor per variable pair
+times a single-variable factor); each takes a power function, root_power
+on rational roots or variable_power on variable indices.  Numerically, all
+the alternants at one tuple of roots are maximal minors of a single power
+matrix, one row per exponent they use, and one pmatrix.minor_table of it
+yields every numerator and the denominator; the grid determinants go to
+pmatrix.det.
 
 The verification entry points check the four denominator product formulas,
 the determinant identity for the grid of characters evaluated at nested
@@ -27,16 +31,16 @@ from math import comb
 
 from .combin import binom_nonneg, compositions, iota, partitions_in_box, subsets_lex
 from .errors import CapabilityError, DomainError, ParameterError, UsageError
-from .laurent import LaurentPoly, pow_stored
+from .laurent import LaurentPoly
 from .pmatrix import det, minor_table
 from .report import VerifyReport, compare_sides
 from .sampling import (
     MAX_RETRIES,
     SplitMix64,
     point_is_admissible,
+    random_rational,
     sample_point,
     sample_seed,
-    square_rational,
 )
 
 GL = "gl"
@@ -58,36 +62,20 @@ def _require_family(family):
         raise UsageError(f"unknown family {family!r}, expected one of {FAMILIES}")
 
 
-def staircase_delta(top, length):
-    """Decreasing staircase (top, top-1, ..., top-length+1) of Fractions.
-
-    top may be an integer or a half-integer; the final entry must be
-    non-negative.
-    """
-    top = Fraction(top)
-    if length < 1:
-        raise UsageError("staircase length must be positive")
-    if top - (length - 1) < 0:
-        raise DomainError(f"staircase from {top} of length {length} goes negative")
-    return tuple(top - i for i in range(length))
-
-
 def family_shift(family, n):
-    """Staircase added to a partition before forming the numerator."""
+    """Staircase added to a partition before forming the numerator, in
+    half-units: n entries falling by 2 from 2n for sp, 2n - 1 for odd-orth
+    and 2n - 2 for gl and even-orth."""
     _require_family(family)
-    if family == SP:
-        return staircase_delta(n, n)
-    if family == ODD_ORTH:
-        return staircase_delta(Fraction(2 * n - 1, 2), n)
-    return staircase_delta(n - 1, n)
+    top = {SP: 2 * n, ODD_ORTH: 2 * n - 1}.get(family, 2 * n - 2)
+    return tuple(range(top, top - 2 * n, -2))
 
 
-def _stored_exponent(alpha):
-    """Half-unit stored form of an integer or half-integer exponent."""
-    a = Fraction(alpha)
-    if a.denominator not in (1, 2):
-        raise DomainError(f"exponent {alpha} is not a half-integer")
-    return int(a * 2)
+def root_power(r, e2):
+    """The power of char_matrix and alternant_product over rationals:
+    (r, e2) -> r**e2 = x**(e2/2) for the square root r of a coordinate x,
+    exactly, as a Fraction (also for an int r and a negative e2)."""
+    return Fraction(r) ** e2
 
 
 def _padded_partition(lam, n):
@@ -107,19 +95,19 @@ def variable_power(num_vars):
     return partial(LaurentPoly.variable, num_vars)
 
 
-def char_matrix(family, alpha, xs, power):
-    """Power matrix of the family at exponents alpha, one row per coordinate
-    x in xs and one column per exponent a.  Entries are x**a, x**a - x**-a
-    or x**a + x**-a depending on the family fold, with power(x, e2) raising
-    x to the stored half-unit exponent e2: pow_stored over rational values,
-    variable_power(num_vars) over variable indices."""
+def char_matrix(family, alpha2, xs, power):
+    """Power matrix of the family at the half-unit exponents alpha2, one row
+    per x in xs and one column per exponent a2.  Entries are x**(a2/2),
+    x**(a2/2) - x**(-a2/2) or x**(a2/2) + x**(-a2/2) depending on the family
+    fold, with power(x, e2) raising x to the half-unit exponent e2:
+    root_power over rational roots, variable_power(num_vars) over variable
+    indices."""
     _require_family(family)
     fold = _FOLD[family]
-    exponents = [_stored_exponent(a) for a in alpha]
     rows = []
     for x in xs:
         row = []
-        for a2 in exponents:
+        for a2 in alpha2:
             entry = power(x, a2)
             if fold == "minus":
                 entry = entry - power(x, -a2)
@@ -130,14 +118,14 @@ def char_matrix(family, alpha, xs, power):
     return rows
 
 
-def character_value(family, lam, values):
-    """Character evaluated at explicit rational values, as a Fraction."""
-    values = tuple(Fraction(v) for v in values)
-    return _character_grid(family, [lam], [values])[0][0][0]
+def character_value(family, lam, roots):
+    """Character evaluated at the point whose coordinates are the squares
+    of the rationals roots, as a Fraction."""
+    return _character_grid(family, [lam], [tuple(roots)])[0][0][0]
 
 
-def _character_grid(family, partitions, col_values):
-    """Characters at each partition (rows) and value tuple (columns), as
+def _character_grid(family, partitions, col_roots):
+    """Characters at each partition (rows) and tuple of roots (columns), as
     Fractions, with each column's denominator alternant: the cell at
     lambda is f_lambda times its numerator alternant over the denominator,
     f_lambda = 2 for an even-orth lambda with n nonzero parts and 1
@@ -150,17 +138,17 @@ def _character_grid(family, partitions, col_values):
     column gives each numerator and the column's denominator with no sign
     change.  On the verifiers' grids the exponents form one consecutive
     run and every minor of the table is an alternant of the grid.  Every
-    value tuple must have the same length n."""
-    n = len(col_values[0])
+    tuple of roots must have the same length n."""
+    n = len(col_roots[0])
     padded = [_padded_partition(lam, n) for lam in partitions]
     delta = family_shift(family, n)
-    alphas = [tuple(lam[j] + delta[j] for j in range(n)) for lam in padded]
+    alphas = [tuple(2 * lam[j] + delta[j] for j in range(n)) for lam in padded]
     exponents = sorted(set(delta).union(*alphas), reverse=True)
     row_of = {a: r for r, a in enumerate(exponents, 1)}
     tables = []
     denominators = []
-    for values in col_values:
-        power_rows = list(zip(*char_matrix(family, exponents, values, pow_stored)))
+    for roots in col_roots:
+        power_rows = list(zip(*char_matrix(family, exponents, roots, root_power)))
         table = minor_table(power_rows, range(1, n + 1))
         denominator = table[tuple(row_of[a] for a in delta)]
         if denominator == 0:
@@ -241,7 +229,8 @@ def verify_denominators(n):
 
 def rhs_pair_product(family, s, n, point):
     """Closed-form product over variable pairs from distinct groups, with
-    the binomial exponent depending only on the in-group positions."""
+    the binomial exponent depending only on the in-group positions; point
+    holds the square roots of the coordinates."""
     out = Fraction(1)
     for k in range(1, s + 1):
         for l in range(k + 1, s + 1):
@@ -252,26 +241,26 @@ def rhs_pair_product(family, s, n, point):
                         continue
                     u = point[(k - 1) * n + i - 1]
                     v = point[(l - 1) * n + j - 1]
-                    out *= _pair_factor(family, u, v, pow_stored, 1) ** e
+                    out *= _pair_factor(family, u, v, root_power, 1) ** e
     return out
 
 
 def nested_subset_grid(s, n, point):
-    """Rows and column values of the grids on nested variable subsets: the
+    """Rows and columns of the grids on nested variable subsets: the
     partitions inside the (s-1)^n box in decreasing lexicographic order,
-    and for each head-heavy composition mu of n into s parts the values of
-    point at iota(mu, n)."""
+    and for each head-heavy composition mu of n into s parts the entries
+    of point at iota(mu, n)."""
     rows = partitions_in_box(n, s - 1)
     cols = compositions(s, n)
     return rows, [tuple(point[i - 1] for i in iota(mu, n)) for mu in cols]
 
 
 def _substitution_point(s, n, rng):
-    """Grid point of the shape (geometric in j) * (group constant), built
-    from squared rationals so half powers stay rational."""
+    """Roots of a grid point of the shape (geometric in j) * (group
+    constant); the roots have the same shape."""
     for _ in range(MAX_RETRIES):
-        ratio = square_rational(rng, bits=8)
-        group = [square_rational(rng, bits=16) for _ in range(s)]
+        ratio = random_rational(rng, 8)
+        group = [random_rational(rng, 16) for _ in range(s)]
         point = tuple(
             group[k] * ratio ** j for k in range(s) for j in range(n)
         )
@@ -287,7 +276,7 @@ def verify_theorem_schur(family, s, n, seed, substitution=False):
 
     Rows and columns are those of nested_subset_grid; the entry is the
     family character at the row partition, evaluated at the column's
-    values.  The determinant must
+    roots.  The determinant must
     equal the closed pair product.  The bookkeeping check asks each
     column's denominator alternant to equal alternant_product, doubled for
     even-orth.  Since each cell is f_lambda times a numerator alternant over
@@ -306,16 +295,16 @@ def verify_theorem_schur(family, s, n, seed, substitution=False):
     else:
         point = sample_point(s * n, rng)
 
-    rows, col_values = nested_subset_grid(s, n, point)
-    matrix, denominators = _character_grid(family, rows, col_values)
+    rows, col_roots = nested_subset_grid(s, n, point)
+    matrix, denominators = _character_grid(family, rows, col_roots)
     lhs = det(matrix)
     rhs = rhs_pair_product(family, s, n, point)
     (equal_main,), lhs_hash, rhs_hash = compare_sides([lhs], [rhs])
 
     two = 2 if family == EVEN_ORTH else 1
     bookkeeping_ok = all(
-        den == two * alternant_product(family, values, pow_stored, Fraction(1))
-        for den, values in zip(denominators, col_values)
+        den == two * alternant_product(family, roots, root_power, Fraction(1))
+        for den, roots in zip(denominators, col_roots)
     )
 
     detail = {
@@ -362,13 +351,13 @@ def verify_prop_detS(kind, s, n, seed):
 
     rows = partitions_in_box(n, s - n)
     cols = subsets_lex(s, n)
-    col_values = [tuple(point[i - 1] for i in subset) for subset in cols]
-    matrix, _ = _character_grid(kind, rows, col_values)
+    col_roots = [tuple(point[i - 1] for i in subset) for subset in cols]
+    matrix, _ = _character_grid(kind, rows, col_roots)
     lhs = det(matrix)
 
     # the pair product alone: even-orth's closed product has no single factors
     pair_family = GL if kind == GL else EVEN_ORTH
-    base = alternant_product(pair_family, point, pow_stored, Fraction(1))
+    base = alternant_product(pair_family, point, root_power, Fraction(1))
     exponent = comb(s - 2, n - 1) if s >= 2 else 0
     rhs = base**exponent
 

@@ -159,25 +159,21 @@ def format_subset(idx):
     return "{" + ",".join(str(v) for v in idx) + "}"
 
 
-def partitions_of(weight, max_parts=None, max_part=None):
+def partitions_of(weight):
     """All partitions of the given weight as non-increasing tuples (no zero
     padding), descending lex order: (weight,) first, all-ones last."""
     if weight < 0:
         raise UsageError("weight must be non-negative")
-    cap_parts = weight if max_parts is None else max_parts
-    cap_part = weight if max_part is None else max_part
     out = []
 
-    def rec(prefix, remaining, largest, slots):
+    def rec(prefix, remaining, largest):
         if remaining == 0:
             out.append(prefix)
             return
-        if slots == 0:
-            return
         for v in range(min(largest, remaining), 0, -1):
-            rec(prefix + (v,), remaining - v, v, slots - 1)
+            rec(prefix + (v,), remaining - v, v)
 
-    rec((), weight, cap_part, cap_parts)
+    rec((), weight, weight)
     return out
 
 

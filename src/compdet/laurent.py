@@ -8,7 +8,11 @@ Exponents are stored in half-units: the stored integer is twice the
 mathematical exponent, so x^(1/2) has stored exponent 1 and x^3 has stored
 exponent 6.  This keeps square-root powers exact without ever touching
 floating point.  All public APIs that take or return exponent vectors speak
-stored half-units and say so.
+stored half-units and say so.  The numeric characters use the same
+half-units: their points are carried as the square roots of the
+coordinates (compdet.sampling), so a stored exponent is an integer power of
+a root there, and only eval, given the coordinates themselves, takes square
+roots.
 
 Internally a monomial is packed into a single Python int: one 32-bit field
 per variable, biased by 2**16 so moderately negative exponents pack as
@@ -73,24 +77,6 @@ def sqrt_fraction(x):
     if rn * rn != x.numerator or rd * rd != x.denominator:
         raise DomainError(f"{x} is not a perfect square")
     return Fraction(rn, rd)
-
-
-def pow_stored(x, e2):
-    """x raised to the stored half-unit exponent e2, i.e. x**(e2/2), exactly.
-
-    Odd e2 requires x to be a non-negative perfect square (the positive
-    root is taken); negative e2 requires x to be nonzero.
-    """
-    if e2 == 0:
-        return Fraction(1)
-    x = Fraction(x)
-    if x == 0:
-        if e2 < 0:
-            raise DomainError("zero raised to a negative power")
-        return Fraction(0)
-    if e2 % 2 == 0:
-        return x ** (e2 // 2)
-    return sqrt_fraction(x) ** e2
 
 
 def _coeff_div(a, b):
@@ -292,7 +278,8 @@ class LaurentPoly:
         """Exact value at a rational point (sequence of length num_vars).
 
         Odd stored exponents need the corresponding coordinate to be a
-        non-negative perfect square; negative exponents need it nonzero.
+        non-negative perfect square (the positive root is taken); negative
+        exponents need it nonzero.
         """
         point = [Fraction(v) for v in point]
         if len(point) != self.num_vars:
@@ -301,8 +288,12 @@ class LaurentPoly:
         for exps2, c in self.terms():
             val = Fraction(c)
             for x, e2 in zip(point, exps2):
-                if e2:
-                    val *= pow_stored(x, e2)
+                if e2 < 0 and x == 0:
+                    raise DomainError("zero raised to a negative power")
+                if e2 % 2:
+                    val *= sqrt_fraction(x) ** e2
+                elif e2:
+                    val *= x ** (e2 // 2)
             total += val
         return total
 

@@ -245,7 +245,8 @@ def verify_corollary_macdonald(s, n, seed, q=None, t=None):
             raise ParameterError("parameters must lie strictly in (0, 1) and differ")
     point = sample_point(s * n, rng)
 
-    rows, col_values = nested_subset_grid(s, n, point)
+    rows, col_roots = nested_subset_grid(s, n, point)
+    col_values = [tuple(r * r for r in roots) for roots in col_roots]
     p_rows = [macdonald_P(lam, q, t) for lam in rows]
     p_grid = [[evaluate_symfunc(row, values) for values in col_values] for row in p_rows]
     # Q_lam = b_lam * P_lam scales row lam of the grid, so by multilinearity
@@ -253,6 +254,8 @@ def verify_corollary_macdonald(s, n, seed, q=None, t=None):
     b_product = prod((b_lambda(lam, q, t) for lam in rows), start=Fraction(1))
     det_p = det(p_grid)
     det_q = b_product * det_p
+    # the gl pair factor at roots u, v is u**2 - v**2, the coordinates'
+    # difference
     rhs = rhs_pair_product(GL, s, n, point)
     printed = printed_prefactor(s, n, q, t)
 

@@ -4,11 +4,13 @@ The generator is SplitMix64, chosen because it is tiny, portable, and fully
 specified by three multiply-xorshift constants, so the same seed gives the
 same evaluation points on every platform and Python version.
 
-Evaluation points are squares of random rationals.  Squares keep every
-half-integer power rational (the orthogonal and symplectic denominators take
-square roots of the variables), and the admissibility checks reject the
-degenerate configurations that would zero a denominator: repeated values,
-values in {0, 1, -1}, and pairs multiplying to 1.
+An evaluation point is carried as the positive rational square roots r_i of
+its coordinates x_i = r_i**2, so every half-integer power x_i**(e/2) is the
+integer power r_i**e (the orthogonal and symplectic characters take square
+roots of the variables).  The admissibility checks reject the degenerate
+configurations that would zero a denominator: repeated values, values in
+{0, 1, -1}, and pairs multiplying to 1.  On positive rationals they accept
+the roots exactly when they accept the squares.
 """
 
 from fractions import Fraction
@@ -59,12 +61,6 @@ def random_rational(rng, bits):
     return Fraction(u, v)
 
 
-def square_rational(rng, bits=32):
-    """Square of random_rational(rng, bits)."""
-    r = random_rational(rng, bits)
-    return r * r
-
-
 def point_is_admissible(values):
     """True when all values are distinct, avoid {0, 1, -1}, and no pair
     multiplies to 1."""
@@ -82,11 +78,12 @@ def point_is_admissible(values):
 
 
 def sample_point(num_vars, rng):
-    """Admissible tuple of num_vars squared rationals."""
+    """Admissible tuple of the square roots of num_vars coordinates, as
+    32-bit positive rationals."""
     for _ in range(MAX_RETRIES):
-        values = tuple(square_rational(rng) for _ in range(num_vars))
-        if point_is_admissible(values):
-            return values
+        roots = tuple(random_rational(rng, 32) for _ in range(num_vars))
+        if point_is_admissible(roots):
+            return roots
     raise ParameterError(f"no admissible point after {MAX_RETRIES} attempts")
 
 

@@ -157,7 +157,7 @@ def character(family, lam, num_vars):
     xs = range(1, num_vars + 1)
     lam = _padded_partition(lam, num_vars)
     delta = family_shift(family, num_vars)
-    alpha = tuple(part + shift for part, shift in zip(lam, delta))
+    alpha = tuple(2 * part + shift for part, shift in zip(lam, delta))
     power = variable_power(num_vars)
     numerator = det(char_matrix(family, alpha, xs, power))
     denominator = det(char_matrix(family, delta, xs, power))

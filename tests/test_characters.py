@@ -1,7 +1,9 @@
 """Classical-group characters and the character-grid determinant checks."""
 
 import json
+import runpy
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import assume, given, settings
@@ -20,7 +22,7 @@ from compdet.characters import (
     character_value,
     family_shift,
     rhs_pair_product,
-    staircase_delta,
+    root_power,
     verify_denominators,
     verify_prop_detS,
     variable_power,
@@ -28,11 +30,21 @@ from compdet.characters import (
 )
 from compdet.combin import compositions, iota, partitions_in_box, partitions_of
 from compdet.errors import DomainError, ParameterError, UsageError
-from compdet.laurent import LaurentPoly, pow_stored
+from compdet.laurent import LaurentPoly
 from compdet.pmatrix import det, det_fractions, minor_table
 from compdet.sampling import SplitMix64, point_is_admissible, sample_point
 
 from oracles import character, leibniz_det, schur_tableau_poly
+
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+NUMERIC_CHARACTERS = runpy.run_path(str(PERFBENCH / "checks.py"))["WORKLOADS"][
+    "numeric-characters"
+]
+
+
+def squares(roots):
+    """The coordinates of the point with the given square roots."""
+    return [r * r for r in roots]
 
 
 def poly_from(num_vars, text_terms):
@@ -44,11 +56,12 @@ def poly_from(num_vars, text_terms):
 
 
 def test_staircase_and_shifts():
-    assert staircase_delta(2, 3) == (Fraction(2), Fraction(1), Fraction(0))
-    assert family_shift(GL, 3) == (Fraction(2), Fraction(1), Fraction(0))
-    assert family_shift(SP, 2) == (Fraction(2), Fraction(1))
-    assert family_shift(ODD_ORTH, 2) == (Fraction(3, 2), Fraction(1, 2))
-    assert family_shift(EVEN_ORTH, 2) == (Fraction(1), Fraction(0))
+    # half-units: the gl staircase (2, 1, 0) is stored as (4, 2, 0)
+    assert family_shift(GL, 3) == (4, 2, 0)
+    assert family_shift(SP, 2) == (4, 2)
+    assert family_shift(ODD_ORTH, 2) == (3, 1)
+    assert family_shift(EVEN_ORTH, 2) == (2, 0)
+    assert family_shift(ODD_ORTH, 1) == (1,)
     with pytest.raises(UsageError):
         family_shift("so", 2)
 
@@ -93,31 +106,31 @@ def test_frozen_two_variable_characters():
 def test_gl_characters_match_tableau_oracle():
     for n in (1, 2, 3):
         for weight in range(0, 5):
-            for lam in partitions_of(weight, max_parts=n):
+            for lam in (lam for lam in partitions_of(weight) if len(lam) <= n):
                 got = character(GL, lam, num_vars=n)
                 assert got == schur_tableau_poly(lam, n), (n, lam)
 
 
 def test_symbolic_and_numeric_paths_agree():
     rng = SplitMix64(7)
-    point = sample_point(2, rng)
+    roots = sample_point(2, rng)
     for family in FAMILIES:
         for lam in [(), (1,), (2,), (1, 1), (2, 1), (2, 2)]:
-            sym = character(family, lam, num_vars=2).eval(point)
-            num = character_value(family, lam, point)
+            sym = character(family, lam, num_vars=2).eval(squares(roots))
+            num = character_value(family, lam, roots)
             assert sym == num, (family, lam)
 
 
 def test_folded_characters_invariant_under_inversion():
-    values = (Fraction(4, 9), Fraction(25, 49))
-    flipped = tuple(1 / v for v in values)
+    roots = (Fraction(2, 3), Fraction(5, 7))
+    flipped = tuple(1 / v for v in roots)
     for family in (SP, ODD_ORTH, EVEN_ORTH):
         for lam in [(1,), (2,), (1, 1), (3, 2)]:
-            a = character_value(family, lam, values)
+            a = character_value(family, lam, roots)
             b = character_value(family, lam, flipped)
             assert a == b, (family, lam)
     # the plain family is genuinely not inversion invariant
-    assert character_value(GL, (1,), values) != character_value(GL, (1,), flipped)
+    assert character_value(GL, (1,), roots) != character_value(GL, (1,), flipped)
 
 
 @settings(deadline=None, max_examples=100)
@@ -127,19 +140,30 @@ def test_folded_characters_invariant_under_inversion():
     st.lists(st.builds(Fraction, st.integers(1, 30), st.integers(1, 30)), min_size=1, max_size=3),
 )
 def test_char_matrix_agrees_across_rings(family, halves, roots):
-    # exponent 0 and half-integer exponents, as odd-orth shifts use, on
-    # rows of variables and rows of perfect squares
-    alpha = [0] + [Fraction(h, 2) for h in halves]
-    point = [r * r for r in roots]
-    nv = len(point)
+    # exponent 0 and half-unit exponents, odd ones as odd-orth shifts use,
+    # on rows of variables and rows of roots; the symbolic entries are
+    # evaluated at the squares
+    alpha = [0] + halves
+    nv = len(roots)
     symbolic = char_matrix(family, alpha, range(1, nv + 1), variable_power(nv))
-    numeric = char_matrix(family, alpha, point, pow_stored)
+    numeric = char_matrix(family, alpha, roots, root_power)
+    point = squares(roots)
     assert [[entry.eval(point) for entry in row] for row in symbolic] == numeric
+
+
+def test_root_power_is_exact():
+    assert root_power(Fraction(2, 3), 3) == Fraction(8, 27)
+    assert root_power(Fraction(2, 3), -1) == Fraction(3, 2)
+    assert root_power(Fraction(5), 0) == 1
+    # an int root with a negative exponent gives a Fraction, not a float
+    value = root_power(2, -3)
+    assert type(value) is Fraction and value == Fraction(1, 8)
+    assert type(root_power(3, 2)) is Fraction
 
 
 def test_char_matrix_at_exponent_zero():
     for family, entry in ((GL, 1), (SP, 0), (ODD_ORTH, 0), (EVEN_ORTH, 2)):
-        assert char_matrix(family, [0], [Fraction(4, 9)], pow_stored) == [[entry]]
+        assert char_matrix(family, [0], [Fraction(2, 3)], root_power) == [[entry]]
         assert char_matrix(family, [0], [2], variable_power(3)) == [[LaurentPoly.const(3, entry)]]
 
 
@@ -161,7 +185,7 @@ def test_denominator_product_formulas():
 def test_selected_denominator_equals_closed_prefactor():
     for s, n in [(2, 2), (3, 2), (2, 3)]:
         nv = s * n
-        point = sample_point(nv, SplitMix64(s * 10 + n))
+        roots = sample_point(nv, SplitMix64(s * 10 + n))
         for family in FAMILIES:
             shift = family_shift(family, n)
             for mu in compositions(s, n):
@@ -172,12 +196,12 @@ def test_selected_denominator_equals_closed_prefactor():
                 closed = alternant_product(
                     family, sel, variable_power(nv), LaurentPoly.const(nv, 1)
                 )
-                # the numeric check takes the same product over rationals
-                values = [point[i - 1] for i in sel]
-                at_point = alternant_product(family, values, pow_stored, Fraction(1))
-                assert at_point == closed.eval(point), (family, s, n, mu)
+                # the numeric check takes the same product over the roots
+                sel_roots = [roots[i - 1] for i in sel]
+                at_point = alternant_product(family, sel_roots, root_power, Fraction(1))
+                assert at_point == closed.eval(squares(roots)), (family, s, n, mu)
                 factor = 2 if family == EVEN_ORTH else 1
-                alternant = det_fractions(char_matrix(family, shift, values, pow_stored))
+                alternant = det_fractions(char_matrix(family, shift, sel_roots, root_power))
                 assert alternant == factor * at_point, (family, s, n, mu)
                 assert value == closed * factor, (family, s, n, mu)
 
@@ -208,8 +232,9 @@ def test_pair_product_matches_brute_force_gl():
     # at n = 1 the closed product is the full Vandermonde-power expression
     s, n = 3, 1
     rng = SplitMix64(11)
-    point = sample_point(s * n, rng)
-    value = rhs_pair_product(GL, s, n, point)
+    roots = sample_point(s * n, rng)
+    value = rhs_pair_product(GL, s, n, roots)
+    point = squares(roots)
     expected = Fraction(1)
     for k in range(3):
         for l in range(k + 1, 3):
@@ -234,6 +259,27 @@ def test_character_grid_identity_substituted_point():
     report = verify_theorem_schur(GL, 2, 2, seed=5, substitution=True)
     assert report.equal
     assert report.detail["substitution"] is True
+
+
+def test_numeric_checks_take_no_square_root(monkeypatch, capsys):
+    # every numeric point is carried as the roots of its coordinates, so no
+    # check, the substituted odd-orth point included, takes a square root
+    calls = []
+
+    def no_square_root(x):
+        calls.append(x)
+        raise AssertionError(f"square root of {x} taken")
+
+    monkeypatch.setattr("compdet.laurent.sqrt_fraction", no_square_root)
+    for check in NUMERIC_CHARACTERS:
+        try:
+            cli.main(["verify", *check.split(), "--seed", "0"])
+        except ValueError:
+            # prop12 sp (6,3) renders past the int-to-str digit limit
+            pass
+    capsys.readouterr()
+    assert verify_theorem_schur(ODD_ORTH, 2, 2, seed=1, substitution=True).equal
+    assert calls == []
 
 
 def test_bookkeeping_catches_a_wrong_denominator_product(monkeypatch, capsys):
@@ -264,8 +310,8 @@ def test_single_alphabet_identity():
 
 
 def run_prop12_on_permuted_grid(monkeypatch, capsys, permute, argv):
-    def permuted_grid(family, partitions, col_values):
-        grid, denominators = _character_grid(family, partitions, col_values)
+    def permuted_grid(family, partitions, col_roots):
+        grid, denominators = _character_grid(family, partitions, col_roots)
         return permute(grid), denominators
 
     monkeypatch.setattr(characters, "_character_grid", permuted_grid)
@@ -329,73 +375,69 @@ def test_grid_verifiers_compute_each_alternant_once(monkeypatch):
 def grid_cases(draw):
     n = draw(st.integers(min_value=1, max_value=4))
     root = st.builds(Fraction, st.integers(1, 40), st.integers(1, 40))
-    col_values = draw(
-        st.lists(
-            st.lists(root, min_size=n, max_size=n).map(lambda xs: tuple(x * x for x in xs)),
-            min_size=1,
-            max_size=3,
-        )
+    col_roots = draw(
+        st.lists(st.lists(root, min_size=n, max_size=n).map(tuple), min_size=1, max_size=3)
     )
-    for values in col_values:
-        assume(point_is_admissible(values))
+    for roots in col_roots:
+        assume(point_is_admissible(roots))
     parts = st.lists(st.integers(0, 4), max_size=n).map(lambda ps: tuple(sorted(ps, reverse=True)))
     partitions = draw(st.lists(parts, min_size=1, max_size=5))
-    return draw(st.sampled_from(FAMILIES)), partitions, col_values
+    return draw(st.sampled_from(FAMILIES)), partitions, col_roots
 
 
 @settings(deadline=None, max_examples=150)
 @given(grid_cases())
 def test_character_grid_matches_per_cell_alternants(case):
-    family, partitions, col_values = case
-    n = len(col_values[0])
+    family, partitions, col_roots = case
+    n = len(col_roots[0])
     delta = family_shift(family, n)
     # the empty partition and a lone partition are the shapes character_value
     # asks for
     for lams in (partitions, [()], partitions[:1]):
-        grid, denominators = _character_grid(family, lams, col_values)
-        for values, denominator in zip(col_values, denominators):
-            expected = det_fractions(char_matrix(family, delta, values, pow_stored))
-            assert denominator == expected, (family, values)
+        grid, denominators = _character_grid(family, lams, col_roots)
+        for roots, denominator in zip(col_roots, denominators):
+            expected = det_fractions(char_matrix(family, delta, roots, root_power))
+            assert denominator == expected, (family, roots)
         for lam, grid_row in zip(lams, grid):
             padded = lam + (0,) * (n - len(lam))
-            alpha = tuple(padded[j] + delta[j] for j in range(n))
+            alpha = tuple(2 * padded[j] + delta[j] for j in range(n))
             factor = 2 if family == EVEN_ORTH and padded[-1] else 1
-            for values, value, denominator in zip(col_values, grid_row, denominators):
-                expected = det_fractions(char_matrix(family, alpha, values, pow_stored))
-                assert value * denominator / factor == expected, (family, lam, values)
+            for roots, value, denominator in zip(col_roots, grid_row, denominators):
+                expected = det_fractions(char_matrix(family, alpha, roots, root_power))
+                assert value * denominator / factor == expected, (family, lam, roots)
 
 
 def test_character_grid_matches_three_variable_characters():
     # the schur-det grids at n = 3: every cell equals the symbolic
-    # character evaluated at the column's values
+    # character evaluated at the squares of the column's roots
     n = 3
     for s in (3, 2):
         point = sample_point(s * n, SplitMix64(s))
-        col_values = [tuple(point[i - 1] for i in iota(mu, n)) for mu in compositions(s, n)]
+        col_roots = [tuple(point[i - 1] for i in iota(mu, n)) for mu in compositions(s, n)]
         partitions = partitions_in_box(n, s - 1)
         for family in FAMILIES:
-            grid, _ = _character_grid(family, partitions, col_values)
+            grid, _ = _character_grid(family, partitions, col_roots)
             for lam, grid_row in zip(partitions, grid):
                 symbolic = character(family, lam, num_vars=n)
-                for values, value in zip(col_values, grid_row):
-                    assert value == symbolic.eval(values), (family, s, lam, values)
+                for roots, value in zip(col_roots, grid_row):
+                    assert value == symbolic.eval(squares(roots)), (family, s, lam, roots)
 
 
 def test_character_grid_matches_symbolic_characters():
     point = sample_point(4, SplitMix64(9))
-    col_values = [(point[0], point[1]), (point[2], point[3]), (point[0], point[3])]
+    col_roots = [(point[0], point[1]), (point[2], point[3]), (point[0], point[3])]
     partitions = [(2, 1), (1, 1), (1,), ()]
     for family in FAMILIES:
         delta = family_shift(family, 2)
-        grid, denominators = _character_grid(family, partitions, col_values)
-        for values, denominator in zip(col_values, denominators):
-            assert denominator == det_fractions(char_matrix(family, delta, values, pow_stored))
+        grid, denominators = _character_grid(family, partitions, col_roots)
+        for roots, denominator in zip(col_roots, denominators):
+            assert denominator == det_fractions(char_matrix(family, delta, roots, root_power))
         for lam, grid_row in zip(partitions, grid):
             padded = lam + (0,) * (2 - len(lam))
-            alpha = tuple(padded[j] + delta[j] for j in range(2))
+            alpha = tuple(2 * padded[j] + delta[j] for j in range(2))
             factor = 2 if family == EVEN_ORTH and len(lam) == 2 else 1
-            for values, value, denominator in zip(col_values, grid_row, denominators):
-                expected = character(family, lam, num_vars=2).eval(values)
+            for roots, value, denominator in zip(col_roots, grid_row, denominators):
+                expected = character(family, lam, num_vars=2).eval(squares(roots))
                 assert value == expected, (family, lam)
-                numerator = det_fractions(char_matrix(family, alpha, values, pow_stored))
+                numerator = det_fractions(char_matrix(family, alpha, roots, root_power))
                 assert value * denominator / factor == numerator, (family, lam)

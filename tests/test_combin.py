@@ -207,8 +207,6 @@ def test_subsets_lex_matches_combinations():
 def test_partitions_of_frozen_order():
     assert partitions_of(4) == [(4,), (3, 1), (2, 2), (2, 1, 1), (1, 1, 1, 1)]
     assert partitions_of(0) == [()]
-    assert partitions_of(5, max_parts=2) == [(5,), (4, 1), (3, 2)]
-    assert partitions_of(5, max_part=2) == [(2, 2, 1), (2, 1, 1, 1), (1, 1, 1, 1, 1)]
 
 
 def test_partitions_in_box_frozen_order():

@@ -13,7 +13,6 @@ from compdet.laurent import (
     FIELD_BITS,
     LaurentPoly,
     pack_exponents,
-    pow_stored,
     sqrt_fraction,
     unit_key,
     unpack_key,
@@ -155,15 +154,23 @@ def test_eval_exact_including_half_powers():
     assert f.eval(point) == Fraction(9, 4) * 5 + 3
 
 
-def test_sqrt_and_pow_stored():
+def test_sqrt_and_eval_powers():
     assert sqrt_fraction(Fraction(49, 9)) == Fraction(7, 3)
     with pytest.raises(DomainError):
         sqrt_fraction(Fraction(2))
-    assert pow_stored(Fraction(4), 3) == 8
-    assert pow_stored(Fraction(4), -2) == Fraction(1, 4)
-    assert pow_stored(Fraction(0), 4) == 0
+    x = lambda e2: LaurentPoly.variable(1, 1, e2)
+    assert x(3).eval([Fraction(4)]) == 8
+    assert x(-2).eval([Fraction(4)]) == Fraction(1, 4)
+    assert x(4).eval([Fraction(0)]) == 0
+    assert x(1).eval([Fraction(0)]) == 0
     with pytest.raises(DomainError):
-        pow_stored(Fraction(0), -2)
+        x(-2).eval([Fraction(0)])
+    with pytest.raises(DomainError):
+        x(-1).eval([Fraction(0)])
+    with pytest.raises(DomainError):
+        x(1).eval([Fraction(2)])
+    with pytest.raises(DomainError):
+        x(1).eval([Fraction(-4)])
 
 
 coeffs = st.integers(min_value=-9, max_value=9)

@@ -1,9 +1,10 @@
 """Deterministic sampling layer."""
 
 from fractions import Fraction
-from math import isqrt
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from compdet.characters import verify_prop_detS, verify_theorem_schur
 from compdet.errors import ParameterError
@@ -14,7 +15,6 @@ from compdet.sampling import (
     qt_is_admissible,
     sample_point,
     sample_qt,
-    square_rational,
 )
 
 
@@ -43,19 +43,6 @@ def test_next_below():
         rng.next_below(0)
 
 
-def _issquare(k):
-    r = isqrt(k)
-    return r * r == k
-
-
-def test_square_rational_is_square():
-    rng = SplitMix64(2)
-    for _ in range(10):
-        x = square_rational(rng)
-        assert x > 0
-        assert _issquare(x.numerator) and _issquare(x.denominator)
-
-
 def test_point_admissibility_rules():
     assert point_is_admissible((Fraction(4), Fraction(9, 4)))
     assert not point_is_admissible((Fraction(1), Fraction(2)))
@@ -65,14 +52,24 @@ def test_point_admissibility_rules():
     assert not point_is_admissible((Fraction(2), Fraction(1, 2)))
 
 
+# small numerators and denominators, so repeats, 1 and reciprocal pairs
+# come up often
+positive_rationals = st.builds(Fraction, st.integers(1, 6), st.integers(1, 6))
+
+
+@given(st.lists(positive_rationals, max_size=5))
+def test_roots_are_admissible_exactly_when_their_squares_are(roots):
+    assert point_is_admissible(roots) == point_is_admissible([r * r for r in roots])
+
+
 def test_sample_point_properties():
     rng = SplitMix64(3)
-    values = sample_point(8, rng)
-    assert len(values) == 8
-    assert point_is_admissible(values)
-    assert all(_issquare(v.numerator) and _issquare(v.denominator) for v in values)
+    roots = sample_point(8, rng)
+    assert len(roots) == 8
+    assert all(isinstance(r, Fraction) and r > 0 for r in roots)
+    assert point_is_admissible([r * r for r in roots])
     again = sample_point(8, SplitMix64(3))
-    assert again == values
+    assert again == roots
 
 
 def test_qt_sampling():
