@@ -20,6 +20,7 @@ never raised.
 import time
 from collections import Counter
 from fractions import Fraction
+from graphlib import CycleError, TopologicalSorter
 from math import comb
 
 from .combin import (
@@ -131,25 +132,20 @@ def partner_map_for_variant(spec, k0=None):
 
 def _support_is_triangular(pattern):
     """True when the digraph i -> j over the nonzero off-diagonal cells of
-    a boolean matrix has no cycle, found by a topological sort (Kahn 1962).
+    a boolean matrix has no cycle, found by graphlib's topological sort
+    (Kahn 1962).
 
     Then some order of the indices makes the support triangular.  With a
     zero-free diagonal this holds exactly when the identity is the only
     permutation inside the support: a cycle plus fixed points would be a
     second one."""
-    size = len(pattern)
-    indegree = [sum(pattern[i][j] for i in range(size) if i != j) for j in range(size)]
-    ready = [j for j in range(size) if not indegree[j]]
-    removed = 0
-    while ready:
-        i = ready.pop()
-        removed += 1
-        for j in range(size):
-            if j != i and pattern[i][j]:
-                indegree[j] -= 1
-                if not indegree[j]:
-                    ready.append(j)
-    return removed == size
+    indices = range(len(pattern))
+    graph = {j: [i for i in indices if i != j and pattern[i][j]] for j in indices}
+    try:
+        TopologicalSorter(graph).prepare()
+    except CycleError:
+        return False
+    return True
 
 
 def check_symbolic_envelope(s, n):

@@ -11,8 +11,7 @@ floating point.  All public APIs that take or return exponent vectors speak
 stored half-units and say so.  The numeric characters use the same
 half-units: their points are carried as the square roots of the
 coordinates (compdet.sampling), so a stored exponent is an integer power of
-a root there, and only eval, given the coordinates themselves, takes square
-roots.
+a root there.
 
 Internally a monomial is packed into a single Python int: one 32-bit field
 per variable, biased by 2**16 so moderately negative exponents pack as
@@ -24,7 +23,7 @@ needs.  The term-merging inner loops live in compdet._backend.
 """
 
 from fractions import Fraction
-from math import isqrt
+from functools import cache
 
 from ._backend import add_terms, mul_terms, muladd_terms
 from .errors import DomainError, InexactDivisionError, UsageError
@@ -35,18 +34,11 @@ EXP_BIAS = 1 << 16
 # Fields per chunk when canonical() reads a key.
 CHUNK_FIELDS = 4
 
-_UNIT_CACHE: dict[int, int] = {}
 
-
+@cache
 def unit_key(num_vars):
     """Packed key of the constant monomial (all exponents zero)."""
-    u = _UNIT_CACHE.get(num_vars)
-    if u is None:
-        u = 0
-        for _ in range(num_vars):
-            u = (u << FIELD_BITS) | EXP_BIAS
-        _UNIT_CACHE[num_vars] = u
-    return u
+    return pack_exponents((0,) * num_vars)
 
 
 def pack_exponents(exps2):
@@ -66,17 +58,6 @@ def unpack_key(key, num_vars):
         out[i] = (key & FIELD_MASK) - EXP_BIAS
         key >>= FIELD_BITS
     return tuple(out)
-
-
-def sqrt_fraction(x):
-    """Exact square root of a non-negative perfect-square rational."""
-    x = Fraction(x)
-    if x < 0:
-        raise DomainError("square root of a negative rational")
-    rn, rd = isqrt(x.numerator), isqrt(x.denominator)
-    if rn * rn != x.numerator or rd * rd != x.denominator:
-        raise DomainError(f"{x} is not a perfect square")
-    return Fraction(rn, rd)
 
 
 def _coeff_div(a, b):
@@ -271,31 +252,6 @@ class LaurentPoly:
         return self.num_vars == other.num_vars and self._terms == other._terms
 
     __hash__ = None  # term dicts are conventionally mutable during builds
-
-    # -- evaluation ---------------------------------------------------------
-
-    def eval(self, point):
-        """Exact value at a rational point (sequence of length num_vars).
-
-        Odd stored exponents need the corresponding coordinate to be a
-        non-negative perfect square (the positive root is taken); negative
-        exponents need it nonzero.
-        """
-        point = [Fraction(v) for v in point]
-        if len(point) != self.num_vars:
-            raise UsageError("point length != num_vars")
-        total = Fraction(0)
-        for exps2, c in self.terms():
-            val = Fraction(c)
-            for x, e2 in zip(point, exps2):
-                if e2 < 0 and x == 0:
-                    raise DomainError("zero raised to a negative power")
-                if e2 % 2:
-                    val *= sqrt_fraction(x) ** e2
-                elif e2:
-                    val *= x ** (e2 // 2)
-            total += val
-        return total
 
     # -- exact division ------------------------------------------------------
 

@@ -11,7 +11,8 @@ the maximal minors and the character and macdonald grids alike:
 * rational entries go to det_fractions, elimination on primitive integer
   rows: each column is cleared of denominators by its lcm (det A^T = det A,
   so the columns are eliminated as rows), and after every step the gcd of
-  each new row is divided out into an exact rational row multiplier.
+  each new row is divided out into the row's multiplier, a Fraction in
+  lowest terms.
   Unlike integer Bareiss (Bareiss 1968), which carries the common factors
   of the factoring minors through every step, this keeps each row
   primitive (the classic contrast of Brown, JACM 1971, between primitive
@@ -254,7 +255,7 @@ def det_fractions(rows):
     """Determinant of a square nested list of rationals, as a Fraction.
 
     Elimination on primitive integer rows.  Each row is an integer row times
-    an exact rational multiplier, a reduced (num, den) pair of ints.  The
+    an exact rational multiplier, a Fraction.  The
     rows are the columns of the matrix, each cleared of denominators by its
     lcm; the transpose has the same determinant.  On the character grids a
     column is one value tuple and shares its denominators, and column J of
@@ -267,49 +268,34 @@ def det_fractions(rows):
     factor, they are up to ten times smaller.  The determinant is the signed
     product of the true pivots, multiplier times pivot."""
     _require_square(rows)
-    n = len(rows)
-    if n == 0:
-        return Fraction(1)
-    # each row of work is (multiplier numerator, denominator, integer row)
-    work = [(1, scale, ints) for scale, ints in map(_cleared, zip(*rows))]
-    # the determinant of the eliminated leading block, in lowest terms
-    num, den = 1, 1
+    # each row of work is (rational multiplier, primitive integer row)
+    work = [(Fraction(1, scale), ints) for scale, ints in map(_cleared, zip(*rows))]
+    value = Fraction(1)
     # each step eliminates the leading column of the shrinking working block
-    while len(work) > 1:
-        r = next((r for r, (_, _, row) in enumerate(work) if row[0]), None)
+    while work:
+        r = next((r for r, (_, row) in enumerate(work) if row[0]), None)
         if r is None:
             return Fraction(0)
         if r:
             work[0], work[r] = work[r], work[0]
-            num = -num
-        top_num, top_den, top = work.pop(0)
+            value = -value
+        top_mult, top = work.pop(0)
         pivot = top[0]
         rest = top[1:]
-        num *= top_num * pivot
-        den *= top_den
-        h = gcd(num, den)
-        num, den = num // h, den // h
-        # the last step leaves one 1-wide row, whose content is its entry
-        last = len(rest) == 1
-        for i, (mult_num, mult_den, row) in enumerate(work):
+        value *= top_mult * pivot
+        for i, (m, row) in enumerate(work):
             a = row[0]
             if not a:
-                work[i] = (mult_num, mult_den, row[1:])
+                work[i] = (m, row[1:])
                 continue
             new = [pivot * x - a * y for x, y in zip(row[1:], rest)]
-            g = 1
-            if not last:
-                g = gcd(*new)
-                if not g:
-                    return Fraction(0)
-                if g != 1:
-                    new = [v // g for v in new]
-            mult_num *= g
-            mult_den *= pivot
-            h = gcd(mult_num, mult_den)
-            work[i] = (mult_num // h, mult_den // h, new)
-    last_num, last_den, (entry,) = work[0]
-    return Fraction(num * last_num * entry, den * last_den)
+            g = gcd(*new)
+            if not g:
+                return Fraction(0)
+            if g != 1:
+                new = [v // g for v in new]
+            work[i] = (m * g / pivot, new)
+    return value
 
 
 def det(rows):

@@ -1,7 +1,8 @@
 """Independent reference implementations used only by the tests.
 
 Everything here is deliberately naive: permutation-sum determinants,
-tableau enumeration, hand-derived closed forms.  The point is that none
+term-by-term evaluation, tableau enumeration, hand-derived closed forms.
+The point is that none
 of it shares code paths with the package, so agreement is meaningful.
 The one exception is the symbolic character, a quotient of two polynomial
 alternants built with the package's char_matrix: it is the reference the
@@ -11,7 +12,7 @@ numeric character grids are checked against, and the tableau sums check it.
 from fractions import Fraction
 from functools import lru_cache
 from itertools import permutations
-from math import factorial, lcm
+from math import factorial, isqrt, lcm
 
 from compdet.characters import (
     EVEN_ORTH,
@@ -20,6 +21,7 @@ from compdet.characters import (
     family_shift,
     variable_power,
 )
+from compdet.errors import DomainError, UsageError
 from compdet.laurent import LaurentPoly
 from compdet.pmatrix import det
 
@@ -53,6 +55,42 @@ def leibniz_det(rows):
             term = term * rows[i][perm[i]]
         term = term * perm_sign(perm)
         total = term if total is None else total + term
+    return total
+
+
+def sqrt_fraction(x):
+    """Exact square root of a non-negative perfect-square rational."""
+    x = Fraction(x)
+    if x < 0:
+        raise DomainError("square root of a negative rational")
+    rn, rd = isqrt(x.numerator), isqrt(x.denominator)
+    if rn * rn != x.numerator or rd * rd != x.denominator:
+        raise DomainError(f"{x} is not a perfect square")
+    return Fraction(rn, rd)
+
+
+def evaluate(poly, point):
+    """Exact value of a Laurent polynomial at a rational point (a sequence
+    of num_vars coordinates).
+
+    Odd stored exponents need the corresponding coordinate to be a
+    non-negative perfect square (the positive root is taken); negative
+    exponents need it nonzero.
+    """
+    point = [Fraction(v) for v in point]
+    if len(point) != poly.num_vars:
+        raise UsageError("point length != num_vars")
+    total = Fraction(0)
+    for exps2, c in poly.terms():
+        val = Fraction(c)
+        for x, e2 in zip(point, exps2):
+            if e2 < 0 and x == 0:
+                raise DomainError("zero raised to a negative power")
+            if e2 % 2:
+                val *= sqrt_fraction(x) ** e2
+            elif e2:
+                val *= x ** (e2 // 2)
+        total += val
     return total
 
 

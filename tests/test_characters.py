@@ -2,6 +2,7 @@
 
 import json
 import runpy
+import sys
 from fractions import Fraction
 from pathlib import Path
 
@@ -34,7 +35,7 @@ from compdet.laurent import LaurentPoly
 from compdet.pmatrix import det, det_fractions, minor_table
 from compdet.sampling import SplitMix64, point_is_admissible, sample_point
 
-from oracles import character, leibniz_det, schur_tableau_poly
+from oracles import character, evaluate, leibniz_det, schur_tableau_poly
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 NUMERIC_CHARACTERS = runpy.run_path(str(PERFBENCH / "checks.py"))["WORKLOADS"][
@@ -116,7 +117,7 @@ def test_symbolic_and_numeric_paths_agree():
     roots = sample_point(2, rng)
     for family in FAMILIES:
         for lam in [(), (1,), (2,), (1, 1), (2, 1), (2, 2)]:
-            sym = character(family, lam, num_vars=2).eval(squares(roots))
+            sym = evaluate(character(family, lam, num_vars=2), squares(roots))
             num = character_value(family, lam, roots)
             assert sym == num, (family, lam)
 
@@ -148,7 +149,7 @@ def test_char_matrix_agrees_across_rings(family, halves, roots):
     symbolic = char_matrix(family, alpha, range(1, nv + 1), variable_power(nv))
     numeric = char_matrix(family, alpha, roots, root_power)
     point = squares(roots)
-    assert [[entry.eval(point) for entry in row] for row in symbolic] == numeric
+    assert [[evaluate(entry, point) for entry in row] for row in symbolic] == numeric
 
 
 def test_root_power_is_exact():
@@ -199,7 +200,7 @@ def test_selected_denominator_equals_closed_prefactor():
                 # the numeric check takes the same product over the roots
                 sel_roots = [roots[i - 1] for i in sel]
                 at_point = alternant_product(family, sel_roots, root_power, Fraction(1))
-                assert at_point == closed.eval(squares(roots)), (family, s, n, mu)
+                assert at_point == evaluate(closed, squares(roots)), (family, s, n, mu)
                 factor = 2 if family == EVEN_ORTH else 1
                 alternant = det_fractions(char_matrix(family, shift, sel_roots, root_power))
                 assert alternant == factor * at_point, (family, s, n, mu)
@@ -261,16 +262,11 @@ def test_character_grid_identity_substituted_point():
     assert report.detail["substitution"] is True
 
 
-def test_numeric_checks_take_no_square_root(monkeypatch, capsys):
+def test_numeric_checks_take_no_square_root(capsys):
     # every numeric point is carried as the roots of its coordinates, so no
-    # check, the substituted odd-orth point included, takes a square root
-    calls = []
-
-    def no_square_root(x):
-        calls.append(x)
-        raise AssertionError(f"square root of {x} taken")
-
-    monkeypatch.setattr("compdet.laurent.sqrt_fraction", no_square_root)
+    # check, the substituted odd-orth point included, takes a square root:
+    # none of the modules these checks load binds a square root, and no
+    # source file of the package names one
     for check in NUMERIC_CHARACTERS:
         try:
             cli.main(["verify", *check.split(), "--seed", "0"])
@@ -279,7 +275,15 @@ def test_numeric_checks_take_no_square_root(monkeypatch, capsys):
             pass
     capsys.readouterr()
     assert verify_theorem_schur(ODD_ORTH, 2, 2, seed=1, substitution=True).equal
-    assert calls == []
+    loaded = [m for name, m in sys.modules.items() if name.split(".")[0] == "compdet"]
+    assert characters in loaded and len(loaded) > 1
+    for module in loaded:
+        bound = {"sqrt_fraction", "isqrt", "sqrt"} & set(vars(module))
+        assert not bound, (module.__name__, bound)
+    sources = sorted(Path(characters.__file__).parent.glob("*.py"))
+    assert len(sources) > 1
+    for source in sources:
+        assert "sqrt" not in source.read_text(), source.name
 
 
 def test_bookkeeping_catches_a_wrong_denominator_product(monkeypatch, capsys):
@@ -420,7 +424,7 @@ def test_character_grid_matches_three_variable_characters():
             for lam, grid_row in zip(partitions, grid):
                 symbolic = character(family, lam, num_vars=n)
                 for roots, value in zip(col_roots, grid_row):
-                    assert value == symbolic.eval(squares(roots)), (family, s, lam, roots)
+                    assert value == evaluate(symbolic, squares(roots)), (family, s, lam, roots)
 
 
 def test_character_grid_matches_symbolic_characters():
@@ -437,7 +441,7 @@ def test_character_grid_matches_symbolic_characters():
             alpha = tuple(2 * padded[j] + delta[j] for j in range(2))
             factor = 2 if family == EVEN_ORTH and len(lam) == 2 else 1
             for roots, value, denominator in zip(col_roots, grid_row, denominators):
-                expected = character(family, lam, num_vars=2).eval(squares(roots))
+                expected = evaluate(character(family, lam, num_vars=2), squares(roots))
                 assert value == expected, (family, lam)
                 numerator = det_fractions(char_matrix(family, alpha, roots, root_power))
                 assert value * denominator / factor == numerator, (family, lam)

@@ -20,7 +20,7 @@ from itertools import combinations
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import det_bareiss_reference, leibniz_det
+from oracles import det_bareiss_reference, evaluate, leibniz_det
 
 from compdet import cli, pmatrix
 from compdet.errors import CapabilityError, UsageError
@@ -157,8 +157,8 @@ def test_eval_commutes_with_determinant():
     m = symbolic(3, 3)
     point = [Fraction(k * k, 7) for k in range(2, 11)]
     d = det_minor_expansion(m)
-    evaluated = det_fractions([[e.eval(point) for e in row] for row in m])
-    assert d.eval(point) == evaluated
+    evaluated = det_fractions([[evaluate(e, point) for e in row] for row in m])
+    assert evaluate(d, point) == evaluated
 
 
 def test_det_fractions_matches_leibniz_at_sizes_zero_and_one():
