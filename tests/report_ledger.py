@@ -11,7 +11,8 @@ The requests:
   - the argvs of test_cli.py's sweep, which reach every identity, mode,
     family and enumerate kind, and every usage error;
   - every benchmark check (perfbench/checks.py) at seeds 0-2, except
-    `denominators --n 6`, the one that takes seconds;
+    `denominators --n 6`, which takes about a second and whose report
+    does not depend on the seed: it is recorded at seed 0 only;
   - `--format text --repeats 2` on one check per identity.
 
 Usage, from the repository root:
@@ -39,7 +40,7 @@ from test_cli import _sweep_argvs  # noqa: E402
 
 LEDGER_PATH = HERE / "report_ledger.json"
 SEEDS = (0, 1, 2)
-SKIPPED_CHECKS = ("denominators --n 6",)
+ONE_SEED_CHECKS = ("denominators --n 6",)
 TEXT_CHECKS = (
     "main --s 3 --n 3 --mode numeric",
     "sylvester --s 3 --n 2",
@@ -57,9 +58,7 @@ def requests():
     argvs = list(_sweep_argvs())
     for checks in workloads.values():
         for check in checks:
-            if check in SKIPPED_CHECKS:
-                continue
-            for seed in SEEDS:
+            for seed in SEEDS[:1] if check in ONE_SEED_CHECKS else SEEDS:
                 argvs.append(["verify", *check.split(), "--seed", str(seed)])
     for check in TEXT_CHECKS:
         argvs.append(["verify", *check.split(), "--format", "text", "--repeats", "2"])
