@@ -193,6 +193,33 @@ def alternant_product(family, xs, power, one):
     return out
 
 
+def denominator_products(n):
+    """The closed products of the four denominator alternants in n
+    variables, by family, even-orth's doubled: the right-hand sides of
+    verify_denominators.
+
+    The gl product is the Vandermonde.  The folded pair factor
+    (v - u)(1 - uv)/(uv) is y_u - y_v at y = x + 1/x, so the pair product
+    is the Vandermonde with each power x_i^a replaced by y_i^a, and the sp
+    product, the pair product times x_i - 1/x_i for each i, replaces it by
+    (x_i - 1/x_i) y_i^a.  Odd-orth multiplies the pair product by its
+    single factors one two-term product at a time, which takes fewer term
+    products than a substitution."""
+    xs = range(1, n + 1)
+    power = variable_power(n)
+    gl = alternant_product(GL, xs, power, LaurentPoly.const(n, 1))
+    pairs = sp = gl
+    for x in xs:
+        y = power(x, 2) + power(x, -2)
+        single = _single_factor(SP, x, power)
+        pairs = pairs.substitute(x, lambda e2: y ** (e2 // 2))
+        sp = sp.substitute(x, lambda e2: single * y ** (e2 // 2))
+    odd = pairs
+    for x in xs:
+        odd = odd * _single_factor(ODD_ORTH, x, power)
+    return {GL: gl, SP: sp, ODD_ORTH: odd, EVEN_ORTH: pairs * 2}
+
+
 def verify_denominators(n):
     """Check the four closed product formulas for the alternant
     denominators in n variables, exactly."""
@@ -203,16 +230,7 @@ def verify_denominators(n):
     t0 = time.perf_counter()
     xs = range(1, n + 1)
     power = variable_power(n)
-    one = LaurentPoly.const(n, 1)
-    # sp, odd-orth and even-orth share the pair product; the single factors
-    # go into it one two-term product at a time
-    pairs = alternant_product(EVEN_ORTH, xs, power, one)
-    rhs_by_family = {GL: alternant_product(GL, xs, power, one), EVEN_ORTH: pairs * 2}
-    for family in (SP, ODD_ORTH):
-        rhs = pairs
-        for x in xs:
-            rhs = rhs * _single_factor(family, x, power)
-        rhs_by_family[family] = rhs
+    rhs_by_family = denominator_products(n)
     lhs = [det(char_matrix(f, family_shift(f, n), xs, power)) for f in FAMILIES]
     flags, lhs_hash, rhs_hash = compare_sides(lhs, [rhs_by_family[f] for f in FAMILIES])
     return VerifyReport(

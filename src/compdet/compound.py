@@ -20,8 +20,10 @@ never raised.
 import time
 from collections import Counter
 from fractions import Fraction
+from functools import reduce
 from graphlib import CycleError, TopologicalSorter
 from math import comb
+from operator import mul
 
 from .combin import (
     compositions,
@@ -183,10 +185,8 @@ def verify_main(s, n, mode="symbolic", seed=None):
     spec, seed = _spec_for_mode(s, n, mode, seed)
     M = build_M(spec)
     lhs = det(M)
-    rhs = spec.one
     rhs_sets = [iota(nu, n) for nu in compositions_positive(s, s + n - 1)]
-    for cols in rhs_sets:
-        rhs = rhs * _maximal_minor(spec.A, cols)
+    rhs = reduce(mul, (_maximal_minor(spec.A, cols) for cols in rhs_sets))
     (equal,), lhs_hash, rhs_hash = compare_sides([lhs], [rhs])
     return VerifyReport(
         identity="main",

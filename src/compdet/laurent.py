@@ -13,13 +13,17 @@ half-units: their points are carried as the square roots of the
 coordinates (compdet.sampling), so a stored exponent is an integer power of
 a root there.
 
-Internally a monomial is packed into a single Python int: one 32-bit field
-per variable, biased by 2**16 so moderately negative exponents pack as
-non-negative fields, with variable 1 in the most significant field.  Packing
-this way makes monomial multiplication a single integer addition and makes
-integer comparison of keys agree with lexicographic comparison of exponent
-vectors (x1 before x2 before ...), which is what leading-term extraction
-needs.  The term-merging inner loops live in compdet._backend.
+Internally a monomial is packed into a single Python int: one 16-bit field
+per variable, holding the stored exponent plus EXP_BIAS = 2**14, with
+variable 1 in the most significant field.  A stored exponent must lie in
+[EXP_MIN, EXP_MAX] = [-2**14, 2**14 - 1]; pack_exponents raises DomainError
+outside it.  So the top bit of every field, the guard bit, is clear in
+every key, and a product of two keys cannot carry out of a field: the term
+kernel (compdet._backend) raises DomainError when a product sets a guard
+bit, that is when a product's exponent leaves the range.  Packing this way
+makes monomial multiplication a single integer addition and makes integer
+comparison of keys agree with lexicographic comparison of exponent vectors
+(x1 before x2 before ...), which is what leading-term extraction needs.
 """
 
 from fractions import Fraction
@@ -28,9 +32,13 @@ from functools import cache
 from ._backend import add_terms, mul_terms, muladd_terms
 from .errors import DomainError, InexactDivisionError, UsageError
 
-FIELD_BITS = 32
+FIELD_BITS = 16
 FIELD_MASK = (1 << FIELD_BITS) - 1
-EXP_BIAS = 1 << 16
+EXP_BIAS = 1 << 14
+# The packable stored exponents; a field holds at most 2 * EXP_BIAS - 1, so
+# its top (guard) bit stays clear.
+EXP_MIN = -EXP_BIAS
+EXP_MAX = EXP_BIAS - 1
 # Fields per chunk when canonical() reads a key.
 CHUNK_FIELDS = 4
 
@@ -45,7 +53,7 @@ def pack_exponents(exps2):
     """Pack a sequence of stored half-unit exponents into a monomial key."""
     key = 0
     for e in exps2:
-        if not -EXP_BIAS <= e < (1 << FIELD_BITS) - EXP_BIAS:
+        if not EXP_MIN <= e <= EXP_MAX:
             raise DomainError(f"stored exponent {e} out of packable range")
         key = (key << FIELD_BITS) | (e + EXP_BIAS)
     return key
@@ -243,6 +251,28 @@ class LaurentPoly:
             if e:
                 base = base * base
         return result
+
+    def substitute(self, i, image):
+        """The polynomial with each power x_i^(e2/2) of the 1-based
+        variable i replaced by image(e2), a polynomial of the same ring
+        (which may hold x_i again).  The terms are grouped by their stored
+        exponent of x_i, that power is stripped from their keys, and each
+        group is multiplied by its image in one kernel call."""
+        n = self.num_vars
+        if not 1 <= i <= n:
+            raise UsageError(f"variable index {i} outside 1..{n}")
+        shift = (n - i) * FIELD_BITS
+        groups = {}
+        for k, c in self._terms.items():
+            e2 = ((k >> shift) & FIELD_MASK) - EXP_BIAS
+            groups.setdefault(e2, {})[k - (e2 << shift)] = c
+        unit = unit_key(n)
+        acc = {}
+        for e2, group in groups.items():
+            other = image(e2)
+            self._check_ring(other)
+            muladd_terms(acc, group, other._terms, unit, 1)
+        return LaurentPoly(n, acc)
 
     def __eq__(self, other):
         if isinstance(other, (int, Fraction)):

@@ -245,8 +245,10 @@ def det_minor_expansion(rows):
     """Division-free determinant of polynomial rows: the full-height entry
     of their minor_table.  Cost grows with 2^n but each step multiplies a
     minor by a single matrix entry, which is where sparse symbolic entries
-    win big over elimination."""
+    win big over elimination.  A 1x1 matrix gives its entry itself."""
     _require_square(rows)
+    if len(rows) == 1:
+        return rows[0][0]
     full = tuple(range(1, len(rows) + 1))
     return minor_table(rows, full)[full]
 

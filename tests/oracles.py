@@ -448,3 +448,20 @@ def canonical_reference(poly):
         else:
             out += " + " + text
     return out
+
+
+def substitute_reference(poly, i, image):
+    """poly with each power x_i^(e2/2) replaced by the polynomial image(e2),
+    summed term by term over unpacked exponent tuples (the reference for
+    LaurentPoly.substitute)."""
+    nv = poly.num_vars
+    out = {}
+    for exps2, c in poly.terms():
+        rest = exps2[: i - 1] + (0,) + exps2[i:]
+        for image_exps2, image_c in image(exps2[i - 1]).terms():
+            e = tuple(a + b for a, b in zip(rest, image_exps2))
+            out[e] = out.get(e, 0) + c * image_c
+    result = LaurentPoly.zero(nv)
+    for e, c in out.items():
+        result = result + LaurentPoly.monomial(nv, c, e)
+    return result

@@ -18,9 +18,11 @@ from compdet.characters import (
     ODD_ORTH,
     SP,
     _character_grid,
+    _pair_factor,
     alternant_product,
     char_matrix,
     character_value,
+    denominator_products,
     family_shift,
     rhs_pair_product,
     root_power,
@@ -181,6 +183,31 @@ def test_denominator_product_formulas():
         assert all(report.detail.values())
         assert report.mode == "symbolic"
         assert report.identity == "denominators"
+
+
+def test_folded_pair_factor_is_a_difference_at_x_plus_inverse():
+    # (v - u)(1 - uv)/(uv) = y_u - y_v at y = x + 1/x, which lets the
+    # denominators sides substitute y into the Vandermonde
+    power = variable_power(3)
+    one = LaurentPoly.const(3, 1)
+    y = {x: power(x, 2) + power(x, -2) for x in (1, 2, 3)}
+    for family in (SP, ODD_ORTH, EVEN_ORTH):
+        for u, v in [(1, 2), (1, 3), (2, 3), (3, 1)]:
+            assert _pair_factor(family, u, v, power, one) == y[u] - y[v], (family, u, v)
+
+
+def test_denominator_products_match_the_direct_products():
+    # the substituted sides against the pair-by-pair route of
+    # alternant_product, which schur-det's bookkeeping still takes
+    for n in range(1, 7):
+        power = variable_power(n)
+        one = LaurentPoly.const(n, 1)
+        sides = denominator_products(n)
+        assert set(sides) == set(FAMILIES)
+        for family in FAMILIES:
+            factor = 2 if family == EVEN_ORTH else 1
+            direct = alternant_product(family, range(1, n + 1), power, one)
+            assert sides[family] == direct * factor, (family, n)
 
 
 def test_selected_denominator_equals_closed_prefactor():

@@ -9,14 +9,14 @@ from hypothesis import strategies as st
 from compdet._backend import add_terms, mul_terms, muladd_terms
 from compdet.errors import DomainError, InexactDivisionError, UsageError
 from compdet.laurent import (
-    EXP_BIAS,
-    FIELD_BITS,
+    EXP_MAX,
+    EXP_MIN,
     LaurentPoly,
     pack_exponents,
     unit_key,
     unpack_key,
 )
-from oracles import canonical_reference, evaluate, sqrt_fraction
+from oracles import canonical_reference, evaluate, sqrt_fraction, substitute_reference
 
 
 def poly_of(num_vars, mapping):
@@ -82,7 +82,7 @@ render_exponents = st.one_of(
     st.just(0),
     st.sampled_from((2, -1, 1, -2)),
     st.integers(min_value=-9, max_value=9),
-    st.sampled_from((-EXP_BIAS, (1 << FIELD_BITS) - EXP_BIAS - 1)),
+    st.sampled_from((EXP_MIN, EXP_MAX)),
 )
 render_coeffs = st.one_of(
     st.sampled_from((1, -1)),
@@ -105,6 +105,42 @@ def render_polys(draw):
 @given(render_polys())
 def test_canonical_matches_reference_renderer(poly):
     assert poly.canonical() == canonical_reference(poly)
+
+
+def test_pack_exponents_accepts_exactly_the_named_range():
+    for e in (EXP_MIN, EXP_MIN + 1, -1, 0, 1, EXP_MAX - 1, EXP_MAX):
+        for exps2 in [(e,), (e, 0, 0), (0, 0, e), (e, -e - 1, e)]:
+            assert unpack_key(pack_exponents(exps2), len(exps2)) == exps2
+    for e in (EXP_MIN - 1, EXP_MAX + 1):
+        for exps2 in [(e,), (e, 0, 0), (0, 0, e)]:
+            with pytest.raises(DomainError):
+                pack_exponents(exps2)
+
+
+@pytest.mark.parametrize("i", [1, 2, 3])
+def test_products_past_either_end_raise(i):
+    # in the first variable's field, a middle one and the last, where an
+    # unchecked carry or borrow would land in the neighbouring variable
+    def x(e2):
+        return LaurentPoly.variable(3, i, e2)
+
+    assert x(EXP_MAX - 2) * x(2) == x(EXP_MAX)
+    assert x(EXP_MIN + 2) * x(-2) == x(EXP_MIN)
+    assert x(EXP_MAX) * x(EXP_MIN) == x(-1)
+    with pytest.raises(DomainError):
+        x(EXP_MAX) * x(2)
+    with pytest.raises(DomainError):
+        x(EXP_MIN) * x(-2)
+    with pytest.raises(DomainError):
+        x(EXP_MAX) * x(1)
+    with pytest.raises(DomainError):
+        x(EXP_MIN) * x(EXP_MIN)
+    # a product past the end inside a longer sum, beside in-range products
+    other = LaurentPoly.variable(3, 3 if i == 1 else 1)
+    with pytest.raises(DomainError):
+        (other + x(EXP_MAX)) * (other + x(2))
+    with pytest.raises(DomainError):
+        (x(EXP_MIN) + other) ** 2
 
 
 def test_constructors_and_queries():
@@ -316,3 +352,39 @@ def test_kernel_matches_naive_reference(acc, a, b, coeff):
     summed = dict(acc)
     add_terms(summed, a, coeff)
     assert summed == naive_muladd(acc, a, {UNIT2: 1}, coeff)
+
+
+def test_substitute_power_by_itself_is_identity():
+    f = mixed_sign_cubic() + LaurentPoly.variable(3, 2, -3)
+    for i in (1, 2, 3):
+        assert f.substitute(i, lambda e2: LaurentPoly.variable(3, i, e2)) == f
+    with pytest.raises(UsageError):
+        f.substitute(4, lambda e2: f)
+    with pytest.raises(UsageError):
+        f.substitute(1, lambda e2: LaurentPoly.variable(2, 1))
+
+
+half_exponents = st.integers(min_value=-5, max_value=5)
+
+
+@st.composite
+def substitutions(draw):
+    """A polynomial in 1 to 3 variables with half-unit exponents, a
+    variable index, and an image for every stored exponent: a drawn
+    polynomial per exponent, or a default one."""
+    nv = draw(st.integers(min_value=1, max_value=3))
+    small = st.dictionaries(
+        st.tuples(*[half_exponents] * nv), coeffs, max_size=4
+    ).map(lambda m: poly_of(nv, m))
+    poly = draw(small)
+    i = draw(st.integers(min_value=1, max_value=nv))
+    images = draw(st.dictionaries(half_exponents, small, max_size=4))
+    default = draw(small)
+    return poly, i, lambda e2: images.get(e2, default)
+
+
+@settings(deadline=None, max_examples=200)
+@given(substitutions())
+def test_substitute_matches_reference(case):
+    poly, i, image = case
+    assert poly.substitute(i, image) == substitute_reference(poly, i, image)
