@@ -4,7 +4,9 @@ A polynomial is a dict mapping a packed monomial key (a Python int, see
 compdet.laurent for the packing) to a nonzero coefficient (int or Fraction).
 Multiplying monomials is integer addition of keys minus the shared bias
 vector ``unit``, the key of the constant monomial.  These three functions
-are the only hot loops in the package.
+are the hot loops of polynomial arithmetic; the other hot loops of a
+symbolic check are in compdet.laurent: LaurentPoly.canonical, which renders
+every term, and the grouping of terms in LaurentPoly.substitute.
 
 Each key has one 16-bit field per variable, the stored exponent plus 2**14,
 so the top bit of every field is clear; ``unit << 1`` sets exactly those

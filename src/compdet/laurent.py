@@ -39,8 +39,6 @@ EXP_BIAS = 1 << 14
 # its top (guard) bit stays clear.
 EXP_MIN = -EXP_BIAS
 EXP_MAX = EXP_BIAS - 1
-# Fields per chunk when canonical() reads a key.
-CHUNK_FIELDS = 4
 
 
 @cache
@@ -85,36 +83,47 @@ def _as_coeff(c):
     raise UsageError(f"coefficient must be int or Fraction, got {type(c).__name__}")
 
 
-def _chunk_plan(num_vars):
-    """How canonical() splits a key: one entry per chunk of up to
-    CHUNK_FIELDS fields, variable 1's chunk first.  Each entry is (shift,
-    mask, value of the chunk with all exponents zero, index of the chunk's
-    first variable minus one, number of fields, empty text cache)."""
-    plan = []
-    for base in range(0, num_vars, CHUNK_FIELDS):
-        width = min(CHUNK_FIELDS, num_vars - base)
-        shift = (num_vars - base - width) * FIELD_BITS
-        mask = (1 << (width * FIELD_BITS)) - 1
-        plan.append((shift, mask, unit_key(width), base, width, {}))
-    return plan
+def _factor_text(i, e2):
+    """'*' and the factor of x_i at the nonzero stored exponent e2: x_i,
+    x_i^e or x_i^(e/2)."""
+    if e2 == 2:
+        return f"*x{i}"
+    if e2 % 2 == 0:
+        return f"*x{i}^{e2 // 2}"
+    return f"*x{i}^({e2}/2)"
 
 
-def _chunk_text(value, base, width):
-    """Factor text of one chunk value: x_i, x_i^e or x_i^(e/2) for each
-    nonzero stored exponent, joined by '*'."""
-    factors = []
-    for i in range(width):
-        e2 = ((value >> ((width - 1 - i) * FIELD_BITS)) & FIELD_MASK) - EXP_BIAS
-        if e2 == 0:
-            continue
-        name = f"x{base + i + 1}"
-        if e2 == 2:
-            factors.append(name)
-        elif e2 % 2 == 0:
-            factors.append(f"{name}^{e2 // 2}")
+def _halves(base, width):
+    """The factor memos of the two halves of the field span [base, base +
+    width), and the shift and mask that cut a span value into theirs."""
+    half = width // 2
+    shift = (width - half) * FIELD_BITS
+    return (_FactorMemo(base, half), _FactorMemo(base + half, width - half),
+            shift, (1 << shift) - 1)
+
+
+class _FactorMemo(dict):
+    """Maps the value of the field span [base, base + width) of a key to its
+    factor text: '' when every exponent there is zero, else '*' before each
+    nonzero factor.  A span of two or more fields fills a missing entry
+    from the memos of its two halves, so each distinct one-field value is
+    formatted once."""
+
+    __slots__ = ("var", "halves")
+
+    def __init__(self, base, width):
+        super().__init__({unit_key(width): ""})
+        self.var = base + 1
+        self.halves = _halves(base, width) if width > 1 else None
+
+    def __missing__(self, value):
+        if self.halves is None:
+            text = _factor_text(self.var, value - EXP_BIAS)
         else:
-            factors.append(f"{name}^({e2}/2)")
-    return "*".join(factors)
+            hi, lo, shift, mask = self.halves
+            text = hi[value >> shift] + lo[value & mask]
+        self[value] = text
+        return text
 
 
 class LaurentPoly:
@@ -348,36 +357,30 @@ class LaurentPoly:
         """Canonical text form: terms in descending lex order, exact coeffs.
 
         This string is the hashing and golden-file representation; its
-        format is frozen by tests.  Each key is read in chunks of
-        CHUNK_FIELDS variables, and the factor text of a chunk value is
-        rendered once per call.
+        format is frozen by tests.  Each key is cut into its two half-spans
+        of fields, and the factor text of a half value comes from a memo
+        built once per call (_FactorMemo), so a term costs two dict hits
+        and each distinct one-field value is formatted once.
         """
         terms = self._terms
         if not terms:
             return "0"
-        plan = _chunk_plan(self.num_vars)
+        hi, lo, shift, mask = _halves(0, self.num_vars)
         out = []
         for k in sorted(terms, reverse=True):
-            factors = []
-            for shift, mask, unit, base, width, cache in plan:
-                v = (k >> shift) & mask
-                if v != unit:
-                    text = cache.get(v)
-                    if text is None:
-                        text = cache[v] = _chunk_text(v, base, width)
-                    factors.append(text)
+            body = hi[k >> shift] + lo[k & mask]
             c = terms[k]
             if c < 0:
                 out.append(" - ")
                 c = -c
             else:
                 out.append(" + ")
-            if not factors:
+            if not body:
                 out.append(str(c))
             elif c == 1:
-                out.append("*".join(factors))
+                out.append(body[1:])
             else:
-                out.append(str(c) + "*" + "*".join(factors))
+                out.append(str(c) + body)
         out[0] = "-" if out[0] == " - " else ""
         return "".join(out)
 

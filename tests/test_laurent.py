@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from compdet import laurent
 from compdet._backend import add_terms, mul_terms, muladd_terms
 from compdet.errors import DomainError, InexactDivisionError, UsageError
 from compdet.laurent import (
@@ -16,6 +17,7 @@ from compdet.laurent import (
     unit_key,
     unpack_key,
 )
+from compdet.pmatrix import det, symbolic
 from oracles import canonical_reference, evaluate, sqrt_fraction, substitute_reference
 
 
@@ -93,10 +95,19 @@ render_coeffs = st.one_of(
 
 @st.composite
 def render_polys(draw):
-    """Polynomials in 0 to 9 variables, so chunks of 4 fields are crossed."""
-    nv = draw(st.integers(min_value=0, max_value=9))
-    exps = st.tuples(*[render_exponents] * nv)
-    mapping = draw(st.dictionaries(exps, render_coeffs, max_size=8))
+    """Polynomials in 0 to 70 variables whose terms have at most six nonzero
+    exponents, so the 64-variable ring of main (1,8) and key spans halved
+    six or seven times are reached, as well as small dense rings."""
+    nv = draw(st.integers(min_value=0, max_value=70))
+    supports = st.dictionaries(
+        st.integers(min_value=0, max_value=max(nv - 1, 0)),
+        render_exponents,
+        max_size=min(nv, 6),
+    )
+    mapping = {
+        tuple(support.get(i, 0) for i in range(nv)): c
+        for support, c in draw(st.lists(st.tuples(supports, render_coeffs), max_size=8))
+    }
     poly = poly_of(nv, mapping)
     return poly + draw(render_coeffs)
 
@@ -105,6 +116,23 @@ def render_polys(draw):
 @given(render_polys())
 def test_canonical_matches_reference_renderer(poly):
     assert poly.canonical() == canonical_reference(poly)
+
+
+def test_canonical_formats_each_factor_once_per_call(monkeypatch):
+    # det of the 8x8 symbolic matrix: 64 variables, 8! terms, and each x_i
+    # only at exponent 0 or 1, so one call has 64 distinct factors to format
+    poly = det(symbolic(8, 8))
+    assert poly.num_vars == 64 and len(poly._terms) == 40320
+    calls = []
+    factor_text = laurent._factor_text
+
+    def counted(i, e2):
+        calls.append((i, e2))
+        return factor_text(i, e2)
+
+    monkeypatch.setattr(laurent, "_factor_text", counted)
+    assert poly.canonical() == canonical_reference(poly)
+    assert len(calls) <= 64
 
 
 def test_pack_exponents_accepts_exactly_the_named_range():
