@@ -12,7 +12,8 @@ polynomial, is a test oracle (tests/oracles.py).  Both rings share one
 power-matrix builder, char_matrix, and one closed product form of the
 denominator alternant, alternant_product (a pair factor per variable pair
 times a single-variable factor); each takes a power function, root_power
-on rational roots or variable_power on variable indices.  Numerically, all
+on rational roots or variable_power on variable indices, and the product
+starts from the zeroth power, so no ring's one is passed.  Numerically, all
 the alternants at one tuple of roots are maximal minors of a single power
 matrix, one row per exponent they use, and one pmatrix.minor_table of it
 yields every numerator and the denominator; the grid determinants go to
@@ -169,24 +170,25 @@ def _single_factor(family, x, power):
     return power(x, e2) - power(x, -e2)
 
 
-def _pair_factor(family, u, v, power, one):
+def _pair_factor(family, u, v, power):
     """u - v for gl, (v - u)(1 - uv)/(uv) for the folded families."""
     if family == GL:
         return power(u, 2) - power(v, 2)
     uv = power(u, 2) * power(v, 2)
-    return (power(v, 2) - power(u, 2)) * (one - uv) * power(u, -2) * power(v, -2)
+    return (power(v, 2) - power(u, 2)) * (1 - uv) * power(u, -2) * power(v, -2)
 
 
-def alternant_product(family, xs, power, one):
+def alternant_product(family, xs, power):
     """Closed product form of the denominator alternant
     det char_matrix(family, family_shift(family, len(xs)), xs, power): the
     pair factor over every pair of xs in order, then for sp and odd-orth the
     single factor of each x.  The even-orth alternant is twice this product,
-    the pair product alone.  one is the one of power's ring."""
+    the pair product alone.  The product starts from power(xs[0], 0), the
+    one of power's ring."""
     _require_family(family)
-    out = one
+    out = power(xs[0], 0)
     for u, v in combinations(xs, 2):
-        out = out * _pair_factor(family, u, v, power, one)
+        out = out * _pair_factor(family, u, v, power)
     if family in (SP, ODD_ORTH):
         for x in xs:
             out = out * _single_factor(family, x, power)
@@ -207,7 +209,7 @@ def denominator_products(n):
     products than a substitution."""
     xs = range(1, n + 1)
     power = variable_power(n)
-    gl = alternant_product(GL, xs, power, LaurentPoly.const(n, 1))
+    gl = alternant_product(GL, xs, power)
     pairs = sp = gl
     for x in xs:
         y = power(x, 2) + power(x, -2)
@@ -259,7 +261,7 @@ def rhs_pair_product(family, s, n, point):
                         continue
                     u = point[(k - 1) * n + i - 1]
                     v = point[(l - 1) * n + j - 1]
-                    out *= _pair_factor(family, u, v, root_power, 1) ** e
+                    out *= _pair_factor(family, u, v, root_power) ** e
     return out
 
 
@@ -321,7 +323,7 @@ def verify_theorem_schur(family, s, n, seed, substitution=False):
 
     two = 2 if family == EVEN_ORTH else 1
     bookkeeping_ok = all(
-        den == two * alternant_product(family, roots, root_power, Fraction(1))
+        den == two * alternant_product(family, roots, root_power)
         for den, roots in zip(denominators, col_roots)
     )
 
@@ -375,7 +377,7 @@ def verify_prop_detS(kind, s, n, seed):
 
     # the pair product alone: even-orth's closed product has no single factors
     pair_family = GL if kind == GL else EVEN_ORTH
-    base = alternant_product(pair_family, point, root_power, Fraction(1))
+    base = alternant_product(pair_family, point, root_power)
     exponent = comb(s - 2, n - 1) if s >= 2 else 0
     rhs = base**exponent
 

@@ -25,22 +25,22 @@ from .errors import DomainError, UsageError
 
 def compositions(parts, weight, minimum=0):
     """All compositions of the given weight into `parts` slots, each part at
-    least `minimum`, in head-heavy order."""
+    least `minimum`, in head-heavy order.
+
+    Stars and bars: the weight left over the minima is a row of stars cut
+    by parts - 1 bars, and each part is the minimum plus the stars between
+    two bars.  Bar positions in descending lex order give the parts in
+    descending lex order, so the combinations are taken in reverse."""
     if parts < 1 or weight < 0:
         raise UsageError("need parts >= 1 and weight >= 0")
+    free = weight - minimum * parts
+    if free < 0:
+        return []
+    width = free + parts - 1
     out = []
-
-    def rec(prefix, remaining, slots):
-        if slots == 1:
-            if remaining >= minimum:
-                out.append(prefix + (remaining,))
-            return
-        lo = minimum
-        hi = remaining - minimum * (slots - 1)
-        for v in range(hi, lo - 1, -1):
-            rec(prefix + (v,), remaining - v, slots - 1)
-
-    rec((), weight, parts)
+    for bars in reversed(list(combinations(range(width), parts - 1))):
+        edges = (-1, *bars, width)
+        out.append(tuple(minimum + b - a - 1 for a, b in zip(edges, edges[1:])))
     return out
 
 

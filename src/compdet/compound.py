@@ -10,8 +10,10 @@ with fully symbolic entries or at exact random rational samples.
 
 A is a list of rows (see compdet.pmatrix): Laurent polynomial entries in
 symbolic mode, Fractions in numeric mode, so a numeric check runs on plain
-rationals from sampling to hash.  Every construction here works on both;
-the ring's one travels with A in the CompoundSpec.
+rationals from sampling to hash.  Every construction here works on both.
+Every minor of A comes from pmatrix.minor_table: the entries of M, the
+complementary minors, the maximal minors and sylvester's det A; det is
+left for the matrices of minors themselves.
 
 Everything returns a VerifyReport; mathematical disagreement is reported,
 never raised.
@@ -19,7 +21,6 @@ never raised.
 
 import time
 from collections import Counter
-from fractions import Fraction
 from functools import reduce
 from graphlib import CycleError, TopologicalSorter
 from math import comb
@@ -38,7 +39,7 @@ from .combin import (
 )
 from .errors import CapabilityError, UsageError
 from .laurent import LaurentPoly
-from .pmatrix import det, minor, minor_matrix, minor_table, products, symbolic
+from .pmatrix import det, minor_matrix, minor_table, products, symbolic
 from .report import VerifyReport, compare_sides
 from .sampling import SplitMix64, random_rational, sample_seed
 
@@ -49,12 +50,12 @@ SYMBOLIC_LINE_CAP = 8
 
 
 class CompoundSpec:
-    """Shape bundle: parameters (s, n), the rows of the (s+n-1) x sn matrix
-    A, and the one of the ring its entries lie in."""
+    """Shape bundle: parameters (s, n) and the rows of the (s+n-1) x sn
+    matrix A."""
 
-    __slots__ = ("s", "n", "A", "one", "row_sets", "col_comps", "col_sets")
+    __slots__ = ("s", "n", "A", "row_sets", "col_comps", "col_sets")
 
-    def __init__(self, s, n, A, one):
+    def __init__(self, s, n, A):
         if s < 1 or n < 1:
             raise UsageError("s and n must be positive")
         if len(A) != s + n - 1 or any(len(row) != s * n for row in A):
@@ -64,7 +65,6 @@ class CompoundSpec:
         self.s = s
         self.n = n
         self.A = A
-        self.one = one
         self.row_sets = subsets_lex(s + n - 1, n)
         self.col_comps = compositions(s, n)
         self.col_sets = [iota(mu, n) for mu in self.col_comps]
@@ -72,13 +72,12 @@ class CompoundSpec:
     @classmethod
     def symbolic(cls, s, n):
         """All entries independent variables, row-major."""
-        nv = (s + n - 1) * s * n
-        return cls(s, n, symbolic(s + n - 1, s * n), LaurentPoly.const(nv, 1))
+        return cls(s, n, symbolic(s + n - 1, s * n))
 
     @classmethod
     def sampled(cls, s, n, rng):
         """Entries drawn as random rationals u/v with 16-bit u, v."""
-        return cls(s, n, _random_matrix(s + n - 1, s * n, rng), Fraction(1))
+        return cls(s, n, _random_matrix(s + n - 1, s * n, rng))
 
 
 def _random_matrix(nrows, ncols, rng):
@@ -87,7 +86,8 @@ def _random_matrix(nrows, ncols, rng):
 
 
 def _maximal_minor(A, colset):
-    return det(minor(A, tuple(range(1, len(A) + 1)), colset))
+    """det A_colset over all the rows of A, read off its minor_table."""
+    return minor_table(A, colset)[tuple(range(1, len(A) + 1))]
 
 
 def vec_Vbar(spec, K):
@@ -98,7 +98,7 @@ def vec_Vbar(spec, K):
         raise UsageError(f"column set must have {spec.s - 1} elements")
     full = set(range(1, spec.s + spec.n))
     base = spec.n * (spec.n + 1) // 2
-    table = minor_table(spec.A, K) if K else {(): spec.one}
+    table = minor_table(spec.A, K)
     out = []
     for I in spec.row_sets:
         d = table[tuple(sorted(full - set(I)))]
@@ -222,7 +222,7 @@ def verify_sylvester(s, n, mode="symbolic", seed=None):
         A = _random_matrix(s, s, SplitMix64(seed))
     subsets = subsets_lex(s, n)
     lhs = det(minor_matrix(A, subsets, subsets))
-    rhs = det(A) ** comb(s - 1, n - 1)
+    rhs = _maximal_minor(A, tuple(range(1, s + 1))) ** comb(s - 1, n - 1)
     (equal,), lhs_hash, rhs_hash = compare_sides([lhs], [rhs])
     return VerifyReport(
         identity="sylvester",
@@ -261,7 +261,6 @@ def verify_gram(s, n, k0=None, mode="symbolic", seed=None):
     partner_map = partner_map_for_variant(spec, k0)
     T = gram_matrix(spec, partner_map)
     pattern = [[bool(cell) for cell in row] for row in T]
-    zero = spec.one * 0
     union_dets = {}
     expected = []
     # the diagonal up to its first zero sign or zero cell
@@ -279,7 +278,7 @@ def verify_gram(s, n, k0=None, mode="symbolic", seed=None):
                     union_dets[union] = _maximal_minor(spec.A, union)
                 expected.append(union_dets[union] * sign)
             else:
-                expected.append(zero)
+                expected.append(0)
             if i == j and diag_ok:
                 diag_ok = bool(sign) and pattern[i][i]
                 if diag_ok:
@@ -338,7 +337,7 @@ def verify_leading_term(s, n):
             exps[j - 1] = 2 * (s + n - i)
             row.append(LaurentPoly.monomial(nv, 1, exps))
         rows.append(row)
-    spec = CompoundSpec(s, n, rows, LaurentPoly.const(nv, 1))
+    spec = CompoundSpec(s, n, rows)
     M = build_M(spec)
     d = det(M)
     expected_exps = [0] * nv

@@ -2,11 +2,12 @@
 
 A matrix is a list of equal-length rows.  Its entries are either Laurent
 polynomials in one ring (symbolic mode) or rationals, ints and Fractions
-(numeric mode).  `det`, `dot`, `minor_table` and `products` pick their
+(numeric mode).  `det`, `minor_table` and `products` pick their
 arithmetic by the type of the first entry.
 
-`det` is the determinant every verifier calls, for the compound matrices,
-the maximal minors and the character and macdonald grids alike:
+`det` is the determinant every verifier calls on a matrix it builds: the
+matrices of minors (the compound matrix M and the n-th compound) and the
+character and macdonald grids:
 
 * rational entries go to det_fractions, elimination on primitive integer
   rows: each column is cleared of denominators by its lcm (det A^T = det A,
@@ -30,16 +31,19 @@ benchmark's span tracer (perfbench/spans.py) binds them.  Both eliminations
 pivot on the first row with a nonzero entry in the column.
 
 `minor_table` is the one Laplace expansion, for both rings: it forms
-every minor on a column set, each smaller minor once.  Polynomial rows
-accumulate each minor in one term dict.  Rational rows run on integers:
-each row is cleared by its lcm over the column set, and each minor is one
-Fraction, the integer value over the product of its rows' scales.
+every minor on a column set, each smaller minor once, and every minor of
+a verifier's matrix A comes from it, the maximal minors and det A
+included.  The empty column set gives the 0x0 minor, the ring's one.
+Polynomial rows accumulate each minor in one term dict.  Rational rows
+run on integers: each row is cleared by its lcm over the column set, and
+each minor is one Fraction, the integer value over the product of its
+rows' scales.
 `minor_matrix` is the one builder of a matrix of minors (the compound
 matrix M and the n-th compound of a square matrix): one minor_table per
 column set.
 `products` clears each rational column by its lcm once, so each inner
-product is one integer sum over two scales; polynomial columns take `dot`
-of each pair.
+product is one integer sum over two scales; a polynomial inner product
+accumulates in one term dict.
 
 Row/column index sets at the public surface are 1-based sorted tuples, the
 same convention the combinatorial maps use.
@@ -66,22 +70,6 @@ def symbolic(nrows, ncols):
     ]
 
 
-def _check_indices(rows, rowset, colset):
-    if not rowset or not colset:
-        raise UsageError("empty index set")
-    if list(rowset) != sorted(set(rowset)) or list(colset) != sorted(set(colset)):
-        raise UsageError("index sets must be strictly increasing")
-    if rowset[-1] > len(rows) or colset[-1] > len(rows[0]) or rowset[0] < 1 or colset[0] < 1:
-        raise UsageError("index out of range")
-
-
-def minor(rows, rowset, colset):
-    """Submatrix selected by 1-based sorted row and column index tuples."""
-    rowset, colset = tuple(rowset), tuple(colset)
-    _check_indices(rows, rowset, colset)
-    return [[rows[i - 1][j - 1] for j in colset] for i in rowset]
-
-
 def minor_table(rows, colset):
     """Every minor on one column set: {I: det rows^I_colset} over the
     1-based row sets I with len(colset) elements, keyed by sorted tuples.
@@ -91,10 +79,16 @@ def minor_table(rows, colset):
     minors of level k-1, so every smaller minor is computed once.  Rational
     rows are first cleared of denominators by their lcm over colset, the
     expansion runs on ints, and each minor is divided by the product of its
-    rows' scales.  Polynomial rows accumulate each minor in one term dict."""
+    rows' scales.  Polynomial rows accumulate each minor in one term dict.
+    The empty column set gives {(): one}, the 0x0 minor in the ring of
+    the rows.  colset must be strictly increasing, in range, and no longer
+    than the number of rows."""
     colset = tuple(colset)
     height = len(colset)
-    _check_indices(rows, tuple(range(1, height + 1)), colset)
+    if colset != tuple(sorted(set(colset))):
+        raise UsageError("index sets must be strictly increasing")
+    if height > len(rows) or colset and (colset[0] < 1 or colset[-1] > len(rows[0])):
+        raise UsageError("index out of range")
     poly = isinstance(rows[0][0], LaurentPoly)
     if poly:
         nv = rows[0][0].num_vars
@@ -139,26 +133,24 @@ def minor_matrix(rows, row_sets, col_sets):
     return [[table[I] for table in tables] for I in row_sets]
 
 
-def dot(xs, ys):
-    """Sum of the products of paired entries: one term accumulator for
-    polynomials, a Fraction sum for rationals."""
-    if xs and isinstance(xs[0], LaurentPoly):
-        nv = xs[0].num_vars
-        unit = unit_key(nv)
-        acc = {}
-        for a, b in zip(xs, ys):
-            if a._terms and b._terms:
-                muladd_terms(acc, a._terms, b._terms, unit, 1)
-        return LaurentPoly(nv, acc)
-    return sum((a * b for a, b in zip(xs, ys)), Fraction(0))
-
-
 def products(xcols, ycols):
-    """The matrix [[dot(x, y) for y in ycols] for x in xcols].  Rational
-    columns are cleared of denominators by their lcm once, so each cell is
-    one integer sum of products over the two columns' scales."""
+    """The matrix of inner products, sum(a * b for a, b in zip(x, y)) at
+    row x of xcols and column y of ycols.  Polynomial cells accumulate in
+    one term dict each.  Rational columns are cleared of denominators by
+    their lcm once, so each cell is one integer sum of products over the
+    two columns' scales."""
     if xcols and xcols[0] and isinstance(xcols[0][0], LaurentPoly):
-        return [[dot(x, y) for y in ycols] for x in xcols]
+        nv = xcols[0][0].num_vars
+        unit = unit_key(nv)
+
+        def cell(x, y):
+            acc = {}
+            for a, b in zip(x, y):
+                if a._terms and b._terms:
+                    muladd_terms(acc, a._terms, b._terms, unit, 1)
+            return LaurentPoly(nv, acc)
+
+        return [[cell(x, y) for y in ycols] for x in xcols]
     ys = [_cleared(y) for y in ycols]
     out = []
     for x in xcols:

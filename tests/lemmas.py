@@ -17,7 +17,7 @@ statements they encode against the package's own maps:
 from compdet.combin import _check_slot
 from compdet.compound import vec_Vbar
 from compdet.errors import DomainError, UsageError
-from compdet.pmatrix import dot, minor_table
+from compdet.pmatrix import minor_table, products
 
 
 def dominated_except(lam, mu, k):
@@ -71,4 +71,4 @@ def vec_V(spec, J):
 def laplace_pair(spec, J, K):
     """Inner product <V_J, Vbar_K>; by the Laplace expansion it equals
     epsilon(J, K) * det A_(J union K)."""
-    return dot(vec_V(spec, J), vec_Vbar(spec, K))
+    return products([vec_V(spec, J)], [vec_Vbar(spec, K)])[0][0]

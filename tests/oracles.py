@@ -58,6 +58,11 @@ def leibniz_det(rows):
     return total
 
 
+def submatrix(rows, rowset, colset):
+    """The entries of rows at 1-based row and column index sequences."""
+    return [[rows[i - 1][j - 1] for j in colset] for i in rowset]
+
+
 def sqrt_fraction(x):
     """Exact square root of a non-negative perfect-square rational."""
     x = Fraction(x)

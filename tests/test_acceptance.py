@@ -50,7 +50,6 @@ from compdet.pmatrix import (
     det_fraction_free,
     det_fractions,
     det_minor_expansion,
-    minor,
 )
 from compdet.sampling import SplitMix64
 
@@ -61,7 +60,14 @@ from lemmas import (
     partition_to_rowset,
     vec_V,
 )
-from oracles import character, inner_product_m, leibniz_det, p_to_m, schur_tableau_poly
+from oracles import (
+    character,
+    inner_product_m,
+    leibniz_det,
+    p_to_m,
+    schur_tableau_poly,
+    submatrix,
+)
 
 
 def _announce(num, name, ok):
@@ -291,7 +297,7 @@ def _laplace_exhaustive():
                     return False
             else:
                 union = tuple(sorted(set(J) | set(K)))
-                want = det(minor(spec.A, full, union))
+                want = det(submatrix(spec.A, full, union))
                 if got != (want if sign == 1 else want * -1):
                     return False
     return True

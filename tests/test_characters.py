@@ -189,11 +189,10 @@ def test_folded_pair_factor_is_a_difference_at_x_plus_inverse():
     # (v - u)(1 - uv)/(uv) = y_u - y_v at y = x + 1/x, which lets the
     # denominators sides substitute y into the Vandermonde
     power = variable_power(3)
-    one = LaurentPoly.const(3, 1)
     y = {x: power(x, 2) + power(x, -2) for x in (1, 2, 3)}
     for family in (SP, ODD_ORTH, EVEN_ORTH):
         for u, v in [(1, 2), (1, 3), (2, 3), (3, 1)]:
-            assert _pair_factor(family, u, v, power, one) == y[u] - y[v], (family, u, v)
+            assert _pair_factor(family, u, v, power) == y[u] - y[v], (family, u, v)
 
 
 def test_denominator_products_match_the_direct_products():
@@ -201,12 +200,11 @@ def test_denominator_products_match_the_direct_products():
     # alternant_product, which schur-det's bookkeeping still takes
     for n in range(1, 7):
         power = variable_power(n)
-        one = LaurentPoly.const(n, 1)
         sides = denominator_products(n)
         assert set(sides) == set(FAMILIES)
         for family in FAMILIES:
             factor = 2 if family == EVEN_ORTH else 1
-            direct = alternant_product(family, range(1, n + 1), power, one)
+            direct = alternant_product(family, range(1, n + 1), power)
             assert sides[family] == direct * factor, (family, n)
 
 
@@ -221,12 +219,10 @@ def test_selected_denominator_equals_closed_prefactor():
                 matrix = char_matrix(family, shift, sel, variable_power(nv))
                 value = det(matrix)
                 assert value == leibniz_det(matrix), (family, s, n, mu)
-                closed = alternant_product(
-                    family, sel, variable_power(nv), LaurentPoly.const(nv, 1)
-                )
+                closed = alternant_product(family, sel, variable_power(nv))
                 # the numeric check takes the same product over the roots
                 sel_roots = [roots[i - 1] for i in sel]
-                at_point = alternant_product(family, sel_roots, root_power, Fraction(1))
+                at_point = alternant_product(family, sel_roots, root_power)
                 assert at_point == evaluate(closed, squares(roots)), (family, s, n, mu)
                 factor = 2 if family == EVEN_ORTH else 1
                 alternant = det_fractions(char_matrix(family, shift, sel_roots, root_power))

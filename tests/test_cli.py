@@ -37,6 +37,16 @@ def test_enumerate_positive_compositions_golden(capsys):
     assert out.splitlines() == ["(2,1,1)", "(1,2,1)", "(1,1,2)"]
 
 
+def test_enumerate_many_parts_exits_zero(capsys):
+    # one composition per slot holding the single unit of weight
+    code, out, err = run_cli(capsys, ["enumerate", "Z", "1200", "1"])
+    assert code == 0 and err == ""
+    lines = out.splitlines()
+    assert len(lines) == 1200
+    assert lines[0] == "(" + ",".join(["1"] + ["0"] * 1199) + ")"
+    assert lines[-1] == "(" + ",".join(["0"] * 1199 + ["1"]) + ")"
+
+
 def test_enumerate_slot_map_golden(capsys):
     code, out, _ = run_cli(capsys, ["enumerate", "iota", "2", "2"])
     assert code == 0
@@ -328,6 +338,8 @@ def _sweep_argvs():
             for k in (None, 0, 1, 5):
                 argv = ["enumerate", kind, str(s), str(n)]
                 cases.append(argv + (["--k", str(k)] if k is not None else []))
+    # more parts than a recursion per part could reach
+    cases += [["enumerate", kind, "1200", "1"] for kind in ("Z", "Z0")]
     return cases
 
 

@@ -8,8 +8,8 @@ integer Bareiss elimination it replaced and against itself on the
 transpose, with rows, columns or both scaled, since it clears each column
 by its lcm and eliminates the transpose.  `det` must agree with
 det_fractions on rational rows and with det_minor_expansion on polynomial
-rows, `dot` with a plain sum of products, and no verifier may reach the
-test-only routines.
+rows, each cell of `products` with a plain sum of products, and no verifier
+may reach the test-only routines.
 """
 
 import json
@@ -20,7 +20,7 @@ from itertools import combinations
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import det_bareiss_reference, evaluate, leibniz_det
+from oracles import det_bareiss_reference, evaluate, leibniz_det, submatrix
 
 from compdet import cli, pmatrix
 from compdet.errors import CapabilityError, UsageError
@@ -31,8 +31,6 @@ from compdet.pmatrix import (
     det_fraction_free,
     det_fractions,
     det_minor_expansion,
-    dot,
-    minor,
     minor_table,
     products,
     symbolic,
@@ -99,50 +97,39 @@ def test_cofactor_bound_enforced():
         det_cofactor(m, bound=4)
 
 
+def plain_dot(xs, ys):
+    """The plain sum of products of paired entries, in either ring."""
+    return sum((a * b for a, b in zip(xs, ys)), Fraction(0))
+
+
 def test_dot_matches_a_plain_sum():
-    # polynomial entries: (AB)^T = B^T A^T, entry by entry
+    # each cell of products is the dot product of its row and column;
+    # polynomial entries: (AB)^T = B^T A^T, cell by cell
     a = symbolic(2, 3)
     b = [[LaurentPoly.variable(6, i + 3 * j + 1) for j in range(2)] for i in range(3)]
+    cols = [[row[j] for row in b] for j in range(2)]
+    cells = products(a, cols)
+    assert cells == [list(row) for row in zip(*products(cols, a))]
     for i in range(2):
         for j in range(2):
-            col = [row[j] for row in b]
-            value = dot(a[i], col)
-            assert value == dot(col, a[i])
             plain = LaurentPoly.zero(6)
-            for x, y in zip(a[i], col):
+            for x, y in zip(a[i], cols[j]):
                 plain = plain + x * y
-            assert value == plain
+            assert cells[i][j] == plain
     # terms that cancel across products leave no zero coefficient behind
     x1, x2 = LaurentPoly.variable(2, 1), LaurentPoly.variable(2, 2)
-    cancelled = dot([x1, x2], [x2, -x1])
+    [[cancelled]] = products([[x1, x2]], [[x2, -x1]])
     assert not cancelled and cancelled._terms == {}
     # an all-zero polynomial vector gives the zero of its ring
-    zeros = [LaurentPoly.zero(3)] * 4
-    value = dot(zeros, [LaurentPoly.variable(3, 1)] * 4)
+    [[value]] = products([[LaurentPoly.zero(3)] * 4], [[LaurentPoly.variable(3, 1)] * 4])
     assert not value and value.num_vars == 3
     # rational entries: a Fraction, the plain sum of products
     xs = [Fraction(1, 2), -3, Fraction(5, 7), 0]
     ys = [4, Fraction(-2, 9), Fraction(7, 5), Fraction(11, 3)]
-    value = dot(xs, ys)
+    [[value]] = products([xs], [ys])
     assert isinstance(value, Fraction)
     assert value == sum(x * y for x, y in zip(xs, ys)) == Fraction(11, 3)
-    assert dot([], []) == 0
-
-
-def test_minor_extraction_and_validation():
-    m = symbolic(3, 4)
-    sub = minor(m, (1, 3), (2, 4))
-    assert len(sub) == 2 and all(len(row) == 2 for row in sub)
-    assert sub[0][0] == m[0][1]
-    assert sub[1][1] == m[2][3]
-    with pytest.raises(UsageError):
-        minor(m, (3, 1), (2, 4))  # not increasing
-    with pytest.raises(UsageError):
-        minor(m, (1, 1), (2, 4))  # repeated
-    with pytest.raises(UsageError):
-        minor(m, (1, 4), (2, 4))  # row out of range
-    with pytest.raises(UsageError):
-        minor(m, (), (2, 4))
+    assert products([[]], [[]]) == [[0]]
 
 
 def test_rectangular_determinant_rejected():
@@ -429,7 +416,7 @@ def test_minor_table_matches_each_minor(case):
     for rowset in row_sets:
         value = table[rowset]
         assert isinstance(value, Fraction)
-        assert value == det(minor(rows, rowset, colset)), rowset
+        assert value == det(submatrix(rows, rowset, colset)), rowset
 
 
 def test_minor_table_on_polynomial_rows_and_bad_index_sets():
@@ -443,9 +430,14 @@ def test_minor_table_on_polynomial_rows_and_bad_index_sets():
             table = minor_table(m, colset)
             assert len(table) == len(list(combinations(range(4), len(colset))))
             for rowset, value in table.items():
-                assert value == leibniz_det(minor(m, rowset, colset)), (rowset, colset)
+                assert value == leibniz_det(submatrix(m, rowset, colset)), (rowset, colset)
+    # the empty column set: the 0x0 minor, the one of each ring
     m = symbolic(4, 3)
-    for colset in ((), (3, 1), (2, 2), (1, 4), (0, 1)):
+    empty = minor_table(m, ())
+    assert empty == {(): 1} and empty[()].num_vars == 12
+    empty = minor_table([[Fraction(1, 2), 3]], ())
+    assert empty == {(): 1} and isinstance(empty[()], Fraction)
+    for colset in ((3, 1), (2, 2), (1, 4), (0, 1)):
         with pytest.raises(UsageError):
             minor_table(m, colset)
     with pytest.raises(UsageError):
@@ -469,7 +461,7 @@ def column_lists(draw):
 def test_products_match_dot(case):
     xcols, ycols = case
     cells = products(xcols, ycols)
-    assert cells == [[dot(x, y) for y in ycols] for x in xcols]
+    assert cells == [[plain_dot(x, y) for y in ycols] for x in xcols]
     assert all(isinstance(value, Fraction) for row in cells for value in row)
 
 
@@ -478,5 +470,5 @@ def test_products_of_polynomial_and_int_columns():
     xcols = [list(col) for col in zip(*a)]
     zero = LaurentPoly.zero(6)
     ycols = [[LaurentPoly.variable(6, 1), zero, a[2][0] * a[0][1]], [zero] * 3]
-    assert products(xcols, ycols) == [[dot(x, y) for y in ycols] for x in xcols]
+    assert products(xcols, ycols) == [[plain_dot(x, y) for y in ycols] for x in xcols]
     assert products([[1, -2, 3]], [[4, 5, -6], [0, 0, 0]]) == [[-24, 0]]

@@ -3,6 +3,7 @@ differing side is rendered on its own, and every hash is the hash of the
 reference rendering of its own side."""
 
 import json
+from fractions import Fraction
 from math import comb
 
 import pytest
@@ -16,12 +17,16 @@ from oracles import canonical_reference
 
 @pytest.fixture
 def compared(monkeypatch):
-    """Every (left, right) pair of polynomials compared with ==, in order."""
+    """Every (left, right) pair compared with == on a polynomial, in order.
+    A number on the right is recorded as the constant of the left's ring,
+    as == takes it: gram predicts a vanishing cell as the int 0."""
     pairs = []
     original = LaurentPoly.__eq__
 
     def spy(self, other):
-        if isinstance(other, LaurentPoly):
+        if isinstance(other, (int, Fraction)):
+            pairs.append((self, LaurentPoly.const(self.num_vars, other)))
+        elif isinstance(other, LaurentPoly):
             pairs.append((self, other))
         return original(self, other)
 
