@@ -184,8 +184,10 @@ def alternant_product(family, xs, power):
     pair factor over every pair of xs in order, then for sp and odd-orth the
     single factor of each x.  The even-orth alternant is twice this product,
     the pair product alone.  The product starts from power(xs[0], 0), the
-    one of power's ring."""
+    one of power's ring, so xs must not be empty."""
     _require_family(family)
+    if not xs:
+        raise UsageError("need at least one x")
     out = power(xs[0], 0)
     for u, v in combinations(xs, 2):
         out = out * _pair_factor(family, u, v, power)

@@ -11,9 +11,10 @@ with fully symbolic entries or at exact random rational samples.
 A is a list of rows (see compdet.pmatrix): Laurent polynomial entries in
 symbolic mode, Fractions in numeric mode, so a numeric check runs on plain
 rationals from sampling to hash.  Every construction here works on both.
-Every minor of A comes from pmatrix.minor_table: the entries of M, the
-complementary minors, the maximal minors and sylvester's det A; det is
-left for the matrices of minors themselves.
+pmatrix.minor_table fills the entries of M and the complementary minors,
+which share their smaller minors.  det eliminates each maximal minor and
+sylvester's det A: a table of a full-height minor would hold every row
+subset of A.
 
 Everything returns a VerifyReport; mathematical disagreement is reported,
 never raised.
@@ -86,8 +87,8 @@ def _random_matrix(nrows, ncols, rng):
 
 
 def _maximal_minor(A, colset):
-    """det A_colset over all the rows of A, read off its minor_table."""
-    return minor_table(A, colset)[tuple(range(1, len(A) + 1))]
+    """det A_colset over all the rows of A, by elimination."""
+    return det([[row[j - 1] for j in colset] for row in A])
 
 
 def vec_Vbar(spec, K):
@@ -222,7 +223,7 @@ def verify_sylvester(s, n, mode="symbolic", seed=None):
         A = _random_matrix(s, s, SplitMix64(seed))
     subsets = subsets_lex(s, n)
     lhs = det(minor_matrix(A, subsets, subsets))
-    rhs = _maximal_minor(A, tuple(range(1, s + 1))) ** comb(s - 1, n - 1)
+    rhs = det(A) ** comb(s - 1, n - 1)
     (equal,), lhs_hash, rhs_hash = compare_sides([lhs], [rhs])
     return VerifyReport(
         identity="sylvester",

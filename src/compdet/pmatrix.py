@@ -5,9 +5,9 @@ polynomials in one ring (symbolic mode) or rationals, ints and Fractions
 (numeric mode).  `det`, `minor_table` and `products` pick their
 arithmetic by the type of the first entry.
 
-`det` is the determinant every verifier calls on a matrix it builds: the
-matrices of minors (the compound matrix M and the n-th compound) and the
-character and macdonald grids:
+`det` is the determinant every verifier calls, for the matrices of
+minors (the compound matrix M and the n-th compound), the maximal minors
+of a compound check's matrix A and the character and macdonald grids:
 
 * rational entries go to det_fractions, elimination on primitive integer
   rows: each column is cleared of denominators by its lcm (det A^T = det A,
@@ -31,9 +31,10 @@ benchmark's span tracer (perfbench/spans.py) binds them.  Both eliminations
 pivot on the first row with a nonzero entry in the column.
 
 `minor_table` is the one Laplace expansion, for both rings: it forms
-every minor on a column set, each smaller minor once, and every minor of
-a verifier's matrix A comes from it, the maximal minors and det A
-included.  The empty column set gives the 0x0 minor, the ring's one.
+every minor on a column set, each smaller minor once.  A table of height
+k holds every k-subset of the rows, so a verifier takes its full-height
+minors with det, which eliminates rational rows.  The empty column set
+gives the 0x0 minor, the ring's one.
 Polynomial rows accumulate each minor in one term dict.  Rational rows
 run on integers: each row is cleared by its lcm over the column set, and
 each minor is one Fraction, the integer value over the product of its

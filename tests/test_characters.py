@@ -208,6 +208,13 @@ def test_denominator_products_match_the_direct_products():
             assert sides[family] == direct * factor, (family, n)
 
 
+def test_alternant_product_rejects_no_variables():
+    # the product starts from the zeroth power of its first x
+    for power in (variable_power(1), root_power):
+        with pytest.raises(UsageError):
+            alternant_product(GL, (), power)
+
+
 def test_selected_denominator_equals_closed_prefactor():
     for s, n in [(2, 2), (3, 2), (2, 3)]:
         nv = s * n
