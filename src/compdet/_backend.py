@@ -3,10 +3,12 @@
 A polynomial is a dict mapping a packed monomial key (a Python int, see
 compdet.laurent for the packing) to a nonzero coefficient (int or Fraction).
 Multiplying monomials is integer addition of keys minus the shared bias
-vector ``unit``, the key of the constant monomial.  These three functions
-are the hot loops of polynomial arithmetic; the other hot loops of a
-symbolic check are in compdet.laurent: LaurentPoly.canonical, which renders
-every term, and the grouping of terms in LaurentPoly.substitute.
+vector ``unit``, the key of the constant monomial.  muladd_terms is the
+one term loop: LaurentPoly sums run through it with the constant monomial
+{unit: 1} as the second factor, and products into a fresh dict.  The
+other hot loops of a symbolic check are in compdet.laurent:
+LaurentPoly.canonical, which renders every term, and the grouping of terms
+in LaurentPoly.substitute.
 
 Each key has one 16-bit field per variable, the stored exponent plus 2**14,
 so the top bit of every field is clear; ``unit << 1`` sets exactly those
@@ -23,22 +25,6 @@ from .errors import DomainError
 
 # Public name for callers that record which kernel ran; this is the only one.
 BACKEND = "pure"
-
-
-def add_terms(acc, b, coeff):
-    """In place: acc += coeff * b.  Drops entries that cancel to zero."""
-    if not coeff:
-        return
-    for k, c in b.items():
-        v = acc.get(k)
-        if v is None:
-            acc[k] = coeff * c
-        else:
-            v = v + coeff * c
-            if v:
-                acc[k] = v
-            else:
-                del acc[k]
 
 
 def muladd_terms(acc, a, b, unit, coeff):
@@ -66,9 +52,3 @@ def muladd_terms(acc, a, b, unit, coeff):
                 else:
                     del acc[k]
 
-
-def mul_terms(a, b, unit):
-    """Product of two term dicts."""
-    acc = {}
-    muladd_terms(acc, a, b, unit, 1)
-    return acc

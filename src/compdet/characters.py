@@ -11,13 +11,13 @@ integer power r_i**e2, as a Fraction; the symbolic character, a Laurent
 polynomial, is a test oracle (tests/oracles.py).  Both rings share one
 power-matrix builder, char_matrix, and one closed product form of the
 denominator alternant, alternant_product (a pair factor per variable pair
-times a single-variable factor); each takes a power function, root_power
-on rational roots or variable_power on variable indices, and the product
-starts from the zeroth power, so no ring's one is passed.  Numerically, all
-the alternants at one tuple of roots are maximal minors of a single power
-matrix, one row per exponent they use, and one pmatrix.minor_table of it
-yields every numerator and the denominator; the grid determinants go to
-pmatrix.det.
+times a single-variable factor).  Each takes the roots themselves, Fractions
+or the Laurent roots x_i^(1/2) of symbolic_roots, and raises them with **;
+the product starts from the zeroth power, so no ring's one is passed.
+Numerically, all the alternants at one tuple of roots are maximal minors of
+a single power matrix, one row per exponent they use, and one
+pmatrix.minor_table of it yields every numerator and the denominator; the
+grid determinants go to pmatrix.det.
 
 The verification entry points check the four denominator product formulas,
 the determinant identity for the grid of characters evaluated at nested
@@ -26,7 +26,6 @@ variable subsets, and the smaller single-alphabet determinant identity.
 
 import time
 from fractions import Fraction
-from functools import partial
 from itertools import combinations
 from math import comb
 
@@ -72,13 +71,6 @@ def family_shift(family, n):
     return tuple(range(top, top - 2 * n, -2))
 
 
-def root_power(r, e2):
-    """The power of char_matrix and alternant_product over rationals:
-    (r, e2) -> r**e2 = x**(e2/2) for the square root r of a coordinate x,
-    exactly, as a Fraction (also for an int r and a negative e2)."""
-    return Fraction(r) ** e2
-
-
 def _padded_partition(lam, n):
     lam = tuple(int(v) for v in lam)
     if len(lam) > n:
@@ -90,30 +82,28 @@ def _padded_partition(lam, n):
     return lam + (0,) * (n - len(lam))
 
 
-def variable_power(num_vars):
-    """The power of char_matrix and alternant_product over num_vars-variable
-    Laurent polynomials: (i, e2) -> x_i^(e2/2) for a variable index i."""
-    return partial(LaurentPoly.variable, num_vars)
+def symbolic_roots(num_vars):
+    """The roots x_i^(1/2), i = 1..num_vars, as num_vars-variable Laurent
+    polynomials."""
+    return tuple(LaurentPoly.variable(num_vars, i, 1) for i in range(1, num_vars + 1))
 
 
-def char_matrix(family, alpha2, xs, power):
+def char_matrix(family, alpha2, roots):
     """Power matrix of the family at the half-unit exponents alpha2, one row
-    per x in xs and one column per exponent a2.  Entries are x**(a2/2),
-    x**(a2/2) - x**(-a2/2) or x**(a2/2) + x**(-a2/2) depending on the family
-    fold, with power(x, e2) raising x to the half-unit exponent e2:
-    root_power over rational roots, variable_power(num_vars) over variable
-    indices."""
+    per root r and one column per exponent a2.  Entries are r**a2,
+    r**a2 - r**-a2 or r**a2 + r**-a2 depending on the family fold, for
+    Fraction roots or the Laurent roots of symbolic_roots."""
     _require_family(family)
     fold = _FOLD[family]
     rows = []
-    for x in xs:
+    for r in roots:
         row = []
         for a2 in alpha2:
-            entry = power(x, a2)
+            entry = r**a2
             if fold == "minus":
-                entry = entry - power(x, -a2)
+                entry = entry - r**-a2
             elif fold == "plus":
-                entry = entry + power(x, -a2)
+                entry = entry + r**-a2
             row.append(entry)
         rows.append(row)
     return rows
@@ -121,8 +111,8 @@ def char_matrix(family, alpha2, xs, power):
 
 def character_value(family, lam, roots):
     """Character evaluated at the point whose coordinates are the squares
-    of the rationals roots, as a Fraction."""
-    return _character_grid(family, [lam], [tuple(roots)])[0][0][0]
+    of the rationals roots (ints or Fractions), as a Fraction."""
+    return _character_grid(family, [lam], [tuple(map(Fraction, roots))])[0][0][0]
 
 
 def _character_grid(family, partitions, col_roots):
@@ -149,7 +139,7 @@ def _character_grid(family, partitions, col_roots):
     tables = []
     denominators = []
     for roots in col_roots:
-        power_rows = list(zip(*char_matrix(family, exponents, roots, root_power)))
+        power_rows = list(zip(*char_matrix(family, exponents, roots)))
         table = minor_table(power_rows, range(1, n + 1))
         denominator = table[tuple(row_of[a] for a in delta)]
         if denominator == 0:
@@ -164,36 +154,37 @@ def _character_grid(family, partitions, col_roots):
     return grid, denominators
 
 
-def _single_factor(family, x, power):
-    """x^(1/2) - x^(-1/2) for odd-orth, x - 1/x for sp."""
+def _single_factor(family, r):
+    """x^(1/2) - x^(-1/2) for odd-orth, x - 1/x for sp, at the root r of x."""
     e2 = 1 if family == ODD_ORTH else 2
-    return power(x, e2) - power(x, -e2)
+    return r**e2 - r**-e2
 
 
-def _pair_factor(family, u, v, power):
-    """u - v for gl, (v - u)(1 - uv)/(uv) for the folded families."""
+def _pair_factor(family, u, v):
+    """x - y for gl, (y - x)(1 - xy)/(xy) for the folded families, at the
+    roots u of x and v of y."""
     if family == GL:
-        return power(u, 2) - power(v, 2)
-    uv = power(u, 2) * power(v, 2)
-    return (power(v, 2) - power(u, 2)) * (1 - uv) * power(u, -2) * power(v, -2)
+        return u**2 - v**2
+    uv = u**2 * v**2
+    return (v**2 - u**2) * (1 - uv) * u**-2 * v**-2
 
 
-def alternant_product(family, xs, power):
+def alternant_product(family, roots):
     """Closed product form of the denominator alternant
-    det char_matrix(family, family_shift(family, len(xs)), xs, power): the
-    pair factor over every pair of xs in order, then for sp and odd-orth the
-    single factor of each x.  The even-orth alternant is twice this product,
-    the pair product alone.  The product starts from power(xs[0], 0), the
-    one of power's ring, so xs must not be empty."""
+    det char_matrix(family, family_shift(family, len(roots)), roots): the
+    pair factor over every pair of roots in order, then for sp and odd-orth
+    the single factor of each root.  The even-orth alternant is twice this
+    product, the pair product alone.  The product starts from roots[0]**0,
+    the one of the roots' ring, so roots must not be empty."""
     _require_family(family)
-    if not xs:
-        raise UsageError("need at least one x")
-    out = power(xs[0], 0)
-    for u, v in combinations(xs, 2):
-        out = out * _pair_factor(family, u, v, power)
+    if not roots:
+        raise UsageError("need at least one root")
+    out = roots[0] ** 0
+    for u, v in combinations(roots, 2):
+        out = out * _pair_factor(family, u, v)
     if family in (SP, ODD_ORTH):
-        for x in xs:
-            out = out * _single_factor(family, x, power)
+        for r in roots:
+            out = out * _single_factor(family, r)
     return out
 
 
@@ -209,18 +200,17 @@ def denominator_products(n):
     (x_i - 1/x_i) y_i^a.  Odd-orth multiplies the pair product by its
     single factors one two-term product at a time, which takes fewer term
     products than a substitution."""
-    xs = range(1, n + 1)
-    power = variable_power(n)
-    gl = alternant_product(GL, xs, power)
+    roots = symbolic_roots(n)
+    gl = alternant_product(GL, roots)
     pairs = sp = gl
-    for x in xs:
-        y = power(x, 2) + power(x, -2)
-        single = _single_factor(SP, x, power)
-        pairs = pairs.substitute(x, lambda e2: y ** (e2 // 2))
-        sp = sp.substitute(x, lambda e2: single * y ** (e2 // 2))
+    for i, r in enumerate(roots, 1):
+        y = r**2 + r**-2
+        single = _single_factor(SP, r)
+        pairs = pairs.substitute(i, lambda e2: y ** (e2 // 2))
+        sp = sp.substitute(i, lambda e2: single * y ** (e2 // 2))
     odd = pairs
-    for x in xs:
-        odd = odd * _single_factor(ODD_ORTH, x, power)
+    for r in roots:
+        odd = odd * _single_factor(ODD_ORTH, r)
     return {GL: gl, SP: sp, ODD_ORTH: odd, EVEN_ORTH: pairs * 2}
 
 
@@ -232,10 +222,9 @@ def verify_denominators(n):
     if n < 1:
         raise UsageError("need at least one variable")
     t0 = time.perf_counter()
-    xs = range(1, n + 1)
-    power = variable_power(n)
+    roots = symbolic_roots(n)
     rhs_by_family = denominator_products(n)
-    lhs = [det(char_matrix(f, family_shift(f, n), xs, power)) for f in FAMILIES]
+    lhs = [det(char_matrix(f, family_shift(f, n), roots)) for f in FAMILIES]
     flags, lhs_hash, rhs_hash = compare_sides(lhs, [rhs_by_family[f] for f in FAMILIES])
     return VerifyReport(
         identity="denominators",
@@ -263,7 +252,7 @@ def rhs_pair_product(family, s, n, point):
                         continue
                     u = point[(k - 1) * n + i - 1]
                     v = point[(l - 1) * n + j - 1]
-                    out *= _pair_factor(family, u, v, root_power) ** e
+                    out *= _pair_factor(family, u, v) ** e
     return out
 
 
@@ -325,7 +314,7 @@ def verify_theorem_schur(family, s, n, seed, substitution=False):
 
     two = 2 if family == EVEN_ORTH else 1
     bookkeeping_ok = all(
-        den == two * alternant_product(family, roots, root_power)
+        den == two * alternant_product(family, roots)
         for den, roots in zip(denominators, col_roots)
     )
 
@@ -379,7 +368,7 @@ def verify_prop_detS(kind, s, n, seed):
 
     # the pair product alone: even-orth's closed product has no single factors
     pair_family = GL if kind == GL else EVEN_ORTH
-    base = alternant_product(pair_family, point, root_power)
+    base = alternant_product(pair_family, point)
     exponent = comb(s - 2, n - 1) if s >= 2 else 0
     rhs = base**exponent
 

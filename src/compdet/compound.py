@@ -330,14 +330,10 @@ def verify_leading_term(s, n):
     t0 = time.perf_counter()
     check_symbolic_envelope(s, n)
     nv = s * n
-    rows = []
-    for i in range(1, s + n):
-        row = []
-        for j in range(1, nv + 1):
-            exps = [0] * nv
-            exps[j - 1] = 2 * (s + n - i)
-            row.append(LaurentPoly.monomial(nv, 1, exps))
-        rows.append(row)
+    rows = [
+        [LaurentPoly.variable(nv, j, 2 * (s + n - i)) for j in range(1, nv + 1)]
+        for i in range(1, s + n)
+    ]
     spec = CompoundSpec(s, n, rows)
     M = build_M(spec)
     d = det(M)

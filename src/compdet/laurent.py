@@ -8,10 +8,12 @@ Exponents are stored in half-units: the stored integer is twice the
 mathematical exponent, so x^(1/2) has stored exponent 1 and x^3 has stored
 exponent 6.  This keeps square-root powers exact without ever touching
 floating point.  All public APIs that take or return exponent vectors speak
-stored half-units and say so.  The numeric characters use the same
-half-units: their points are carried as the square roots of the
-coordinates (compdet.sampling), so a stored exponent is an integer power of
-a root there.
+stored half-units and say so.  A monomial, the only kind of unit, has a
+power at every int exponent, so the root x_i^(1/2) raised to e2 is
+x_i^(e2/2).  The characters use the same half-units in both rings: a
+numeric point is carried as the square roots of its coordinates
+(compdet.sampling), so a stored exponent is an integer power of a root
+there too.
 
 Internally a monomial is packed into a single Python int: one 16-bit field
 per variable, holding the stored exponent plus EXP_BIAS = 2**14, with
@@ -29,7 +31,7 @@ comparison of keys agree with lexicographic comparison of exponent vectors
 from fractions import Fraction
 from functools import cache
 
-from ._backend import add_terms, mul_terms, muladd_terms
+from ._backend import muladd_terms
 from .errors import DomainError, InexactDivisionError, UsageError
 
 FIELD_BITS = 16
@@ -147,7 +149,7 @@ class LaurentPoly:
 
     @classmethod
     def const(cls, num_vars, c):
-        c = _as_coeff(Fraction(c) if not isinstance(c, (int, Fraction)) else c)
+        c = _as_coeff(c)
         if not c:
             return cls(num_vars)
         return cls(num_vars, {unit_key(num_vars): c})
@@ -202,27 +204,26 @@ class LaurentPoly:
                 f"mixed rings: {self.num_vars} vs {other.num_vars} variables"
             )
 
-    def __add__(self, other):
+    def _plus(self, other, sign):
+        """self + sign * other, through the term kernel with the constant
+        monomial as the second factor."""
         if isinstance(other, (int, Fraction)):
             other = LaurentPoly.const(self.num_vars, other)
         if not isinstance(other, LaurentPoly):
             return NotImplemented
         self._check_ring(other)
+        unit = unit_key(self.num_vars)
         acc = dict(self._terms)
-        add_terms(acc, other._terms, 1)
+        muladd_terms(acc, other._terms, {unit: 1}, unit, sign)
         return LaurentPoly(self.num_vars, acc)
+
+    def __add__(self, other):
+        return self._plus(other, 1)
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = LaurentPoly.const(self.num_vars, other)
-        if not isinstance(other, LaurentPoly):
-            return NotImplemented
-        self._check_ring(other)
-        acc = dict(self._terms)
-        add_terms(acc, other._terms, -1)
-        return LaurentPoly(self.num_vars, acc)
+        return self._plus(other, -1)
 
     def __rsub__(self, other):
         return (-self) + other
@@ -241,17 +242,26 @@ class LaurentPoly:
         if not isinstance(other, LaurentPoly):
             return NotImplemented
         self._check_ring(other)
-        return LaurentPoly(
-            self.num_vars,
-            mul_terms(self._terms, other._terms, unit_key(self.num_vars)),
-        )
+        acc = {}
+        muladd_terms(acc, self._terms, other._terms, unit_key(self.num_vars), 1)
+        return LaurentPoly(self.num_vars, acc)
 
     __rmul__ = __mul__
 
     def __pow__(self, e):
-        if not isinstance(e, int) or e < 0:
-            raise UsageError("polynomial powers must be non-negative integers")
-        result = LaurentPoly.const(self.num_vars, 1)
+        """self**e for an int e.  A monomial, the only kind of unit, takes
+        any int exponent: its exponent vector is scaled by e, so the range
+        check of pack_exponents applies.  Any other polynomial takes only a
+        non-negative one, by repeated squaring."""
+        if not isinstance(e, int):
+            raise UsageError("polynomial powers must be integers")
+        n = self.num_vars
+        if len(self._terms) == 1:
+            ((k, c),) = self._terms.items()
+            return LaurentPoly.monomial(n, Fraction(c) ** e, [e2 * e for e2 in unpack_key(k, n)])
+        if e < 0:
+            raise DomainError("only a monomial has a negative power")
+        result = LaurentPoly.const(n, 1)
         base = self
         while e:
             if e & 1:

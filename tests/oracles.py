@@ -19,7 +19,7 @@ from compdet.characters import (
     _padded_partition,
     char_matrix,
     family_shift,
-    variable_power,
+    symbolic_roots,
 )
 from compdet.errors import DomainError, UsageError
 from compdet.laurent import LaurentPoly
@@ -197,13 +197,12 @@ def character(family, lam, num_vars):
     x_1..x_num_vars, as a Laurent polynomial: the exact quotient of the
     numerator alternant at lam + delta by the denominator alternant at
     delta (times 2 for even-orth when the last part of lam is nonzero)."""
-    xs = range(1, num_vars + 1)
+    roots = symbolic_roots(num_vars)
     lam = _padded_partition(lam, num_vars)
     delta = family_shift(family, num_vars)
     alpha = tuple(2 * part + shift for part, shift in zip(lam, delta))
-    power = variable_power(num_vars)
-    numerator = det(char_matrix(family, alpha, xs, power))
-    denominator = det(char_matrix(family, delta, xs, power))
+    numerator = det(char_matrix(family, alpha, roots))
+    denominator = det(char_matrix(family, delta, roots))
     if family == EVEN_ORTH and lam[-1] != 0:
         numerator = numerator * 2
     return numerator.exquo(denominator)

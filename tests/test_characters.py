@@ -25,10 +25,9 @@ from compdet.characters import (
     denominator_products,
     family_shift,
     rhs_pair_product,
-    root_power,
+    symbolic_roots,
     verify_denominators,
     verify_prop_detS,
-    variable_power,
     verify_theorem_schur,
 )
 from compdet.combin import compositions, iota, partitions_in_box, partitions_of
@@ -148,26 +147,27 @@ def test_char_matrix_agrees_across_rings(family, halves, roots):
     # evaluated at the squares
     alpha = [0] + halves
     nv = len(roots)
-    symbolic = char_matrix(family, alpha, range(1, nv + 1), variable_power(nv))
-    numeric = char_matrix(family, alpha, roots, root_power)
+    symbolic = char_matrix(family, alpha, symbolic_roots(nv))
+    numeric = char_matrix(family, alpha, roots)
     point = squares(roots)
     assert [[evaluate(entry, point) for entry in row] for row in symbolic] == numeric
 
 
-def test_root_power_is_exact():
-    assert root_power(Fraction(2, 3), 3) == Fraction(8, 27)
-    assert root_power(Fraction(2, 3), -1) == Fraction(3, 2)
-    assert root_power(Fraction(5), 0) == 1
-    # an int root with a negative exponent gives a Fraction, not a float
-    value = root_power(2, -3)
-    assert type(value) is Fraction and value == Fraction(1, 8)
-    assert type(root_power(3, 2)) is Fraction
+def test_character_value_is_exact_at_int_roots():
+    # int roots raised to negative exponents would give floats; they are
+    # taken as Fractions
+    for family in FAMILIES:
+        for lam in [(), (1,), (2, 1), (3, 1, 1)]:
+            at_ints = character_value(family, lam, (2, 3, 5))
+            at_fractions = character_value(family, lam, tuple(map(Fraction, (2, 3, 5))))
+            assert type(at_ints) is Fraction and at_ints == at_fractions, (family, lam)
 
 
 def test_char_matrix_at_exponent_zero():
     for family, entry in ((GL, 1), (SP, 0), (ODD_ORTH, 0), (EVEN_ORTH, 2)):
-        assert char_matrix(family, [0], [Fraction(2, 3)], root_power) == [[entry]]
-        assert char_matrix(family, [0], [2], variable_power(3)) == [[LaurentPoly.const(3, entry)]]
+        assert char_matrix(family, [0], [Fraction(2, 3)]) == [[entry]]
+        root = symbolic_roots(3)[1]
+        assert char_matrix(family, [0], [root]) == [[LaurentPoly.const(3, entry)]]
 
 
 def test_character_value_rejects_degenerate_point():
@@ -188,31 +188,29 @@ def test_denominator_product_formulas():
 def test_folded_pair_factor_is_a_difference_at_x_plus_inverse():
     # (v - u)(1 - uv)/(uv) = y_u - y_v at y = x + 1/x, which lets the
     # denominators sides substitute y into the Vandermonde
-    power = variable_power(3)
-    y = {x: power(x, 2) + power(x, -2) for x in (1, 2, 3)}
+    roots = symbolic_roots(3)
+    y = [r**2 + r**-2 for r in roots]
     for family in (SP, ODD_ORTH, EVEN_ORTH):
-        for u, v in [(1, 2), (1, 3), (2, 3), (3, 1)]:
-            assert _pair_factor(family, u, v, power) == y[u] - y[v], (family, u, v)
+        for u, v in [(0, 1), (0, 2), (1, 2), (2, 0)]:
+            assert _pair_factor(family, roots[u], roots[v]) == y[u] - y[v], (family, u, v)
 
 
 def test_denominator_products_match_the_direct_products():
     # the substituted sides against the pair-by-pair route of
     # alternant_product, which schur-det's bookkeeping still takes
     for n in range(1, 7):
-        power = variable_power(n)
         sides = denominator_products(n)
         assert set(sides) == set(FAMILIES)
         for family in FAMILIES:
             factor = 2 if family == EVEN_ORTH else 1
-            direct = alternant_product(family, range(1, n + 1), power)
+            direct = alternant_product(family, symbolic_roots(n))
             assert sides[family] == direct * factor, (family, n)
 
 
 def test_alternant_product_rejects_no_variables():
-    # the product starts from the zeroth power of its first x
-    for power in (variable_power(1), root_power):
-        with pytest.raises(UsageError):
-            alternant_product(GL, (), power)
+    # the product starts from the zeroth power of its first root
+    with pytest.raises(UsageError):
+        alternant_product(GL, ())
 
 
 def test_selected_denominator_equals_closed_prefactor():
@@ -223,16 +221,17 @@ def test_selected_denominator_equals_closed_prefactor():
             shift = family_shift(family, n)
             for mu in compositions(s, n):
                 sel = iota(mu, n)
-                matrix = char_matrix(family, shift, sel, variable_power(nv))
+                sel_symbolic = [symbolic_roots(nv)[i - 1] for i in sel]
+                matrix = char_matrix(family, shift, sel_symbolic)
                 value = det(matrix)
                 assert value == leibniz_det(matrix), (family, s, n, mu)
-                closed = alternant_product(family, sel, variable_power(nv))
+                closed = alternant_product(family, sel_symbolic)
                 # the numeric check takes the same product over the roots
                 sel_roots = [roots[i - 1] for i in sel]
-                at_point = alternant_product(family, sel_roots, root_power)
+                at_point = alternant_product(family, sel_roots)
                 assert at_point == evaluate(closed, squares(roots)), (family, s, n, mu)
                 factor = 2 if family == EVEN_ORTH else 1
-                alternant = det_fractions(char_matrix(family, shift, sel_roots, root_power))
+                alternant = det_fractions(char_matrix(family, shift, sel_roots))
                 assert alternant == factor * at_point, (family, s, n, mu)
                 assert value == closed * factor, (family, s, n, mu)
 
@@ -430,14 +429,14 @@ def test_character_grid_matches_per_cell_alternants(case):
     for lams in (partitions, [()], partitions[:1]):
         grid, denominators = _character_grid(family, lams, col_roots)
         for roots, denominator in zip(col_roots, denominators):
-            expected = det_fractions(char_matrix(family, delta, roots, root_power))
+            expected = det_fractions(char_matrix(family, delta, roots))
             assert denominator == expected, (family, roots)
         for lam, grid_row in zip(lams, grid):
             padded = lam + (0,) * (n - len(lam))
             alpha = tuple(2 * padded[j] + delta[j] for j in range(n))
             factor = 2 if family == EVEN_ORTH and padded[-1] else 1
             for roots, value, denominator in zip(col_roots, grid_row, denominators):
-                expected = det_fractions(char_matrix(family, alpha, roots, root_power))
+                expected = det_fractions(char_matrix(family, alpha, roots))
                 assert value * denominator / factor == expected, (family, lam, roots)
 
 
@@ -465,7 +464,7 @@ def test_character_grid_matches_symbolic_characters():
         delta = family_shift(family, 2)
         grid, denominators = _character_grid(family, partitions, col_roots)
         for roots, denominator in zip(col_roots, denominators):
-            assert denominator == det_fractions(char_matrix(family, delta, roots, root_power))
+            assert denominator == det_fractions(char_matrix(family, delta, roots))
         for lam, grid_row in zip(partitions, grid):
             padded = lam + (0,) * (2 - len(lam))
             alpha = tuple(2 * padded[j] + delta[j] for j in range(2))
@@ -473,5 +472,5 @@ def test_character_grid_matches_symbolic_characters():
             for roots, value, denominator in zip(col_roots, grid_row, denominators):
                 expected = evaluate(character(family, lam, num_vars=2), squares(roots))
                 assert value == expected, (family, lam)
-                numerator = det_fractions(char_matrix(family, alpha, roots, root_power))
+                numerator = det_fractions(char_matrix(family, alpha, roots))
                 assert value * denominator / factor == numerator, (family, lam)

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from compdet import laurent
-from compdet._backend import add_terms, mul_terms, muladd_terms
+from compdet._backend import muladd_terms
 from compdet.errors import DomainError, InexactDivisionError, UsageError
 from compdet.laurent import (
     EXP_MAX,
@@ -182,6 +182,15 @@ def test_constructors_and_queries():
         LaurentPoly.zero(3).leading_term()
 
 
+@pytest.mark.parametrize("c", [0.1, "1/3", 1.0])
+def test_constructors_take_only_exact_coefficients(c):
+    # a float or a string would be converted or parsed, not kept exactly
+    with pytest.raises(UsageError):
+        LaurentPoly.const(2, c)
+    with pytest.raises(UsageError):
+        LaurentPoly.monomial(2, c, (0, 2))
+
+
 def test_scalar_coercion_in_ring_ops():
     x = LaurentPoly.variable(1, 1)
     assert (x + 1) - 1 == x
@@ -196,8 +205,36 @@ def test_pow_matches_repeated_product():
     f = x + 2 * y - 1
     assert f**0 == 1
     assert f**3 == f * f * f
-    with pytest.raises(UsageError):
+    # only a monomial is a unit
+    with pytest.raises(DomainError):
         f ** (-1)
+    with pytest.raises(DomainError):
+        (x + 1) ** -1
+    with pytest.raises(UsageError):
+        x**1.5
+    zero = LaurentPoly.zero(2)
+    assert zero**0 == 1 and zero**2 == zero
+    with pytest.raises(DomainError):
+        zero**-1
+
+
+@pytest.mark.parametrize("i", [1, 2, 3])
+def test_monomial_powers_take_any_int_exponent(i):
+    def x(e2):
+        return LaurentPoly.variable(3, i, e2)
+
+    assert x(2) ** -3 == x(-6)
+    assert x(1) ** 5 == x(5) and x(-3) ** -2 == x(6) and x(7) ** 0 == 1
+    inverse = (2 * x(2)) ** -1
+    assert inverse == Fraction(1, 2) * x(-2) and inverse * (2 * x(2)) == 1
+    assert inverse.leading_term()[1] == Fraction(1, 2)
+    assert (Fraction(2, 3) * x(-1)) ** -2 == Fraction(9, 4) * x(2)
+    assert x(EXP_MAX) ** -1 == x(-EXP_MAX) and x(-1) ** -EXP_MAX == x(EXP_MAX)
+    assert x(1) ** EXP_MIN == x(EXP_MIN)
+    # a power that leaves [EXP_MIN, EXP_MAX] raises, as a product does
+    for base, e in ((x(EXP_MIN), -1), (x(2), EXP_MAX), (x(-2), EXP_MAX)):
+        with pytest.raises(DomainError):
+            base**e
 
 
 def test_mixed_ring_sizes_rejected():
@@ -289,21 +326,29 @@ def test_exquo_with_laurent_operands():
 
 
 # The term kernel, called directly on packed term dicts in two variables.
+# A sum takes the constant monomial ONE2 as its second factor, as
+# LaurentPoly + and - do; a product is checked through LaurentPoly *.
 UNIT2 = unit_key(2)
+ONE2 = {UNIT2: 1}
 
 
 def terms2(mapping):
     return {pack_exponents(e): c for e, c in mapping.items()}
 
 
+def product(a, b):
+    """The term dict of LaurentPoly(2, a) * LaurentPoly(2, b)."""
+    return (LaurentPoly(2, dict(a)) * LaurentPoly(2, dict(b)))._terms
+
+
 def test_kernel_cancellation_removes_keys():
     acc = terms2({(2, 0): 3, (0, 2): 1})
-    add_terms(acc, terms2({(2, 0): 1}), -3)
+    muladd_terms(acc, terms2({(2, 0): 1}), ONE2, UNIT2, -3)
     assert acc == terms2({(0, 2): 1})
     # (x + y)(x - y): the two x*y products cancel inside one call
     plus = terms2({(2, 0): 1, (0, 2): 1})
     minus = terms2({(2, 0): 1, (0, 2): -1})
-    prod = mul_terms(plus, minus, UNIT2)
+    prod = product(plus, minus)
     assert prod == terms2({(4, 0): 1, (0, 4): -1})
     # a product that cancels what the accumulator already holds
     acc = terms2({(2, 2): 6, (0, 0): 1})
@@ -317,20 +362,23 @@ def test_kernel_zero_coeff_and_empty_operand_leave_acc_unchanged():
     b = terms2({(1, 1): -4})
     acc = terms2({(0, 0): 7})
     before = dict(acc)
-    add_terms(acc, a, 0)
-    add_terms(acc, {}, 5)
+    muladd_terms(acc, a, ONE2, UNIT2, 0)
+    muladd_terms(acc, {}, ONE2, UNIT2, 5)
     muladd_terms(acc, a, b, UNIT2, 0)
     muladd_terms(acc, {}, b, UNIT2, 3)
     muladd_terms(acc, a, {}, UNIT2, 3)
     assert acc == before
-    assert mul_terms(a, {}, UNIT2) == {} and mul_terms({}, b, UNIT2) == {}
+    assert product(a, {}) == {} and product({}, b) == {}
+    # the sums of LaurentPoly: a zero or empty addend leaves the terms alone
+    f = LaurentPoly(2, dict(a))
+    assert (f + 0)._terms == (f - LaurentPoly.zero(2))._terms == a
 
 
 def test_kernel_result_independent_of_operand_order():
     long = terms2({(2, 0): 1, (0, 2): -2, (-2, 4): 3})
     short = terms2({(1, -1): 5})
     expected = terms2({(3, -1): 5, (1, 1): -10, (-1, 3): 15})
-    assert mul_terms(long, short, UNIT2) == mul_terms(short, long, UNIT2) == expected
+    assert product(long, short) == product(short, long) == expected
     left, right = terms2({(0, 0): 1}), terms2({(0, 0): 1})
     muladd_terms(left, long, short, UNIT2, -2)
     muladd_terms(right, short, long, UNIT2, -2)
@@ -339,13 +387,13 @@ def test_kernel_result_independent_of_operand_order():
 
 def test_kernel_mixes_int_and_fraction_coefficients():
     acc = terms2({(0, 0): 1, (2, 0): Fraction(1, 3)})
-    add_terms(acc, terms2({(0, 0): Fraction(1, 2), (2, 0): 1}), -2)
+    muladd_terms(acc, terms2({(0, 0): Fraction(1, 2), (2, 0): 1}), ONE2, UNIT2, -2)
     assert acc == terms2({(2, 0): Fraction(-5, 3)})
     acc = terms2({(4, 0): 1})
     a, b = terms2({(2, 0): Fraction(2, 3)}), terms2({(2, 0): 3})
     muladd_terms(acc, a, b, UNIT2, Fraction(-1, 2))
     assert acc == {}
-    prod = mul_terms(terms2({(0, 0): Fraction(3, 2)}), terms2({(2, 0): 4}), UNIT2)
+    prod = product(terms2({(0, 0): Fraction(3, 2)}), terms2({(2, 0): 4}))
     assert prod == terms2({(2, 0): 6})
 
 
@@ -376,10 +424,14 @@ def test_kernel_matches_naive_reference(acc, a, b, coeff):
     muladd_terms(got, a, b, UNIT2, coeff)
     assert got == expected
     assert all(got.values())
-    assert mul_terms(a, b, UNIT2) == mul_terms(b, a, UNIT2) == naive_muladd({}, a, b, 1)
+    assert product(a, b) == product(b, a) == naive_muladd({}, a, b, 1)
     summed = dict(acc)
-    add_terms(summed, a, coeff)
-    assert summed == naive_muladd(acc, a, {UNIT2: 1}, coeff)
+    muladd_terms(summed, a, ONE2, UNIT2, coeff)
+    assert summed == naive_muladd(acc, a, ONE2, coeff)
+    # LaurentPoly + and - are that sum at coeff = +1 and -1
+    f, g = LaurentPoly(2, dict(acc)), LaurentPoly(2, dict(a))
+    assert (f + g)._terms == naive_muladd(acc, a, ONE2, 1)
+    assert (f - g)._terms == naive_muladd(acc, a, ONE2, -1)
 
 
 def test_substitute_power_by_itself_is_identity():
