@@ -24,7 +24,6 @@ the determinant identity for the grid of characters evaluated at nested
 variable subsets, and the smaller single-alphabet determinant identity.
 """
 
-import time
 from fractions import Fraction
 from itertools import combinations
 from math import comb
@@ -33,14 +32,13 @@ from .combin import binom_nonneg, compositions, iota, partitions_in_box, subsets
 from .errors import CapabilityError, DomainError, ParameterError, UsageError
 from .laurent import LaurentPoly
 from .pmatrix import det, minor_table
-from .report import VerifyReport, compare_sides
+from .report import run_check
 from .sampling import (
     MAX_RETRIES,
     SplitMix64,
     point_is_admissible,
     random_rational,
     sample_point,
-    sample_seed,
 )
 
 GL = "gl"
@@ -217,25 +215,23 @@ def denominator_products(n):
 def verify_denominators(n):
     """Check the four closed product formulas for the alternant
     denominators in n variables, exactly."""
-    if n > DENOMINATORS_CAP:
-        raise CapabilityError(f"denominators supports n <= {DENOMINATORS_CAP}")
-    if n < 1:
-        raise UsageError("need at least one variable")
-    t0 = time.perf_counter()
-    roots = symbolic_roots(n)
-    rhs_by_family = denominator_products(n)
-    lhs = [det(char_matrix(f, family_shift(f, n), roots)) for f in FAMILIES]
-    flags, lhs_hash, rhs_hash = compare_sides(lhs, [rhs_by_family[f] for f in FAMILIES])
-    return VerifyReport(
-        identity="denominators",
-        mode="symbolic",
-        equal=all(flags),
-        lhs_hash=lhs_hash,
-        rhs_hash=rhs_hash,
-        n=n,
-        elapsed_ms=int((time.perf_counter() - t0) * 1000),
-        detail=dict(zip(FAMILIES, flags)),
-    )
+
+    def build(_):
+        if n > DENOMINATORS_CAP:
+            raise CapabilityError(f"denominators supports n <= {DENOMINATORS_CAP}")
+        if n < 1:
+            raise UsageError("need at least one variable")
+        roots = symbolic_roots(n)
+        rhs_by_family = denominator_products(n)
+        lhs = [det(char_matrix(f, family_shift(f, n), roots)) for f in FAMILIES]
+        rhs = [rhs_by_family[f] for f in FAMILIES]
+
+        def verdict(flags):
+            return {"equal": all(flags), "detail": dict(zip(FAMILIES, flags))}
+
+        return lhs, rhs, verdict
+
+    return run_check("denominators", "symbolic", None, build, n=n)
 
 
 def rhs_pair_product(family, s, n, point):
@@ -295,49 +291,43 @@ def verify_theorem_schur(family, s, n, seed, substitution=False):
     alternant grid at det grid * prod alternant_product * 2^two_power
     (2^two_power * prod f_lambda = 2^(number of columns) for even-orth).
     """
-    _require_family(family)
-    if s < 1 or n < 1:
-        raise UsageError("need positive s and n")
-    t0 = time.perf_counter()
-    seed = sample_seed("numeric", seed)
-    rng = SplitMix64(seed)
-    if substitution:
-        point = _substitution_point(s, n, rng)
-    else:
-        point = sample_point(s * n, rng)
 
-    rows, col_roots = nested_subset_grid(s, n, point)
-    matrix, denominators = _character_grid(family, rows, col_roots)
-    lhs = det(matrix)
-    rhs = rhs_pair_product(family, s, n, point)
-    (equal_main,), lhs_hash, rhs_hash = compare_sides([lhs], [rhs])
+    def build(seed):
+        _require_family(family)
+        if s < 1 or n < 1:
+            raise UsageError("need positive s and n")
+        rng = SplitMix64(seed)
+        if substitution:
+            point = _substitution_point(s, n, rng)
+        else:
+            point = sample_point(s * n, rng)
 
-    two = 2 if family == EVEN_ORTH else 1
-    bookkeeping_ok = all(
-        den == two * alternant_product(family, roots)
-        for den, roots in zip(denominators, col_roots)
-    )
+        rows, col_roots = nested_subset_grid(s, n, point)
+        matrix, denominators = _character_grid(family, rows, col_roots)
+        lhs = det(matrix)
+        rhs = rhs_pair_product(family, s, n, point)
 
-    detail = {
-        "family": family,
-        "substitution": substitution,
-        "bookkeeping_ok": bookkeeping_ok,
-        "rows": len(rows),
-    }
-    if family == EVEN_ORTH:
-        detail["two_power"] = binom_nonneg(s + n - 2, n - 1)
-    return VerifyReport(
-        identity="schur-det",
-        mode="numeric",
-        equal=equal_main and bookkeeping_ok,
-        lhs_hash=lhs_hash,
-        rhs_hash=rhs_hash,
-        s=s,
-        n=n,
-        seed=seed,
-        elapsed_ms=int((time.perf_counter() - t0) * 1000),
-        detail=detail,
-    )
+        two = 2 if family == EVEN_ORTH else 1
+        bookkeeping_ok = all(
+            den == two * alternant_product(family, roots)
+            for den, roots in zip(denominators, col_roots)
+        )
+
+        detail = {
+            "family": family,
+            "substitution": substitution,
+            "bookkeeping_ok": bookkeeping_ok,
+            "rows": len(rows),
+        }
+        if family == EVEN_ORTH:
+            detail["two_power"] = binom_nonneg(s + n - 2, n - 1)
+
+        def verdict(flags):
+            return {"equal": flags[0] and bookkeeping_ok, "detail": detail}
+
+        return [lhs], [rhs], verdict
+
+    return run_check("schur-det", "numeric", seed, build, s=s, n=n)
 
 
 def verify_prop_detS(kind, s, n, seed):
@@ -352,38 +342,32 @@ def verify_prop_detS(kind, s, n, seed):
     sign is the observed ratio of the two sides: 1, -1, or None when they
     differ by more than a sign.
     """
-    if kind not in (GL, SP):
-        raise UsageError(f"prop12 supports the {GL} and {SP} families, got {kind!r}")
-    if not 1 <= n <= s:
-        raise UsageError("need 1 <= n <= s")
-    t0 = time.perf_counter()
-    seed = sample_seed("numeric", seed)
-    point = sample_point(s, SplitMix64(seed))
 
-    rows = partitions_in_box(n, s - n)
-    cols = subsets_lex(s, n)
-    col_roots = [tuple(point[i - 1] for i in subset) for subset in cols]
-    matrix, _ = _character_grid(kind, rows, col_roots)
-    lhs = det(matrix)
+    def build(seed):
+        if kind not in (GL, SP):
+            raise UsageError(f"prop12 supports the {GL} and {SP} families, got {kind!r}")
+        if not 1 <= n <= s:
+            raise UsageError("need 1 <= n <= s")
+        point = sample_point(s, SplitMix64(seed))
 
-    # the pair product alone: even-orth's closed product has no single factors
-    pair_family = GL if kind == GL else EVEN_ORTH
-    base = alternant_product(pair_family, point)
-    exponent = comb(s - 2, n - 1) if s >= 2 else 0
-    rhs = base**exponent
+        rows = partitions_in_box(n, s - n)
+        cols = subsets_lex(s, n)
+        col_roots = [tuple(point[i - 1] for i in subset) for subset in cols]
+        matrix, _ = _character_grid(kind, rows, col_roots)
+        lhs = det(matrix)
 
-    (equal,), lhs_hash, rhs_hash = compare_sides([lhs], [rhs])
-    sign = 1 if equal else -1 if lhs == -rhs else None
-    return VerifyReport(
-        identity="prop12",
-        mode="numeric",
-        equal=equal,
-        lhs_hash=lhs_hash,
-        rhs_hash=rhs_hash,
-        s=s,
-        n=n,
-        seed=seed,
-        sign=sign,
-        elapsed_ms=int((time.perf_counter() - t0) * 1000),
-        detail={"kind": kind, "exponent": exponent, "matrix_size": len(rows)},
-    )
+        # the pair product alone: even-orth's closed product has no single factors
+        pair_family = GL if kind == GL else EVEN_ORTH
+        base = alternant_product(pair_family, point)
+        exponent = comb(s - 2, n - 1) if s >= 2 else 0
+        rhs = base**exponent
+
+        def verdict(flags):
+            (equal,) = flags
+            sign = 1 if equal else -1 if lhs == -rhs else None
+            detail = {"kind": kind, "exponent": exponent, "matrix_size": len(rows)}
+            return {"equal": equal, "sign": sign, "detail": detail}
+
+        return [lhs], [rhs], verdict
+
+    return run_check("prop12", "numeric", seed, build, s=s, n=n)

@@ -28,15 +28,19 @@ from .errors import CapabilityError, DomainError, ParameterError, UsageError
 from .macdonald import verify_corollary_macdonald
 
 ENUMERATE_KINDS = ("Z", "Z0", "iota", "phi", "tau", "partitions")
-IDENTITIES = (
-    "main",
-    "sylvester",
-    "gram",
-    "denominators",
-    "schur-det",
-    "prop12",
-    "macdonald",
-)
+# The flags each identity requires, in the order they are checked, and the
+# ones it may take besides.  Any other of these flags is refused; --mode,
+# --seed and the output flags go with every identity.
+_FLAGS = {
+    "main": (("s", "n"), ()),
+    "sylvester": (("s", "n"), ()),
+    "gram": (("s", "n"), ("k",)),
+    "denominators": (("n",), ()),
+    "schur-det": (("family", "s", "n"), ()),
+    "prop12": (("family", "s", "n"), ()),
+    "macdonald": (("s", "n"), ("q", "t")),
+}
+IDENTITIES = tuple(_FLAGS)
 
 
 def build_parser():
@@ -125,44 +129,33 @@ def run_enumerate(args):
 
 def _run_verify_once(args, seed):
     identity = args.identity
+    required, optional = _FLAGS[identity]
+    for flag in ("s", "n", "k", "family", "q", "t"):
+        if getattr(args, flag) is not None and flag not in required + optional:
+            raise UsageError(f"--{flag} does not apply to {identity}")
     mode = args.mode
-    if identity in ("main", "sylvester", "gram"):
-        if mode is None:
-            mode = "symbolic"
-        s = _need(args.s, "--s", identity)
-        n = _need(args.n, "--n", identity)
-        if identity == "main":
-            return verify_main(s, n, mode=mode, seed=seed)
-        if identity == "sylvester":
-            return verify_sylvester(s, n, mode=mode, seed=seed)
-        return verify_gram(s, n, k0=args.k, mode=mode, seed=seed)
-    if identity == "denominators":
-        if mode == "numeric":
-            raise UsageError("denominators only supports symbolic mode")
-        return verify_denominators(_need(args.n, "--n", identity))
-    if mode == "symbolic":
+    if identity == "denominators" and mode == "numeric":
+        raise UsageError("denominators only supports symbolic mode")
+    if identity in ("schur-det", "prop12", "macdonald") and mode == "symbolic":
         raise UsageError(f"{identity} only supports numeric mode")
+    for flag in required:
+        _need(getattr(args, flag), f"--{flag}", identity)
+    s, n, family = args.s, args.n, args.family
+    if identity == "main":
+        return verify_main(s, n, mode=mode or "symbolic", seed=seed)
+    if identity == "sylvester":
+        return verify_sylvester(s, n, mode=mode or "symbolic", seed=seed)
+    if identity == "gram":
+        return verify_gram(s, n, k0=args.k, mode=mode or "symbolic", seed=seed)
+    if identity == "denominators":
+        return verify_denominators(n)
     if identity == "schur-det":
-        family = _need(args.family, "--family", identity)
-        return verify_theorem_schur(
-            family, _need(args.s, "--s", identity), _need(args.n, "--n", identity), seed
-        )
+        return verify_theorem_schur(family, s, n, seed)
     if identity == "prop12":
-        return verify_prop_detS(
-            _need(args.family, "--family", identity),
-            _need(args.s, "--s", identity),
-            _need(args.n, "--n", identity),
-            seed,
-        )
-    if identity == "macdonald":
-        return verify_corollary_macdonald(
-            _need(args.s, "--s", identity),
-            _need(args.n, "--n", identity),
-            seed,
-            q=_parse_fraction(args.q, "--q"),
-            t=_parse_fraction(args.t, "--t"),
-        )
-    raise UsageError(f"unknown identity {identity!r}")
+        return verify_prop_detS(family, s, n, seed)
+    # macdonald: _FLAGS[identity] raised above on any other name
+    q, t = _parse_fraction(args.q, "--q"), _parse_fraction(args.t, "--t")
+    return verify_corollary_macdonald(s, n, seed, q=q, t=t)
 
 
 def run_verify(args):

@@ -15,12 +15,8 @@ pmatrix.minor_table fills the entries of M and the complementary minors,
 which share their smaller minors.  det eliminates each maximal minor and
 sylvester's det A: a table of a full-height minor would hold every row
 subset of A.
-
-Everything returns a VerifyReport; mathematical disagreement is reported,
-never raised.
 """
 
-import time
 from collections import Counter
 from functools import reduce
 from graphlib import CycleError, TopologicalSorter
@@ -41,8 +37,8 @@ from .combin import (
 from .errors import CapabilityError, UsageError
 from .laurent import LaurentPoly
 from .pmatrix import det, minor_matrix, minor_table, products, symbolic
-from .report import VerifyReport, compare_sides
-from .sampling import SplitMix64, random_rational, sample_seed
+from .report import run_check
+from .sampling import SplitMix64, random_rational
 
 # (s, n) pairs with both s, n >= 2 where fully symbolic verification is
 # affordable; one-dimensional families (s == 1 or n == 1) are always fine.
@@ -169,38 +165,29 @@ def check_symbolic_envelope(s, n):
 
 
 def _spec_for_mode(s, n, mode, seed):
-    """The spec of a check, and the seed it was sampled with."""
+    """The spec of a check, sampled at seed in numeric mode."""
     if s < 1 or n < 1:
         raise UsageError("s and n must be positive")
-    seed = sample_seed(mode, seed)
     if mode == "symbolic":
         check_symbolic_envelope(s, n)
-        return CompoundSpec.symbolic(s, n), seed
-    return CompoundSpec.sampled(s, n, SplitMix64(seed)), seed
+        return CompoundSpec.symbolic(s, n)
+    return CompoundSpec.sampled(s, n, SplitMix64(seed))
 
 
 def verify_main(s, n, mode="symbolic", seed=None):
     """det of the compound matrix equals the product of maximal minors of A
     over the all-parts-positive compositions of s+n-1."""
-    t0 = time.perf_counter()
-    spec, seed = _spec_for_mode(s, n, mode, seed)
-    M = build_M(spec)
-    lhs = det(M)
-    rhs_sets = [iota(nu, n) for nu in compositions_positive(s, s + n - 1)]
-    rhs = reduce(mul, (_maximal_minor(spec.A, cols) for cols in rhs_sets))
-    (equal,), lhs_hash, rhs_hash = compare_sides([lhs], [rhs])
-    return VerifyReport(
-        identity="main",
-        mode=mode,
-        equal=equal,
-        lhs_hash=lhs_hash,
-        rhs_hash=rhs_hash,
-        s=s,
-        n=n,
-        seed=seed,
-        elapsed_ms=int((time.perf_counter() - t0) * 1000),
-        detail={"rhs_factors": [format_subset(c) for c in rhs_sets]},
-    )
+
+    def build(seed):
+        spec = _spec_for_mode(s, n, mode, seed)
+        M = build_M(spec)
+        lhs = det(M)
+        rhs_sets = [iota(nu, n) for nu in compositions_positive(s, s + n - 1)]
+        rhs = reduce(mul, (_maximal_minor(spec.A, cols) for cols in rhs_sets))
+        detail = {"rhs_factors": [format_subset(c) for c in rhs_sets]}
+        return [lhs], [rhs], lambda flags: {"equal": flags[0], "detail": detail}
+
+    return run_check("main", mode, seed, build, s=s, n=n)
 
 
 SYLVESTER_SYMBOLIC_CAP = 4
@@ -209,34 +196,25 @@ SYLVESTER_SYMBOLIC_CAP = 4
 def verify_sylvester(s, n, mode="symbolic", seed=None):
     """Classical compound identity for square A of size s:
     det(det A^I_J)_{I,J in n-subsets, lex} = (det A)^binom(s-1, n-1)."""
-    t0 = time.perf_counter()
-    if not 1 <= n <= s:
-        raise UsageError("need s >= n >= 1")
-    seed = sample_seed(mode, seed)
-    if mode == "symbolic":
-        if s > SYLVESTER_SYMBOLIC_CAP:
-            raise CapabilityError(
-                f"symbolic mode supports s <= {SYLVESTER_SYMBOLIC_CAP}; use numeric"
-            )
-        A = symbolic(s, s)
-    else:
-        A = _random_matrix(s, s, SplitMix64(seed))
-    subsets = subsets_lex(s, n)
-    lhs = det(minor_matrix(A, subsets, subsets))
-    rhs = det(A) ** comb(s - 1, n - 1)
-    (equal,), lhs_hash, rhs_hash = compare_sides([lhs], [rhs])
-    return VerifyReport(
-        identity="sylvester",
-        mode=mode,
-        equal=equal,
-        lhs_hash=lhs_hash,
-        rhs_hash=rhs_hash,
-        s=s,
-        n=n,
-        seed=seed,
-        elapsed_ms=int((time.perf_counter() - t0) * 1000),
-        detail={"exponent": comb(s - 1, n - 1)},
-    )
+
+    def build(seed):
+        if not 1 <= n <= s:
+            raise UsageError("need s >= n >= 1")
+        if mode == "symbolic":
+            if s > SYLVESTER_SYMBOLIC_CAP:
+                raise CapabilityError(
+                    f"symbolic mode supports s <= {SYLVESTER_SYMBOLIC_CAP}; use numeric"
+                )
+            A = symbolic(s, s)
+        else:
+            A = _random_matrix(s, s, SplitMix64(seed))
+        subsets = subsets_lex(s, n)
+        lhs = det(minor_matrix(A, subsets, subsets))
+        rhs = det(A) ** comb(s - 1, n - 1)
+        detail = {"exponent": comb(s - 1, n - 1)}
+        return [lhs], [rhs], lambda flags: {"equal": flags[0], "detail": detail}
+
+    return run_check("sylvester", mode, seed, build, s=s, n=n)
 
 
 def verify_gram(s, n, k0=None, mode="symbolic", seed=None):
@@ -257,101 +235,86 @@ def verify_gram(s, n, k0=None, mode="symbolic", seed=None):
     has a zero-free diagonal and no cycle, and a support inside it has
     none either.
     """
-    t0 = time.perf_counter()
-    spec, seed = _spec_for_mode(s, n, mode, seed)
-    partner_map = partner_map_for_variant(spec, k0)
-    T = gram_matrix(spec, partner_map)
-    pattern = [[bool(cell) for cell in row] for row in T]
-    union_dets = {}
-    expected = []
-    # the diagonal up to its first zero sign or zero cell
-    diag_ok = True
-    diag_sign = 1
-    diag_unions = []
-    for i, J in enumerate(spec.col_sets):
-        for j, mu in enumerate(spec.col_comps):
-            K = partner_map[mu]
-            sign = epsilon(J, K)
-            if sign:
-                # J and K are disjoint
-                union = tuple(sorted(J + K))
-                if union not in union_dets:
-                    union_dets[union] = _maximal_minor(spec.A, union)
-                expected.append(union_dets[union] * sign)
-            else:
-                expected.append(0)
-            if i == j and diag_ok:
-                diag_ok = bool(sign) and pattern[i][i]
-                if diag_ok:
-                    diag_sign *= sign
-                    diag_unions.append(union)
 
-    cell_ok, lhs_hash, rhs_hash = compare_sides([c for row in T for c in row], expected)
-    entries_ok = all(cell_ok)
-    full_diagonal = all(pattern[i][i] for i in range(len(T)))
-    unique_support = full_diagonal and _support_is_triangular(pattern)
-    # det T is then its single surviving Leibniz term, the diagonal one
-    equal = entries_ok and diag_ok and unique_support
+    def build(seed):
+        spec = _spec_for_mode(s, n, mode, seed)
+        partner_map = partner_map_for_variant(spec, k0)
+        T = gram_matrix(spec, partner_map)
+        pattern = [[bool(cell) for cell in row] for row in T]
+        union_dets = {}
+        expected = []
+        # the diagonal up to its first zero sign or zero cell
+        diag_ok = True
+        diag_sign = 1
+        diag_unions = []
+        for i, J in enumerate(spec.col_sets):
+            for j, mu in enumerate(spec.col_comps):
+                K = partner_map[mu]
+                sign = epsilon(J, K)
+                if sign:
+                    # J and K are disjoint
+                    union = tuple(sorted(J + K))
+                    if union not in union_dets:
+                        union_dets[union] = _maximal_minor(spec.A, union)
+                    expected.append(union_dets[union] * sign)
+                else:
+                    expected.append(0)
+                if i == j and diag_ok:
+                    diag_ok = bool(sign) and pattern[i][i]
+                    if diag_ok:
+                        diag_sign *= sign
+                        diag_unions.append(union)
 
-    detail = {
-        "variant": "pinned" if k0 is not None else "colored",
-        "entry_identity_ok": entries_ok,
-        "zero_pattern": ["".join("*" if c else "." for c in row) for row in pattern],
-        "unique_support_permutation": unique_support,
-        "det_method": "unique-support-permutation" if equal else None,
-        "factor_multiplicity": Counter(format_subset(u) for u in diag_unions),
-    }
-    if k0 is not None:
-        detail["k"] = k0
-    if not entries_ok:
-        i, j = divmod(cell_ok.index(False), len(T))
-        detail["first_bad_cell"] = [
-            format_composition(spec.col_comps[i]),
-            format_composition(spec.col_comps[j]),
-        ]
-    return VerifyReport(
-        identity="gram",
-        mode=mode,
-        equal=equal,
-        lhs_hash=lhs_hash,
-        rhs_hash=rhs_hash,
-        s=s,
-        n=n,
-        seed=seed,
-        sign=diag_sign if diag_ok else None,
-        elapsed_ms=int((time.perf_counter() - t0) * 1000),
-        detail=detail,
-    )
+        def verdict(cell_ok):
+            entries_ok = all(cell_ok)
+            full_diagonal = all(pattern[i][i] for i in range(len(T)))
+            unique_support = full_diagonal and _support_is_triangular(pattern)
+            # det T is then its single surviving Leibniz term, the diagonal one
+            equal = entries_ok and diag_ok and unique_support
+            detail = {
+                "variant": "pinned" if k0 is not None else "colored",
+                "entry_identity_ok": entries_ok,
+                "zero_pattern": ["".join("*" if c else "." for c in row) for row in pattern],
+                "unique_support_permutation": unique_support,
+                "det_method": "unique-support-permutation" if equal else None,
+                "factor_multiplicity": Counter(format_subset(u) for u in diag_unions),
+            }
+            if k0 is not None:
+                detail["k"] = k0
+            if not entries_ok:
+                i, j = divmod(cell_ok.index(False), len(T))
+                detail["first_bad_cell"] = [
+                    format_composition(spec.col_comps[i]),
+                    format_composition(spec.col_comps[j]),
+                ]
+            return {"equal": equal, "sign": diag_sign if diag_ok else None, "detail": detail}
+
+        return [c for row in T for c in row], expected, verdict
+
+    return run_check("gram", mode, seed, build, s=s, n=n)
 
 
 def verify_leading_term(s, n):
     """Specialize a_ij = x_j^(s+n-i) and compare the lex-leading term of the
     compound determinant with the predicted diagonal monomial, coefficient 1."""
-    t0 = time.perf_counter()
-    check_symbolic_envelope(s, n)
-    nv = s * n
-    rows = [
-        [LaurentPoly.variable(nv, j, 2 * (s + n - i)) for j in range(1, nv + 1)]
-        for i in range(1, s + n)
-    ]
-    spec = CompoundSpec(s, n, rows)
-    M = build_M(spec)
-    d = det(M)
-    expected_exps = [0] * nv
-    for k in range(1, s + 1):
-        for j in range(1, n + 1):
-            expected_exps[(k - 1) * n + j - 1] = 2 * (s + 1 - k) * comb(s + n - j, s)
-    lead_exps, lead_coeff = d.leading_term()
-    expected = LaurentPoly.monomial(nv, 1, expected_exps)
-    actual = LaurentPoly.monomial(nv, lead_coeff, list(lead_exps))
-    (equal,), lhs_hash, rhs_hash = compare_sides([actual], [expected])
-    return VerifyReport(
-        identity="leading-term",
-        mode="symbolic",
-        equal=equal,
-        lhs_hash=lhs_hash,
-        rhs_hash=rhs_hash,
-        s=s,
-        n=n,
-        elapsed_ms=int((time.perf_counter() - t0) * 1000),
-    )
+
+    def build(_):
+        check_symbolic_envelope(s, n)
+        nv = s * n
+        rows = [
+            [LaurentPoly.variable(nv, j, 2 * (s + n - i)) for j in range(1, nv + 1)]
+            for i in range(1, s + n)
+        ]
+        spec = CompoundSpec(s, n, rows)
+        M = build_M(spec)
+        d = det(M)
+        expected_exps = [0] * nv
+        for k in range(1, s + 1):
+            for j in range(1, n + 1):
+                expected_exps[(k - 1) * n + j - 1] = 2 * (s + 1 - k) * comb(s + n - j, s)
+        lead_exps, lead_coeff = d.leading_term()
+        expected = LaurentPoly.monomial(nv, 1, expected_exps)
+        actual = LaurentPoly.monomial(nv, lead_coeff, list(lead_exps))
+        return [actual], [expected], lambda flags: {"equal": flags[0]}
+
+    return run_check("leading-term", "symbolic", None, build, s=s, n=n)

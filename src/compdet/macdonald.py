@@ -16,7 +16,6 @@ subsets, takes the determinant of the resulting grid, and compares it with
 the closed product forms, for both the monic and the dual normalization.
 """
 
-import time
 from fractions import Fraction
 from functools import lru_cache
 from math import factorial, prod
@@ -25,8 +24,8 @@ from .characters import GL, nested_subset_grid, rhs_pair_product
 from .combin import conjugate, partitions_of
 from .errors import CapabilityError, ParameterError, UsageError
 from .pmatrix import _cleared, det
-from .report import VerifyReport, compare_sides
-from .sampling import SplitMix64, qt_is_admissible, sample_point, sample_qt, sample_seed
+from .report import run_check
+from .sampling import SplitMix64, qt_is_admissible, sample_point, sample_qt
 
 # Bases are cached per weight, for one (q, t) at a time.  Weights 10 and
 # 12 reach `macdonald (6,2)`, `(3,5)` and `(4,4)`, whose reports render
@@ -224,67 +223,56 @@ def verify_corollary_macdonald(s, n, seed, q=None, t=None):
     (see printed_prefactor), so the two printed claims, and with them the
     overall flag, hold only for s == 1 or (s, n) == (2, 1).
     """
-    if s < 1 or n < 1:
-        raise UsageError("need positive s and n")
-    if (q is None) != (t is None):
-        raise UsageError("provide both parameters or neither")
-    max_weight = (s - 1) * n
-    if max_weight > MAX_WEIGHT:
-        raise CapabilityError(
-            f"row partitions reach weight {max_weight}, above the cap of {MAX_WEIGHT}"
-        )
-    t0 = time.perf_counter()
-    seed = sample_seed("numeric", seed)
-    rng = SplitMix64(seed)
-    if q is None:
-        q, t = sample_qt(rng)
-    else:
-        q = Fraction(q)
-        t = Fraction(t)
-        if not qt_is_admissible(q, t):
-            raise ParameterError("parameters must lie strictly in (0, 1) and differ")
-    point = sample_point(s * n, rng)
 
-    rows, col_roots = nested_subset_grid(s, n, point)
-    col_values = [tuple(r * r for r in roots) for roots in col_roots]
-    p_rows = [macdonald_P(lam, q, t) for lam in rows]
-    p_grid = [[evaluate_symfunc(row, values) for values in col_values] for row in p_rows]
-    # Q_lam = b_lam * P_lam scales row lam of the grid, so by multilinearity
-    # the Q grid's determinant is the P grid's times the cell product
-    b_product = prod((b_lambda(lam, q, t) for lam in rows), start=Fraction(1))
-    det_p = det(p_grid)
-    det_q = b_product * det_p
-    # the gl pair factor at roots u, v is u**2 - v**2, the coordinates'
-    # difference
-    rhs = rhs_pair_product(GL, s, n, point)
-    printed = printed_prefactor(s, n, q, t)
+    def build(seed):
+        nonlocal q, t
+        if s < 1 or n < 1:
+            raise UsageError("need positive s and n")
+        if (q is None) != (t is None):
+            raise UsageError("provide both parameters or neither")
+        max_weight = (s - 1) * n
+        if max_weight > MAX_WEIGHT:
+            raise CapabilityError(
+                f"row partitions reach weight {max_weight}, above the cap of {MAX_WEIGHT}"
+            )
+        rng = SplitMix64(seed)
+        if q is None:
+            q, t = sample_qt(rng)
+        else:
+            q = Fraction(q)
+            t = Fraction(t)
+            if not qt_is_admissible(q, t):
+                raise ParameterError("parameters must lie strictly in (0, 1) and differ")
+        point = sample_point(s * n, rng)
 
-    (p_equal, q_equal_printed_prefactor), lhs_hash, rhs_hash = compare_sides(
-        [det_p, det_q], [rhs, printed * rhs]
-    )
-    prefactor_identity = b_product == printed
-    q_equal_bproduct = det_q == b_product * rhs
+        rows, col_roots = nested_subset_grid(s, n, point)
+        col_values = [tuple(r * r for r in roots) for roots in col_roots]
+        p_rows = [macdonald_P(lam, q, t) for lam in rows]
+        p_grid = [[evaluate_symfunc(row, values) for values in col_values] for row in p_rows]
+        # Q_lam = b_lam * P_lam scales row lam of the grid, so by multilinearity
+        # the Q grid's determinant is the P grid's times the cell product
+        b_product = prod((b_lambda(lam, q, t) for lam in rows), start=Fraction(1))
+        det_p = det(p_grid)
+        det_q = b_product * det_p
+        # the gl pair factor at roots u, v is u**2 - v**2, the coordinates'
+        # difference
+        rhs = rhs_pair_product(GL, s, n, point)
+        printed = printed_prefactor(s, n, q, t)
 
-    equal = p_equal and q_equal_printed_prefactor
-    detail = {
-        "p_equal": p_equal,
-        "q_equal_printed_prefactor": q_equal_printed_prefactor,
-        "prefactor_identity": prefactor_identity,
-        "q_equal_bproduct": q_equal_bproduct,
-        "q": q,
-        "t": t,
-        "printed_prefactor": printed,
-        "cell_product": b_product,
-    }
-    return VerifyReport(
-        identity="macdonald",
-        mode="numeric",
-        equal=equal,
-        lhs_hash=lhs_hash,
-        rhs_hash=rhs_hash,
-        s=s,
-        n=n,
-        seed=seed,
-        elapsed_ms=int((time.perf_counter() - t0) * 1000),
-        detail=detail,
-    )
+        def verdict(flags):
+            p_equal, q_equal_printed_prefactor = flags
+            detail = {
+                "p_equal": p_equal,
+                "q_equal_printed_prefactor": q_equal_printed_prefactor,
+                "prefactor_identity": b_product == printed,
+                "q_equal_bproduct": det_q == b_product * rhs,
+                "q": q,
+                "t": t,
+                "printed_prefactor": printed,
+                "cell_product": b_product,
+            }
+            return {"equal": p_equal and q_equal_printed_prefactor, "detail": detail}
+
+        return [det_p, det_q], [rhs, printed * rhs], verdict
+
+    return run_check("macdonald", "numeric", seed, build, s=s, n=n)

@@ -1,16 +1,20 @@
-"""Verification reports: one dataclass, one JSON schema, one text form.
+"""Verification reports: one skeleton, one dataclass, one JSON schema, one
+text form.
+
+`run_check` is the one place a report is timed, seeded and compared: a
+verifier hands it only its mathematics, a build function that validates
+the request and returns the two sides and a verdict on them.
 
 A verification never raises on mathematical disagreement; it returns a
 report with equal=False and the two side hashes differing.  Exceptions are
 reserved for bad usage and bad parameters.
 
-`compare_sides` is the one verdict step of every verifier: it compares
-the two sides value by value and hashes each side as its values' texts,
-one per line.  An equal pair is compared once and rendered once.  `render`
-is the one way a verdict value becomes text, for the hashes and for the
-rationals in `detail`: a Laurent polynomial renders as its canonical()
-form, a rational as str().  A 0-variable polynomial and the rational it
-holds render alike.
+`compare_sides` compares the two sides value by value and hashes each
+side as its values' texts, one per line.  An equal pair is compared once
+and rendered once.  `render` is the one way a verdict value becomes text,
+for the hashes and for the rationals in `detail`: a Laurent polynomial
+renders as its canonical() form, a rational as str().  A 0-variable
+polynomial and the rational it holds render alike.
 
 The JSON form is deterministic for a fixed (identity, parameters, seed):
 keys are sorted, separators fixed, and values exact.  The elapsed_ms field
@@ -20,10 +24,12 @@ comparisons.
 
 import hashlib
 import json
+import time
 from dataclasses import dataclass, field, fields
 from fractions import Fraction
 
 from .laurent import LaurentPoly
+from .sampling import sample_seed
 
 SCHEMA_VERSION = 1
 
@@ -64,6 +70,32 @@ def compare_sides(lhs, rhs):
     if all(flags):
         return flags, lhs_hash, lhs_hash
     return flags, lhs_hash, canonical_hash("\n".join(rhs_texts))
+
+
+def run_check(identity, mode, seed, build, **fields):
+    """Run one check and report it, timed from start to end.
+
+    The seed is resolved once, by sampling.sample_seed: None in symbolic
+    mode, 0 for a numeric caller that gives none.  build(seed) validates
+    the request, builds the instance and returns (lhs, rhs, verdict): two
+    equal-length lists of side values for compare_sides, and a function
+    of its flags that returns the report's equal and, where the identity
+    has them, its sign and detail, as a dict.  fields are the report's s
+    and n."""
+    t0 = time.perf_counter()
+    seed = sample_seed(mode, seed)
+    lhs, rhs, verdict = build(seed)
+    flags, lhs_hash, rhs_hash = compare_sides(lhs, rhs)
+    return VerifyReport(
+        identity=identity,
+        mode=mode,
+        lhs_hash=lhs_hash,
+        rhs_hash=rhs_hash,
+        seed=seed,
+        **fields,
+        **verdict(flags),
+        elapsed_ms=int((time.perf_counter() - t0) * 1000),
+    )
 
 
 @dataclass

@@ -204,6 +204,22 @@ def test_verify_family_gate(capsys):
     assert json.loads(out)["sign"] == 1
 
 
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        (["main", "--s", "2", "--n", "2", "--family", "sp"], "--family"),
+        (["main", "--s", "2", "--n", "2", "--k", "1"], "--k"),
+        (["prop12", "--family", "gl", "--s", "4", "--n", "2", "--q", "1/2"], "--q"),
+        (["denominators", "--n", "2", "--s", "3"], "--s"),
+        (["schur-det", "--family", "gl", "--s", "2", "--n", "2", "--t", "1/3"], "--t"),
+    ],
+)
+def test_verify_refuses_a_flag_the_identity_does_not_take(capsys, argv, flag):
+    code, out, err = run_cli(capsys, ["verify", *argv])
+    assert code == 2 and out == ""
+    assert err == f"error: {flag} does not apply to {argv[0]}\n"
+
+
 def test_verify_macdonald_reports_honest_failure(capsys):
     code, out, _ = run_cli(
         capsys, ["verify", "macdonald", "--s", "2", "--n", "2", "--seed", "0"]
@@ -332,6 +348,17 @@ def _sweep_argvs():
         cases.append(argv)
     for repeats in (-1, 0, 2):
         cases.append(["main", "--s", "2", "--n", "2", "--repeats", str(repeats)])
+    # a flag the identity does not take, next to the flags it needs
+    for argv, foreign in (
+        ("main --s 2 --n 2", ("--k 1", "--family sp", "--q 1/2", "--t 1/3")),
+        ("sylvester --s 3 --n 2", ("--k 1", "--family gl", "--q 1/2")),
+        ("gram --s 2 --n 2 --mode numeric", ("--family gl", "--t 1/3")),
+        ("denominators --n 2", ("--s 3", "--k 3 --family gl", "--q 1/2")),
+        ("schur-det --family gl --s 2 --n 2", ("--k 1", "--q 1/2", "--t 1/3")),
+        ("prop12 --family gl --s 4 --n 2", ("--k 1", "--q 1/2 --t 1/3")),
+        ("macdonald --s 2 --n 1", ("--k 1", "--family gl")),
+    ):
+        cases += [(argv + " " + flags).split() for flags in foreign]
     cases = [["verify", *argv] for argv in cases]
     for kind in cli.ENUMERATE_KINDS:
         for s, n in ((3, 2), (1, 1), (0, 2), (2, -1)):
