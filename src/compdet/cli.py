@@ -5,14 +5,16 @@ compositions, their slot sets, the partner maps) one item per line, and
 `verify` runs one of the determinant-identity checkers and emits a report
 as JSON (default) or plain text.  Exit code 0 means every requested check
 came out equal, 1 means at least one did not, 2 means the request itself
-was malformed or out of range.
+was malformed or out of range.  Each subcommand reads one table, VERIFY_ROWS
+or ENUMERATE_ROWS, for every refusal, default and dispatch of a request.
 """
 
 import argparse
 import sys
 from fractions import Fraction
+from math import comb
 
-from .characters import verify_denominators, verify_prop_detS, verify_theorem_schur
+from .characters import FAMILIES, verify_denominators, verify_prop_detS, verify_theorem_schur
 from .combin import (
     bump_except,
     compositions,
@@ -27,20 +29,55 @@ from .compound import verify_gram, verify_main, verify_sylvester
 from .errors import CapabilityError, DomainError, ParameterError, UsageError
 from .macdonald import verify_corollary_macdonald
 
-ENUMERATE_KINDS = ("Z", "Z0", "iota", "phi", "tau", "partitions")
-# The flags each identity requires, in the order they are checked, and the
-# ones it may take besides.  Any other of these flags is refused; --mode,
-# --seed and the output flags go with every identity.
-_FLAGS = {
-    "main": (("s", "n"), ()),
-    "sylvester": (("s", "n"), ()),
-    "gram": (("s", "n"), ("k",)),
-    "denominators": (("n",), ()),
-    "schur-det": (("family", "s", "n"), ()),
-    "prop12": (("family", "s", "n"), ()),
-    "macdonald": (("s", "n"), ("q", "t")),
+
+def _parse_fraction(text, flag):
+    if text is None:
+        return None
+    try:
+        return Fraction(text)
+    except (ValueError, ZeroDivisionError) as exc:
+        raise UsageError(f"{flag} must be a rational like 2/7, got {text!r}") from exc
+
+
+# Per identity: its modes (the first is the default), its required flags in
+# the order they are checked, the flags it may take besides, and its call on
+# (args, mode, seed).  Any other of these flags is refused; --mode, --seed and
+# the output flags go with every identity.
+VERIFY_ROWS = {
+    "main": (("symbolic", "numeric"), ("s", "n"), (),
+             lambda a, mode, seed: verify_main(a.s, a.n, mode, seed)),
+    "sylvester": (("symbolic", "numeric"), ("s", "n"), (),
+                  lambda a, mode, seed: verify_sylvester(a.s, a.n, mode, seed)),
+    "gram": (("symbolic", "numeric"), ("s", "n"), ("k",),
+             lambda a, mode, seed: verify_gram(a.s, a.n, a.k, mode, seed)),
+    "denominators": (("symbolic",), ("n",), (), lambda a, mode, seed: verify_denominators(a.n)),
+    "schur-det": (("numeric",), ("family", "s", "n"), (),
+                  lambda a, mode, seed: verify_theorem_schur(a.family, a.s, a.n, seed)),
+    "prop12": (("numeric",), ("family", "s", "n"), (),
+               lambda a, mode, seed: verify_prop_detS(a.family, a.s, a.n, seed)),
+    "macdonald": (("numeric",), ("s", "n"), ("q", "t"),
+                  lambda a, mode, seed: verify_corollary_macdonald(
+                      a.s, a.n, seed, _parse_fraction(a.q, "--q"), _parse_fraction(a.t, "--t"))),
 }
-IDENTITIES = tuple(_FLAGS)
+IDENTITIES = tuple(VERIFY_ROWS)
+
+
+def _with_part(s, n, k):
+    return [mu for mu in compositions(s, n) if mu[k - 1]]
+
+
+# Per kind: whether it takes --k, its items for (s, n, k), each printed as a
+# composition, and the image printed after it for (item, n, k), if any.
+ENUMERATE_ROWS = {
+    "Z": (False, lambda s, n, k: compositions(s, n), None),
+    "Z0": (False, lambda s, n, k: compositions_positive(s, s + n - 1), None),
+    "iota": (False, lambda s, n, k: compositions(s, n), lambda x, n, k: format_subset(iota(x, n))),
+    "phi": (True, _with_part, lambda x, n, k: format_subset(successor_slots(x, k, n))),
+    "tau": (True, _with_part, lambda x, n, k: format_composition(bump_except(x, k))),
+    "partitions": (False, lambda s, n, k: partitions_in_box(n, s - 1), None),
+}
+ENUMERATE_KINDS = tuple(ENUMERATE_ROWS)
+ENUMERATE_MAX_ENTRIES = 2_000_000  # printed parts and slots; `Z 1200 1` prints 1,440,000
 
 
 def build_parser():
@@ -64,10 +101,7 @@ def build_parser():
     verify_p.add_argument("--n", type=int, default=None)
     verify_p.add_argument("--k", type=int, default=None, help="pin the partner coordinate (gram)")
     verify_p.add_argument(
-        "--family",
-        choices=("gl", "sp", "odd-orth", "even-orth"),
-        default=None,
-        help="character family (schur-det, prop12)",
+        "--family", choices=FAMILIES, default=None, help="character family (schur-det, prop12)"
     )
     verify_p.add_argument("--mode", choices=("symbolic", "numeric"), default=None)
     verify_p.add_argument("--seed", type=int, default=0)
@@ -85,77 +119,37 @@ def _need(value, flag, identity):
     return value
 
 
-def _parse_fraction(text, flag):
-    if text is None:
-        return None
-    try:
-        return Fraction(text)
-    except (ValueError, ZeroDivisionError) as exc:
-        raise UsageError(f"{flag} must be a rational like 2/7, got {text!r}") from exc
-
-
 def run_enumerate(args):
-    s, n = args.s, args.n
+    what, s, n, k = args.what, args.s, args.n, args.k
+    takes_k, items, image = ENUMERATE_ROWS[what]
+    if k is not None and not takes_k:
+        raise UsageError(f"--k does not apply to {what}")
     if s < 1 or n < 1:
         raise UsageError("s and n must be positive")
-    what = args.what
-    lines = []
-    if what == "Z":
-        lines = [format_composition(mu) for mu in compositions(s, n)]
-    elif what == "Z0":
-        lines = [format_composition(nu) for nu in compositions_positive(s, s + n - 1)]
-    elif what == "iota":
-        lines = [
-            f"{format_composition(mu)} -> {format_subset(iota(mu, n))}"
-            for mu in compositions(s, n)
-        ]
-    elif what in ("phi", "tau"):
-        k = _need(args.k, "--k", what)
-        if not 1 <= k <= s:
-            raise UsageError(f"--k must lie in 1..{s}")
-        for mu in compositions(s, n):
-            if mu[k - 1] == 0:
-                continue
-            if what == "phi":
-                rhs = format_subset(successor_slots(mu, k, n))
-            else:
-                rhs = format_composition(bump_except(mu, k))
-            lines.append(f"{format_composition(mu)} -> {rhs}")
-    elif what == "partitions":
-        lines = [format_composition(lam) for lam in partitions_in_box(n, s - 1)]
-    print("\n".join(lines))
+    if takes_k and not 1 <= _need(k, "--k", what) <= s:
+        raise UsageError(f"--k must lie in 1..{s}")
+    # Every kind prints at most C(s+n-1, n) * (s+n) entries.  A binomial grows
+    # with its lower index up to half the upper one, so the cut to 64 keeps it
+    # cheap and still exceeds the cap whenever the uncut one does.
+    if comb(s + n - 1, min(n, s - 1, 64)) * (s + n) > ENUMERATE_MAX_ENTRIES:
+        raise CapabilityError(f"{what} {s} {n} may print over {ENUMERATE_MAX_ENTRIES} entries")
+    print("\n".join(
+        format_composition(x) + (f" -> {image(x, n, k)}" if image else "") for x in items(s, n, k)
+    ))
     return 0
 
 
 def _run_verify_once(args, seed):
-    identity = args.identity
-    required, optional = _FLAGS[identity]
+    modes, required, optional, call = VERIFY_ROWS[args.identity]
     for flag in ("s", "n", "k", "family", "q", "t"):
         if getattr(args, flag) is not None and flag not in required + optional:
-            raise UsageError(f"--{flag} does not apply to {identity}")
-    mode = args.mode
-    if identity == "denominators" and mode == "numeric":
-        raise UsageError("denominators only supports symbolic mode")
-    if identity in ("schur-det", "prop12", "macdonald") and mode == "symbolic":
-        raise UsageError(f"{identity} only supports numeric mode")
+            raise UsageError(f"--{flag} does not apply to {args.identity}")
+    mode = args.mode or modes[0]
+    if mode not in modes:
+        raise UsageError(f"{args.identity} only supports {modes[0]} mode")
     for flag in required:
-        _need(getattr(args, flag), f"--{flag}", identity)
-    s, n, family = args.s, args.n, args.family
-    if identity == "main":
-        return verify_main(s, n, mode=mode or "symbolic", seed=seed)
-    if identity == "sylvester":
-        return verify_sylvester(s, n, mode=mode or "symbolic", seed=seed)
-    if identity == "gram":
-        return verify_gram(s, n, k0=args.k, mode=mode or "symbolic", seed=seed)
-    if identity == "denominators":
-        return verify_denominators(n)
-    if identity == "schur-det":
-        return verify_theorem_schur(family, s, n, seed)
-    if identity == "prop12":
-        return verify_prop_detS(family, s, n, seed)
-    # macdonald: _FLAGS[identity] raised above on any other name
-    q, t = _parse_fraction(args.q, "--q"), _parse_fraction(args.t, "--t")
-    return verify_corollary_macdonald(s, n, seed, q=q, t=t)
+        _need(getattr(args, flag), f"--{flag}", args.identity)
+    return call(args, mode, seed)
 
 
 def run_verify(args):

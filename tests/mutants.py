@@ -1,4 +1,5 @@
-"""A small mutation ledger for the verdict code of the verifiers.
+"""A small mutation ledger for the verdict code of the verifiers, the
+request refusals of the command line and the kernels under both.
 
 Each mutant names a module of the package, an exact source text that
 occurs once in src/, the text that replaces it, and the tests that must
@@ -16,7 +17,6 @@ under the system temporary directory.
 """
 
 import os
-import re
 import shutil
 import subprocess
 import sys
@@ -79,6 +79,117 @@ MUTANTS = (
             "[denominators]",
         ),
     ),
+    (
+        "verify lets a foreign flag through",
+        "cli.py",
+        'raise UsageError(f"--{flag} does not apply to {args.identity}")',
+        "pass",
+        (
+            "tests/test_cli.py::test_verify_refuses_a_flag_the_identity_does_not_take"
+            "[argv0---family]",
+            "tests/test_cli.py::test_verify_refuses_a_flag_the_identity_does_not_take"
+            "[argv3---s]",
+        ),
+    ),
+    (
+        "verify takes a mode outside the identity's row",
+        "cli.py",
+        "if mode not in modes:",
+        "if False:",
+        (
+            "tests/test_cli.py::test_verify_rejects_symbolic_for_numeric_only",
+            "tests/test_cli.py::test_denominators_rejects_numeric_mode_and_sizes_past_the_cap"
+            "[argv0-denominators only supports symbolic mode]",
+        ),
+    ),
+    (
+        "enumerate takes --k on a kind without it",
+        "cli.py",
+        "if k is not None and not takes_k:",
+        "if False:",
+        (
+            "tests/test_cli.py::test_enumerate_refuses_with_one_error_line[k-Z]",
+            "tests/test_cli.py::test_enumerate_refuses_with_one_error_line[k-partitions]",
+        ),
+    ),
+    (
+        "canonical changes its separator",
+        "laurent.py",
+        'out.append(" + ")',
+        'out.append(" +")',
+        ("tests/test_laurent.py::test_canonical_golden_string",),
+    ),
+    (
+        "the factor memo stores nothing",
+        "laurent.py",
+        "self[value] = text",
+        "pass",
+        ("tests/test_laurent.py::test_canonical_formats_each_factor_once_per_call",),
+    ),
+    (
+        "muladd_terms drops its guard-bit check",
+        "_backend.py",
+        "if k & guard:",
+        "if False:",
+        (
+            "tests/test_laurent.py::test_products_past_either_end_raise[1]",
+            "tests/test_laurent.py::test_products_past_either_end_raise[3]",
+        ),
+    ),
+    (
+        "prop12's grid has its first two rows swapped",
+        "characters.py",
+        "rows = partitions_in_box(n, s - n)",
+        "rows = partitions_in_box(n, s - n)\n        rows[:2] = rows[1::-1]",
+        (
+            "tests/test_characters.py::test_single_alphabet_identity",
+            "tests/test_cli.py::test_verify_family_gate",
+        ),
+    ),
+    (
+        "det_fractions' multiplier update drops g",
+        "pmatrix.py",
+        "work[i] = (m * g / pivot, new)",
+        "work[i] = (m / pivot, new)",
+        (
+            "tests/test_matrix.py::test_det_fractions_matches_bareiss_reference",
+            "tests/test_matrix.py::test_det_fractions_coprime_large_denominators",
+        ),
+    ),
+    (
+        "det_fractions' multiplier update drops pivot",
+        "pmatrix.py",
+        "work[i] = (m * g / pivot, new)",
+        "work[i] = (m * g, new)",
+        (
+            "tests/test_matrix.py::test_det_fractions_matches_bareiss_reference",
+            "tests/test_matrix.py::test_det_fractions_coprime_large_denominators",
+        ),
+    ),
+    (
+        "the even-orth grid drops its factor 2",
+        "characters.py",
+        "factor = 2 if family == EVEN_ORTH and lam[n - 1] != 0 else 1",
+        "factor = 1",
+        (
+            "tests/test_characters.py::test_character_grid_matches_per_cell_alternants",
+            "tests/test_characters.py::test_character_grid_identity_all_families",
+        ),
+    ),
+    (
+        "the even-orth denominator product drops its factor 2",
+        "characters.py",
+        "EVEN_ORTH: pairs * 2}",
+        "EVEN_ORTH: pairs}",
+        ("tests/test_characters.py::test_denominator_product_formulas",),
+    ),
+    (
+        "products drops the column scale",
+        "pmatrix.py",
+        "Fraction(sum(map(mul, x_ints, y_ints)), x_scale * y_scale)",
+        "Fraction(sum(map(mul, x_ints, y_ints)), x_scale)",
+        ("tests/test_matrix.py::test_products_match_dot",),
+    ),
 )
 
 
@@ -108,7 +219,13 @@ def failed_tests(name, module, source, replacement, tests):
             capture_output=True,
             text=True,
         )
-    return set(re.findall(r"^FAILED (\S+)", run.stdout, re.MULTILINE))
+    # a summary line is "FAILED <node id>", followed by " - <reason>" when
+    # pytest gives one; a node id may hold spaces
+    lines = run.stdout.splitlines()
+    return {
+        t for t in tests
+        if any(line == f"FAILED {t}" or line.startswith(f"FAILED {t} - ") for line in lines)
+    }
 
 
 def main():

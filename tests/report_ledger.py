@@ -13,7 +13,11 @@ The requests:
   - every benchmark check (perfbench/checks.py) at seeds 0-2, except
     `denominators --n 6`, which takes about a second and whose report
     does not depend on the seed: it is recorded at seed 0 only;
-  - `--format text --repeats 2` on one check per identity.
+  - `--format text --repeats 2` on one check per identity;
+  - `prop12 --family sp --s 6 --n 2` at seeds 3-79 as well, whose outcome
+    moves with the seed: it raises ValueError on the int-to-str digit limit
+    at seeds 17, 53, 59 and 62 and exits 0 at the others
+    (tests/outcome_sweep.py lists such checks).
 
 Usage, from the repository root:
 
@@ -50,6 +54,7 @@ TEXT_CHECKS = (
     "prop12 --family gl --s 4 --n 2",
     "macdonald --s 2 --n 2",
 )
+SEED_SWEEP_CHECK = "prop12 --family sp --s 6 --n 2"
 
 
 def requests():
@@ -62,6 +67,8 @@ def requests():
                 argvs.append(["verify", *check.split(), "--seed", str(seed)])
     for check in TEXT_CHECKS:
         argvs.append(["verify", *check.split(), "--format", "text", "--repeats", "2"])
+    for seed in range(SEEDS[-1] + 1, 80):
+        argvs.append(["verify", *SEED_SWEEP_CHECK.split(), "--seed", str(seed)])
     return argvs
 
 

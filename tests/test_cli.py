@@ -2,8 +2,10 @@
 
 import json
 import os
+import re
 import subprocess
 import sys
+from math import comb
 from pathlib import Path
 
 import pytest
@@ -94,6 +96,35 @@ def test_enumerate_requires_k_for_slot_families(capsys):
     code, _, err = run_cli(capsys, ["enumerate", "phi", "3", "2"])
     assert code == 2
     assert err.startswith("error:")
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["Z", "3", "2", "--k", "1"], "--k does not apply to Z"),
+        (["Z0", "3", "2", "--k", "1"], "--k does not apply to Z0"),
+        (["iota", "2", "2", "--k", "1"], "--k does not apply to iota"),
+        # the flag is refused before the sizes are checked
+        (["partitions", "0", "2", "--k", "5"], "--k does not apply to partitions"),
+        (["Z", "30", "30"], "Z 30 30 may print over 2000000 entries"),
+        (["Z", "1", "2000000"], "Z 1 2000000 may print over 2000000 entries"),
+    ],
+    ids=("k-Z", "k-Z0", "k-iota", "k-partitions", "bound-Z-30-30", "bound-Z-1-2000000"),
+)
+def test_enumerate_refuses_with_one_error_line(capsys, argv, message):
+    code, out, err = run_cli(capsys, ["enumerate", *argv])
+    assert code == 2 and out == ""
+    assert err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("kind", cli.ENUMERATE_KINDS)
+def test_enumerate_prints_no_more_entries_than_its_bound(capsys, kind):
+    for s in range(1, 6):
+        for n in range(1, 6):
+            argv = ["enumerate", kind, str(s), str(n)]
+            code, out, _ = run_cli(capsys, argv + (["--k", "1"] if kind in ("phi", "tau") else []))
+            assert code == 0
+            assert len(re.findall(r"\d+", out)) <= comb(s + n - 1, n) * (s + n)
 
 
 def test_enumerate_rejects_bad_kind():
@@ -367,6 +398,10 @@ def _sweep_argvs():
                 cases.append(argv + (["--k", str(k)] if k is not None else []))
     # more parts than a recursion per part could reach
     cases += [["enumerate", kind, "1200", "1"] for kind in ("Z", "Z0")]
+    # past the output bound, refused before any line is built
+    cases += [["enumerate", kind, "30", "30", "--k", "1"] for kind in ("phi", "tau")]
+    cases += [["enumerate", kind, "30", "30"] for kind in ("Z", "Z0", "partitions")]
+    cases += [["enumerate", "iota", "100000", "1"]]
     return cases
 
 
