@@ -48,7 +48,9 @@ EVEN_ORTH = "even-orth"
 FAMILIES = (GL, SP, ODD_ORTH, EVEN_ORTH)
 
 # Beyond this many variables the odd-orth and sp sides of denominators
-# (n! * 2**n terms) no longer fit in memory.
+# (n! * 2**n terms) no longer fit in memory.  n = 7 peaks at about 530 MB
+# resident; at n = 8 each of those sides holds 10,321,920 terms, 16 times as
+# many, so n = 8 would need about 8 GB (an estimate; it is not run).
 DENOMINATORS_CAP = 7
 
 # How each family folds the reciprocal power into a matrix entry.
@@ -196,20 +198,30 @@ def denominator_products(n):
     is the Vandermonde with each power x_i^a replaced by y_i^a, and the sp
     product, the pair product times x_i - 1/x_i for each i, replaces it by
     (x_i - 1/x_i) y_i^a.  Odd-orth multiplies the pair product by its
-    single factors one two-term product at a time, which takes fewer term
-    products than a substitution."""
+    single factors x_i^(1/2) - x_i^(-1/2) one at a time.
+
+    Under the reflection x_i -> 1/x_i, y_i is fixed and both single
+    factors change sign, so the pair product is invariant under each
+    reflection and the sp and odd-orth products change sign.  Each is
+    therefore fixed by its terms with every exponent >= 0, and those are
+    all that is built: each substitution image is cut to its terms with
+    x_i-exponent >= 0 (the rest of a term holds no x_i), and each odd-orth
+    step keeps the product's terms with x_i-exponent >= 0, which come only
+    from terms of the previous step with x_i-exponent >= 0.
+    LaurentPoly.unfold then mirrors each side into all of its n! * 2**n
+    terms.  At n = 6 the four sides take 73,247 term products."""
     roots = symbolic_roots(n)
     gl = alternant_product(GL, roots)
     pairs = sp = gl
     for i, r in enumerate(roots, 1):
         y = r**2 + r**-2
         single = _single_factor(SP, r)
-        pairs = pairs.substitute(i, lambda e2: y ** (e2 // 2))
-        sp = sp.substitute(i, lambda e2: single * y ** (e2 // 2))
+        pairs = pairs.substitute(i, lambda e2: (y ** (e2 // 2)).nonnegative(i))
+        sp = sp.substitute(i, lambda e2: (single * y ** (e2 // 2)).nonnegative(i))
     odd = pairs
-    for r in roots:
-        odd = odd * _single_factor(ODD_ORTH, r)
-    return {GL: gl, SP: sp, ODD_ORTH: odd, EVEN_ORTH: pairs * 2}
+    for i, r in enumerate(roots, 1):
+        odd = (odd * _single_factor(ODD_ORTH, r)).nonnegative(i)
+    return {GL: gl, SP: sp.unfold(-1), ODD_ORTH: odd.unfold(-1), EVEN_ORTH: (pairs * 2).unfold(1)}
 
 
 def verify_denominators(n):

@@ -66,15 +66,32 @@ def _with_part(s, n, k):
     return [mu for mu in compositions(s, n) if mu[k - 1]]
 
 
+def _compositions_count(s, w):
+    """C(s + w - 1, w), the number of compositions of w into s parts.  A
+    binomial grows with its lower index up to half the upper one, so the cut
+    to 64 keeps it cheap and still exceeds the cap whenever the uncut one
+    does."""
+    return comb(s + w - 1, min(w, s - 1, 64))
+
+
 # Per kind: whether it takes --k, its items for (s, n, k), each printed as a
-# composition, and the image printed after it for (item, n, k), if any.
+# composition, the image printed after it for (item, n, k), if any, and a
+# bound on the entries it prints for (s, n).  Z, iota and partitions print
+# C(s+n-1, n) lines, Z0, phi and tau C(s+n-2, n-1); a phi or tau line holds
+# at most 2s entries, any other line at most s + n.
 ENUMERATE_ROWS = {
-    "Z": (False, lambda s, n, k: compositions(s, n), None),
-    "Z0": (False, lambda s, n, k: compositions_positive(s, s + n - 1), None),
-    "iota": (False, lambda s, n, k: compositions(s, n), lambda x, n, k: format_subset(iota(x, n))),
-    "phi": (True, _with_part, lambda x, n, k: format_subset(successor_slots(x, k, n))),
-    "tau": (True, _with_part, lambda x, n, k: format_composition(bump_except(x, k))),
-    "partitions": (False, lambda s, n, k: partitions_in_box(n, s - 1), None),
+    "Z": (False, lambda s, n, k: compositions(s, n), None,
+          lambda s, n: _compositions_count(s, n) * (s + n)),
+    "Z0": (False, lambda s, n, k: compositions_positive(s, s + n - 1), None,
+           lambda s, n: _compositions_count(s, n - 1) * (s + n)),
+    "iota": (False, lambda s, n, k: compositions(s, n), lambda x, n, k: format_subset(iota(x, n)),
+             lambda s, n: _compositions_count(s, n) * (s + n)),
+    "phi": (True, _with_part, lambda x, n, k: format_subset(successor_slots(x, k, n)),
+            lambda s, n: _compositions_count(s, n - 1) * 2 * s),
+    "tau": (True, _with_part, lambda x, n, k: format_composition(bump_except(x, k)),
+            lambda s, n: _compositions_count(s, n - 1) * 2 * s),
+    "partitions": (False, lambda s, n, k: partitions_in_box(n, s - 1), None,
+                   lambda s, n: _compositions_count(s, n) * (s + n)),
 }
 ENUMERATE_KINDS = tuple(ENUMERATE_ROWS)
 ENUMERATE_MAX_ENTRIES = 2_000_000  # printed parts and slots; `Z 1200 1` prints 1,440,000
@@ -121,17 +138,14 @@ def _need(value, flag, identity):
 
 def run_enumerate(args):
     what, s, n, k = args.what, args.s, args.n, args.k
-    takes_k, items, image = ENUMERATE_ROWS[what]
+    takes_k, items, image, bound = ENUMERATE_ROWS[what]
     if k is not None and not takes_k:
         raise UsageError(f"--k does not apply to {what}")
     if s < 1 or n < 1:
         raise UsageError("s and n must be positive")
     if takes_k and not 1 <= _need(k, "--k", what) <= s:
         raise UsageError(f"--k must lie in 1..{s}")
-    # Every kind prints at most C(s+n-1, n) * (s+n) entries.  A binomial grows
-    # with its lower index up to half the upper one, so the cut to 64 keeps it
-    # cheap and still exceeds the cap whenever the uncut one does.
-    if comb(s + n - 1, min(n, s - 1, 64)) * (s + n) > ENUMERATE_MAX_ENTRIES:
+    if bound(s, n) > ENUMERATE_MAX_ENTRIES:
         raise CapabilityError(f"{what} {s} {n} may print over {ENUMERATE_MAX_ENTRIES} entries")
     print("\n".join(
         format_composition(x) + (f" -> {image(x, n, k)}" if image else "") for x in items(s, n, k)

@@ -271,6 +271,13 @@ class LaurentPoly:
                 base = base * base
         return result
 
+    def _shift(self, i):
+        """The bit offset of the field of the 1-based variable i in a key."""
+        n = self.num_vars
+        if not 1 <= i <= n:
+            raise UsageError(f"variable index {i} outside 1..{n}")
+        return (n - i) * FIELD_BITS
+
     def substitute(self, i, image):
         """The polynomial with each power x_i^(e2/2) of the 1-based
         variable i replaced by image(e2), a polynomial of the same ring
@@ -278,9 +285,7 @@ class LaurentPoly:
         exponent of x_i, that power is stripped from their keys, and each
         group is multiplied by its image in one kernel call."""
         n = self.num_vars
-        if not 1 <= i <= n:
-            raise UsageError(f"variable index {i} outside 1..{n}")
-        shift = (n - i) * FIELD_BITS
+        shift = self._shift(i)
         groups = {}
         for k, c in self._terms.items():
             e2 = ((k >> shift) & FIELD_MASK) - EXP_BIAS
@@ -292,6 +297,37 @@ class LaurentPoly:
             self._check_ring(other)
             muladd_terms(acc, group, other._terms, unit, 1)
         return LaurentPoly(n, acc)
+
+    def nonnegative(self, i):
+        """The terms whose stored exponent of the 1-based variable i is
+        >= 0."""
+        shift = self._shift(i)
+        return LaurentPoly(self.num_vars, {
+            k: c for k, c in self._terms.items() if (k >> shift) & FIELD_MASK >= EXP_BIAS
+        })
+
+    def unfold(self, sign):
+        """The polynomial that is sign times itself under each reflection
+        x_i -> 1/x_i and whose terms with every exponent >= 0 are these
+        terms.  Each term is mirrored at each nonzero exponent, and its
+        coefficient is multiplied by sign once per mirrored exponent; a zero
+        exponent is not mirrored.  Raises UsageError when a term has a
+        negative exponent.  A mirrored exponent -e2 with 0 <= e2 <= EXP_MAX
+        is packable."""
+        unit = unit_key(self.num_vars)
+        # a field holds e2 + EXP_BIAS < 2 * EXP_BIAS, so e2 >= 0 exactly when
+        # the field's EXP_BIAS bit, the one unit sets there, is set
+        if any(k & unit != unit for k in self._terms):
+            raise UsageError("unfold needs every exponent >= 0")
+        out = dict(self._terms)
+        for shift in range(0, self.num_vars * FIELD_BITS, FIELD_BITS):
+            mirrored = {}
+            for k, c in out.items():
+                e2 = ((k >> shift) & FIELD_MASK) - EXP_BIAS
+                if e2:
+                    mirrored[k - (2 * e2 << shift)] = sign * c
+            out.update(mirrored)
+        return LaurentPoly(self.num_vars, out)
 
     def __eq__(self, other):
         if isinstance(other, (int, Fraction)):

@@ -26,6 +26,13 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 SRC = ROOT / "src" / "compdet"
 
+# The tests of the denominators sides, which LaurentPoly.nonnegative and
+# LaurentPoly.unfold build.
+DENOMINATOR_TESTS = (
+    "tests/test_characters.py::test_denominator_products_match_the_direct_products",
+    "tests/test_characters.py::test_denominator_product_formulas",
+)
+
 # (name, module under src/compdet, source text, replacement, tests that must fail)
 MUTANTS = (
     (
@@ -179,9 +186,37 @@ MUTANTS = (
     (
         "the even-orth denominator product drops its factor 2",
         "characters.py",
-        "EVEN_ORTH: pairs * 2}",
-        "EVEN_ORTH: pairs}",
+        "EVEN_ORTH: (pairs * 2).unfold(1)}",
+        "EVEN_ORTH: pairs.unfold(1)}",
         ("tests/test_characters.py::test_denominator_product_formulas",),
+    ),
+    (
+        "unfold drops its sign",
+        "laurent.py",
+        "mirrored[k - (2 * e2 << shift)] = sign * c",
+        "mirrored[k - (2 * e2 << shift)] = c",
+        DENOMINATOR_TESTS,
+    ),
+    (
+        "unfold mirrors e2 to 0, not to -e2",
+        "laurent.py",
+        "k - (2 * e2 << shift)",
+        "k - (e2 << shift)",
+        DENOMINATOR_TESTS,
+    ),
+    (
+        "nonnegative drops the exponent-0 terms",
+        "laurent.py",
+        "(k >> shift) & FIELD_MASK >= EXP_BIAS",
+        "(k >> shift) & FIELD_MASK > EXP_BIAS",
+        DENOMINATOR_TESTS,
+    ),
+    (
+        "unfold skips the last variable",
+        "laurent.py",
+        "range(0, self.num_vars * FIELD_BITS, FIELD_BITS)",
+        "range(FIELD_BITS, self.num_vars * FIELD_BITS, FIELD_BITS)",
+        DENOMINATOR_TESTS,
     ),
     (
         "products drops the column scale",

@@ -119,12 +119,17 @@ def test_enumerate_refuses_with_one_error_line(capsys, argv, message):
 
 @pytest.mark.parametrize("kind", cli.ENUMERATE_KINDS)
 def test_enumerate_prints_no_more_entries_than_its_bound(capsys, kind):
+    # each kind prints one line per composition of n, or of n - 1 for the
+    # kinds whose items have a positive part, into s parts
+    drop = 1 if kind in ("Z0", "phi", "tau") else 0
+    bound = cli.ENUMERATE_ROWS[kind][3]
     for s in range(1, 6):
         for n in range(1, 6):
             argv = ["enumerate", kind, str(s), str(n)]
             code, out, _ = run_cli(capsys, argv + (["--k", "1"] if kind in ("phi", "tau") else []))
             assert code == 0
-            assert len(re.findall(r"\d+", out)) <= comb(s + n - 1, n) * (s + n)
+            assert len(out.splitlines()) == comb(s + n - 1 - drop, n - drop)
+            assert len(re.findall(r"\d+", out)) <= bound(s, n)
 
 
 def test_enumerate_rejects_bad_kind():
@@ -398,6 +403,9 @@ def _sweep_argvs():
                 cases.append(argv + (["--k", str(k)] if k is not None else []))
     # more parts than a recursion per part could reach
     cases += [["enumerate", kind, "1200", "1"] for kind in ("Z", "Z0")]
+    # one long line each, inside every kind's own output bound
+    cases += [["enumerate", "Z0", "2000", "1"]]
+    cases += [["enumerate", kind, "2000", "1", "--k", "1"] for kind in ("phi", "tau")]
     # past the output bound, refused before any line is built
     cases += [["enumerate", kind, "30", "30", "--k", "1"] for kind in ("phi", "tau")]
     cases += [["enumerate", kind, "30", "30"] for kind in ("Z", "Z0", "partitions")]

@@ -468,3 +468,71 @@ def substitutions(draw):
 def test_substitute_matches_reference(case):
     poly, i, image = case
     assert poly.substitute(i, image) == substitute_reference(poly, i, image)
+
+
+def restricted(poly, i):
+    """The terms of poly whose stored exponent of x_i is >= 0, read off its
+    unpacked exponent tuples."""
+    return poly_of(poly.num_vars, {e: c for e, c in poly.terms() if e[i - 1] >= 0})
+
+
+def reflected(poly, i):
+    """poly at x_i -> 1/x_i, read off its unpacked exponent tuples."""
+    return poly_of(poly.num_vars, {
+        e[: i - 1] + (-e[i - 1],) + e[i:]: c for e, c in poly.terms()
+    })
+
+
+@settings(deadline=None, max_examples=200)
+@given(substitutions())
+def test_nonnegative_images_give_the_nonnegative_part_of_a_substitution(case):
+    # the rest of a term holds no x_i, so its x_i-exponent is its image's
+    poly, i, image = case
+    cut = poly.substitute(i, lambda e2: image(e2).nonnegative(i))
+    assert cut == restricted(substitute_reference(poly, i, image), i)
+
+
+@st.composite
+def symmetric_polys(draw):
+    """A sign and a polynomial in 1 to 3 variables with half-unit exponents
+    that is sign times itself under each reflection x_i -> 1/x_i: a drawn
+    polynomial plus its signed reflections in every set of variables."""
+    nv = draw(st.integers(min_value=1, max_value=3))
+    sign = draw(st.sampled_from((1, -1)))
+    poly = poly_of(nv, draw(st.dictionaries(st.tuples(*[half_exponents] * nv), coeffs, max_size=4)))
+    for i in range(1, nv + 1):
+        poly = poly + sign * reflected(poly, i)
+    return sign, poly
+
+
+@settings(deadline=None, max_examples=200)
+@given(symmetric_polys())
+def test_unfold_of_the_nonnegative_part_gives_back_the_polynomial(case):
+    sign, poly = case
+    part = poly
+    for i in range(1, poly.num_vars + 1):
+        assert reflected(poly, i) == sign * poly
+        assert part.nonnegative(i) == restricted(part, i)
+        part = part.nonnegative(i)
+    assert part.unfold(sign) == poly
+
+
+def test_unfold_does_not_double_a_zero_exponent():
+    for sign in (1, -1):
+        assert LaurentPoly.const(2, 5).unfold(sign) == 5
+        assert LaurentPoly.zero(2).unfold(sign) == 0
+    x2 = LaurentPoly.variable(2, 2)
+    assert (3 * x2).unfold(1) == 3 * x2 + 3 * x2**-1
+    assert (3 * x2).unfold(-1) == 3 * x2 - 3 * x2**-1
+    top = LaurentPoly.variable(1, 1, EXP_MAX) + 1
+    assert top.unfold(-1) == top - LaurentPoly.variable(1, 1, -EXP_MAX)
+
+
+def test_unfold_and_nonnegative_refuse_what_they_do_not_take():
+    with pytest.raises(UsageError):
+        LaurentPoly.variable(2, 2, -1).unfold(1)
+    with pytest.raises(UsageError):
+        (LaurentPoly.variable(3, 1) + LaurentPoly.variable(3, 3, -2)).unfold(-1)
+    for i in (0, 3):
+        with pytest.raises(UsageError):
+            LaurentPoly.variable(2, 1).nonnegative(i)
