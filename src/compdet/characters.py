@@ -14,10 +14,10 @@ denominator alternant, alternant_product (a pair factor per variable pair
 times a single-variable factor).  Each takes the roots themselves, Fractions
 or the Laurent roots x_i^(1/2) of symbolic_roots, and raises them with **;
 the product starts from the zeroth power, so no ring's one is passed.
-Numerically, all the alternants at one tuple of roots are maximal minors of
-a single power matrix, one row per exponent they use, and one
-pmatrix.minor_table of it yields every numerator and the denominator; the
-grid determinants go to pmatrix.det.
+Numerically, every alternant of a grid is a maximal minor of one power
+matrix per point, one row per exponent the grid uses and one column per
+root, and one pmatrix.minor_matrix of it yields every numerator and each
+column's denominator; the grid determinants go to pmatrix.det.
 
 The verification entry points check the four denominator product formulas,
 the determinant identity for the grid of characters evaluated at nested
@@ -31,11 +31,11 @@ from math import comb
 from .combin import binom_nonneg, compositions, iota, partitions_in_box, subsets_lex
 from .errors import CapabilityError, DomainError, ParameterError, UsageError
 from .laurent import LaurentPoly
-from .pmatrix import det, minor_table
+from .pmatrix import det, minor_matrix
 from .report import run_check
 from .sampling import (
-    MAX_RETRIES,
     SplitMix64,
+    admissible_draw,
     point_is_admissible,
     random_rational,
     sample_point,
@@ -112,45 +112,38 @@ def char_matrix(family, alpha2, roots):
 def character_value(family, lam, roots):
     """Character evaluated at the point whose coordinates are the squares
     of the rationals roots (ints or Fractions), as a Fraction."""
-    return _character_grid(family, [lam], [tuple(map(Fraction, roots))])[0][0][0]
+    point = tuple(map(Fraction, roots))
+    return _character_grid(family, [lam], point, [range(1, len(point) + 1)])[0][0][0]
 
 
-def _character_grid(family, partitions, col_roots):
-    """Characters at each partition (rows) and tuple of roots (columns), as
-    Fractions, with each column's denominator alternant: the cell at
-    lambda is f_lambda times its numerator alternant over the denominator,
-    f_lambda = 2 for an even-orth lambda with n nonzero parts and 1
-    otherwise.
+def _character_grid(family, partitions, point, col_sets):
+    """Characters at each partition (rows) and at the roots of point on
+    each column set (columns), as Fractions, with each column's denominator
+    alternant: the cell at lambda is f_lambda times its numerator alternant
+    over the denominator, f_lambda = 2 for an even-orth lambda with n
+    nonzero parts and 1 otherwise.
 
-    Every alternant of a column is a maximal minor of one power matrix,
-    whose row r holds the column's entries at the r-th largest exponent
-    any of the grid's alternants uses.  Each lambda + delta, and delta
-    itself, then sits on an increasing row set, so one minor_table per
-    column gives each numerator and the column's denominator with no sign
-    change.  On the verifiers' grids the exponents form one consecutive
-    run and every minor of the table is an alternant of the grid.  Every
-    tuple of roots must have the same length n."""
-    n = len(col_roots[0])
+    Every alternant is a minor of one power matrix, whose row r holds the
+    point's entries at the r-th largest exponent the grid uses, one column
+    per root.  delta and each lambda + delta sit on increasing row sets,
+    so one minor_matrix on them gives each column's denominator and every
+    numerator with no sign change.  On the verifiers' grids the exponents
+    form one consecutive run.  Every column set has the same length n."""
+    n = len(col_sets[0])
     padded = [_padded_partition(lam, n) for lam in partitions]
     delta = family_shift(family, n)
     alphas = [tuple(2 * lam[j] + delta[j] for j in range(n)) for lam in padded]
     exponents = sorted(set(delta).union(*alphas), reverse=True)
     row_of = {a: r for r, a in enumerate(exponents, 1)}
-    tables = []
-    denominators = []
-    for roots in col_roots:
-        power_rows = list(zip(*char_matrix(family, exponents, roots)))
-        table = minor_table(power_rows, range(1, n + 1))
-        denominator = table[tuple(row_of[a] for a in delta)]
-        if denominator == 0:
-            raise ParameterError("character denominator vanished at the sample point")
-        tables.append(table)
-        denominators.append(denominator)
+    power_rows = list(zip(*char_matrix(family, exponents, point)))
+    row_sets = [tuple(row_of[a] for a in alpha) for alpha in (delta, *alphas)]
+    denominators, *numerators = minor_matrix(power_rows, row_sets, col_sets)
+    if 0 in denominators:
+        raise ParameterError("character denominator vanished at the sample point")
     grid = []
-    for lam, alpha in zip(padded, alphas):
-        cell = tuple(row_of[a] for a in alpha)
+    for lam, row in zip(padded, numerators):
         factor = 2 if family == EVEN_ORTH and lam[n - 1] != 0 else 1
-        grid.append([factor * t[cell] / d for t, d in zip(tables, denominators)])
+        grid.append([factor * t / d for t, d in zip(row, denominators)])
     return grid, denominators
 
 
@@ -264,38 +257,33 @@ def rhs_pair_product(family, s, n, point):
     return out
 
 
-def nested_subset_grid(s, n, point):
-    """Rows and columns of the grids on nested variable subsets: the
-    partitions inside the (s-1)^n box in decreasing lexicographic order,
-    and for each head-heavy composition mu of n into s parts the entries
-    of point at iota(mu, n)."""
-    rows = partitions_in_box(n, s - 1)
-    cols = compositions(s, n)
-    return rows, [tuple(point[i - 1] for i in iota(mu, n)) for mu in cols]
+def nested_subset_grid(s, n):
+    """Rows and columns of the grids on nested variable subsets of s
+    groups of n variables: the partitions inside the (s-1)^n box in
+    decreasing lexicographic order, and for each head-heavy composition mu
+    of n into s parts the 1-based column set iota(mu, n) of the variables
+    at which its column is evaluated."""
+    return partitions_in_box(n, s - 1), [iota(mu, n) for mu in compositions(s, n)]
 
 
 def _substitution_point(s, n, rng):
     """Roots of a grid point of the shape (geometric in j) * (group
     constant); the roots have the same shape."""
-    for _ in range(MAX_RETRIES):
+
+    def draw():
         ratio = random_rational(rng, 8)
         group = [random_rational(rng, 16) for _ in range(s)]
-        point = tuple(
-            group[k] * ratio ** j for k in range(s) for j in range(n)
-        )
-        if point_is_admissible(point):
-            return point
-    raise ParameterError(
-        f"no admissible substituted point after {MAX_RETRIES} attempts"
-    )
+        return tuple(group[k] * ratio**j for k in range(s) for j in range(n))
+
+    return admissible_draw(draw, point_is_admissible, "substituted point")
 
 
 def verify_theorem_schur(family, s, n, seed, substitution=False):
     """Numeric check of the character-grid determinant identity.
 
     Rows and columns are those of nested_subset_grid; the entry is the
-    family character at the row partition, evaluated at the column's
-    roots.  The determinant must
+    family character at the row partition, evaluated at the roots of the
+    column's variables.  The determinant must
     equal the closed pair product.  The bookkeeping check asks each
     column's denominator alternant to equal alternant_product, doubled for
     even-orth.  Since each cell is f_lambda times a numerator alternant over
@@ -314,15 +302,15 @@ def verify_theorem_schur(family, s, n, seed, substitution=False):
         else:
             point = sample_point(s * n, rng)
 
-        rows, col_roots = nested_subset_grid(s, n, point)
-        matrix, denominators = _character_grid(family, rows, col_roots)
+        rows, col_sets = nested_subset_grid(s, n)
+        matrix, denominators = _character_grid(family, rows, point, col_sets)
         lhs = det(matrix)
         rhs = rhs_pair_product(family, s, n, point)
 
         two = 2 if family == EVEN_ORTH else 1
         bookkeeping_ok = all(
-            den == two * alternant_product(family, roots)
-            for den, roots in zip(denominators, col_roots)
+            den == two * alternant_product(family, [point[i - 1] for i in J])
+            for den, J in zip(denominators, col_sets)
         )
 
         detail = {
@@ -363,9 +351,7 @@ def verify_prop_detS(kind, s, n, seed):
         point = sample_point(s, SplitMix64(seed))
 
         rows = partitions_in_box(n, s - n)
-        cols = subsets_lex(s, n)
-        col_roots = [tuple(point[i - 1] for i in subset) for subset in cols]
-        matrix, _ = _character_grid(kind, rows, col_roots)
+        matrix, _ = _character_grid(kind, rows, point, subsets_lex(s, n))
         lhs = det(matrix)
 
         # the pair product alone: even-orth's closed product has no single factors

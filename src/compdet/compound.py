@@ -11,9 +11,10 @@ with fully symbolic entries or at exact random rational samples.
 A is a list of rows (see compdet.pmatrix): Laurent polynomial entries in
 symbolic mode, Fractions in numeric mode, so a numeric check runs on plain
 rationals from sampling to hash.  Every construction here works on both.
-pmatrix.minor_table fills the entries of M and the complementary minors,
-which share their smaller minors.  det eliminates each maximal minor and
-sylvester's det A: a table of a full-height minor would hold every row
+pmatrix.minor_matrix builds M, the n-th compound and the complementary
+minors of vec_Vbar, one minor table per column set, so the minors on a
+column set share their smaller minors.  det eliminates each maximal minor
+and sylvester's det A: a table of a full-height minor would hold every row
 subset of A.
 """
 
@@ -36,7 +37,7 @@ from .combin import (
 )
 from .errors import CapabilityError, UsageError
 from .laurent import LaurentPoly
-from .pmatrix import det, minor_matrix, minor_table, products, symbolic
+from .pmatrix import det, minor_matrix, products, symbolic
 from .report import run_check
 from .sampling import SplitMix64, random_rational
 
@@ -95,13 +96,9 @@ def vec_Vbar(spec, K):
         raise UsageError(f"column set must have {spec.s - 1} elements")
     full = set(range(1, spec.s + spec.n))
     base = spec.n * (spec.n + 1) // 2
-    table = minor_table(spec.A, K)
-    out = []
-    for I in spec.row_sets:
-        d = table[tuple(sorted(full - set(I)))]
-        sign = -1 if (sum(I) - base) % 2 else 1
-        out.append(-d if sign < 0 else d)
-    return out
+    complements = [tuple(sorted(full - set(I))) for I in spec.row_sets]
+    minors = minor_matrix(spec.A, complements, [K])
+    return [-d if (sum(I) - base) % 2 else d for I, (d,) in zip(spec.row_sets, minors)]
 
 
 def build_M(spec):

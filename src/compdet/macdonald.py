@@ -245,8 +245,8 @@ def verify_corollary_macdonald(s, n, seed, q=None, t=None):
                 raise ParameterError("parameters must lie strictly in (0, 1) and differ")
         point = sample_point(s * n, rng)
 
-        rows, col_roots = nested_subset_grid(s, n, point)
-        col_values = [tuple(r * r for r in roots) for roots in col_roots]
+        rows, col_sets = nested_subset_grid(s, n)
+        col_values = [tuple(point[i - 1] ** 2 for i in J) for J in col_sets]
         p_rows = [macdonald_P(lam, q, t) for lam in rows]
         p_grid = [[evaluate_symfunc(row, values) for values in col_values] for row in p_rows]
         # Q_lam = b_lam * P_lam scales row lam of the grid, so by multilinearity

@@ -31,17 +31,19 @@ benchmark's span tracer (perfbench/spans.py) binds them.  Both eliminations
 pivot on the first row with a nonzero entry in the column.
 
 `minor_table` is the one Laplace expansion, for both rings: it forms
-every minor on a column set, each smaller minor once.  A table of height
-k holds every k-subset of the rows, so a verifier takes its full-height
-minors with det, which eliminates rational rows.  The empty column set
-gives the 0x0 minor, the ring's one.
-Polynomial rows accumulate each minor in one term dict.  Rational rows
-run on integers: each row is cleared by its lcm over the column set, and
-each minor is one Fraction, the integer value over the product of its
-rows' scales.
-`minor_matrix` is the one builder of a matrix of minors (the compound
-matrix M and the n-th compound of a square matrix): one minor_table per
-column set.
+every minor on a column set, each smaller minor once.  Only minor_matrix
+and det_minor_expansion call it.  A table of height k holds every
+k-subset of the rows, so a verifier takes its full-height minors with
+det, which eliminates rational rows.  The empty column set gives the 0x0
+minor, the ring's one.  Polynomial rows accumulate each minor in one term
+dict.  Rational rows run on integers: each row is cleared by its lcm over
+the column set, and each minor is one Fraction, the integer value over
+the product of its rows' scales.
+`minor_matrix` is the one builder of a matrix of minors, one minor_table
+per column set, for every minor below full height: the compound matrix
+M, the n-th compound of a square matrix, the signed complementary minors
+of compound.vec_Vbar, and every numerator and denominator alternant of a
+character grid.
 `products` clears each rational column by its lcm once, so each inner
 product is one integer sum over two scales; a polynomial inner product
 accumulates in one term dict.

@@ -10,10 +10,11 @@ report with equal=False and the two side hashes differing.  Exceptions are
 reserved for bad usage and bad parameters.
 
 `compare_sides` compares the two sides value by value and hashes each
-side as its values' texts, one per line.  An equal pair is compared once
-and rendered once.  `render` is the one way a verdict value becomes text,
-for the hashes and for the rationals in `detail`: a Laurent polynomial
-renders as its canonical() form, a rational as str().  A 0-variable
+side as its values' texts, one per line, fed to the hash text by text.  A
+pair is compared once and an equal pair rendered once.  `render` is the
+one way a verdict value becomes text, for the hashes and for the
+rationals in `detail`: a Laurent polynomial renders as its canonical()
+form, a rational as str().  A 0-variable
 polynomial and the rational it holds render alike.
 
 The JSON form is deterministic for a fixed (identity, parameters, seed):
@@ -45,9 +46,16 @@ def render(value):
     return str(value)
 
 
-def canonical_hash(text):
-    """Hex sha256 of a canonical text rendering."""
-    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+def canonical_hash(texts):
+    """Hex sha256 of one side's texts, one per line.  Each text is encoded
+    and fed to the hash on its own, so the side is never joined."""
+    digest = hashlib.sha256()
+    separator = b""
+    for text in texts:
+        digest.update(separator)
+        digest.update(text.encode("utf-8"))
+        separator = b"\n"
+    return digest.hexdigest()
 
 
 def compare_sides(lhs, rhs):
@@ -55,21 +63,15 @@ def compare_sides(lhs, rhs):
 
     Returns (flags, lhs_hash, rhs_hash): flags[i] is lhs[i] == rhs[i], and
     each hash is that of its side's renderings, one per line.  Each pair is
-    compared once, an equal pair is rendered once, and when every pair is
-    equal the one text is hashed once."""
-    flags = []
-    lhs_texts = []
-    rhs_texts = []
-    for left, right in zip(lhs, rhs, strict=True):
-        equal = left == right
-        text = render(left)
-        flags.append(equal)
-        lhs_texts.append(text)
-        rhs_texts.append(text if equal else render(right))
-    lhs_hash = canonical_hash("\n".join(lhs_texts))
+    compared once and an equal pair is rendered once.  When every pair is
+    equal, one hash of the left side serves both."""
+    flags = [left == right for left, right in zip(lhs, rhs, strict=True)]
     if all(flags):
+        lhs_hash = canonical_hash(map(render, lhs))
         return flags, lhs_hash, lhs_hash
-    return flags, lhs_hash, canonical_hash("\n".join(rhs_texts))
+    lhs_texts = list(map(render, lhs))
+    rhs_texts = (text if eq else render(r) for text, eq, r in zip(lhs_texts, flags, rhs))
+    return flags, canonical_hash(lhs_texts), canonical_hash(rhs_texts)
 
 
 def run_check(identity, mode, seed, build, **fields):

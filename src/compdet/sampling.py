@@ -23,12 +23,17 @@ MAX_RETRIES = 32
 
 def sample_seed(mode, seed):
     """The seed a check samples with and reports: none in symbolic mode,
-    and 0 when a numeric caller gives none."""
+    and 0 when a numeric caller gives none.  A numeric seed must lie in
+    [0, 2^64), where SplitMix64 gives each seed its own stream, so that
+    the reported seed names one instance."""
     if mode == "symbolic":
         return None
-    if mode == "numeric":
-        return 0 if seed is None else seed
-    raise UsageError(f"unknown mode {mode!r}")
+    if mode != "numeric":
+        raise UsageError(f"unknown mode {mode!r}")
+    seed = 0 if seed is None else seed
+    if not 0 <= seed <= MASK64:
+        raise UsageError(f"seed {seed} lies outside [0, 2^64)")
+    return seed
 
 
 class SplitMix64:
@@ -77,14 +82,24 @@ def point_is_admissible(values):
     return True
 
 
+def admissible_draw(draw, admissible, what):
+    """The first of up to MAX_RETRIES values of draw() that is admissible;
+    ParameterError, naming what was drawn, when none is."""
+    for _ in range(MAX_RETRIES):
+        value = draw()
+        if admissible(value):
+            return value
+    raise ParameterError(f"no admissible {what} after {MAX_RETRIES} attempts")
+
+
 def sample_point(num_vars, rng):
     """Admissible tuple of the square roots of num_vars coordinates, as
     32-bit positive rationals."""
-    for _ in range(MAX_RETRIES):
-        roots = tuple(random_rational(rng, 32) for _ in range(num_vars))
-        if point_is_admissible(roots):
-            return roots
-    raise ParameterError(f"no admissible point after {MAX_RETRIES} attempts")
+    return admissible_draw(
+        lambda: tuple(random_rational(rng, 32) for _ in range(num_vars)),
+        point_is_admissible,
+        "point",
+    )
 
 
 def qt_is_admissible(q, t):
@@ -94,13 +109,10 @@ def qt_is_admissible(q, t):
 
 def sample_qt(rng):
     """Admissible (q, t) pair of 16-bit rationals strictly inside (0, 1)."""
-    for _ in range(MAX_RETRIES):
-        pair = []
-        for _ in range(2):
-            den = rng.next_below((1 << 16) - 1) + 2
-            num = rng.next_below(den - 1) + 1
-            pair.append(Fraction(num, den))
-        q, t = pair
-        if qt_is_admissible(q, t):
-            return q, t
-    raise ParameterError(f"no admissible (q, t) after {MAX_RETRIES} attempts")
+
+    def draw():
+        den = rng.next_below((1 << 16) - 1) + 2
+        return Fraction(rng.next_below(den - 1) + 1, den)
+
+    # a tuple display evaluates left to right: q is drawn first
+    return admissible_draw(lambda: (draw(), draw()), lambda qt: qt_is_admissible(*qt), "(q, t)")

@@ -38,8 +38,8 @@ MUTANTS = (
     (
         "compare_sides gives both sides one hash",
         "report.py",
-        'return flags, lhs_hash, canonical_hash("\\n".join(rhs_texts))',
-        "return flags, lhs_hash, lhs_hash",
+        "return flags, canonical_hash(lhs_texts), canonical_hash(rhs_texts)",
+        "return flags, canonical_hash(lhs_texts), canonical_hash(lhs_texts)",
         (
             "tests/test_render_once.py::test_differing_sides_are_rendered_on_their_own[main]",
             "tests/test_report.py::test_hash_helpers",
@@ -180,6 +180,17 @@ MUTANTS = (
         "factor = 1",
         (
             "tests/test_characters.py::test_character_grid_matches_per_cell_alternants",
+            "tests/test_characters.py::test_character_grid_identity_all_families",
+        ),
+    ),
+    (
+        "the character grid divides by the first numerator, not by delta's minor",
+        "characters.py",
+        "for alpha in (delta, *alphas)]",
+        "for alpha in (alphas[0], *alphas)]",
+        (
+            "tests/test_characters.py::test_character_grid_matches_per_cell_alternants",
+            "tests/test_characters.py::test_character_grid_matches_symbolic_characters",
             "tests/test_characters.py::test_character_grid_identity_all_families",
         ),
     ),

@@ -343,8 +343,8 @@ def test_single_alphabet_identity():
 
 
 def run_prop12_on_permuted_grid(monkeypatch, capsys, permute, argv):
-    def permuted_grid(family, partitions, col_roots):
-        grid, denominators = _character_grid(family, partitions, col_roots)
+    def permuted_grid(family, partitions, point, col_sets):
+        grid, denominators = _character_grid(family, partitions, point, col_sets)
         return permute(grid), denominators
 
     monkeypatch.setattr(characters, "_character_grid", permuted_grid)
@@ -383,11 +383,12 @@ def test_grid_verifiers_compute_each_alternant_once(monkeypatch):
         sizes.append(len(rows))
         return det_fractions(rows)
 
-    monkeypatch.setattr("compdet.characters.minor_table", counting_table)
+    monkeypatch.setattr("compdet.pmatrix.minor_table", counting_table)
     monkeypatch.setattr("compdet.pmatrix.det_fractions", counting)
-    # 10 partitions by 10 compositions: one minor table per column, over
-    # the 5 exponents 4..0, holds the C(5, 3) = 10 alternants of the column;
-    # only the grid determinant is an elimination
+    # 10 partitions by 10 compositions: one power matrix over the 5
+    # exponents 4..0, and one minor table of it per column, which holds the
+    # C(5, 3) = 10 alternants of the column; only the grid determinant is
+    # an elimination
     assert verify_theorem_schur(GL, 3, 3, seed=0).equal
     assert tables == [5] * 10
     assert sizes == [10]
@@ -406,28 +407,41 @@ def test_grid_verifiers_compute_each_alternant_once(monkeypatch):
 
 @st.composite
 def grid_cases(draw):
+    """A family, partitions of at most n parts, an admissible point and
+    column sets of n of its variables: disjoint blocks of n, as in a
+    character_value call per block, or any n-subsets, which overlap as the
+    verifiers' column sets do."""
     n = draw(st.integers(min_value=1, max_value=4))
+    size = draw(st.integers(min_value=n, max_value=min(3 * n, 8)))
     root = st.builds(Fraction, st.integers(1, 40), st.integers(1, 40))
-    col_roots = draw(
-        st.lists(st.lists(root, min_size=n, max_size=n).map(tuple), min_size=1, max_size=3)
-    )
-    for roots in col_roots:
-        assume(point_is_admissible(roots))
+    point = tuple(draw(st.lists(root, min_size=size, max_size=size)))
+    assume(point_is_admissible(point))
+    if draw(st.booleans()):
+        col_sets = [tuple(range(j * n + 1, j * n + n + 1)) for j in range(size // n)]
+    else:
+        subset = st.lists(st.integers(1, size), min_size=n, max_size=n, unique=True)
+        col_sets = draw(st.lists(subset.map(sorted).map(tuple), min_size=1, max_size=3))
     parts = st.lists(st.integers(0, 4), max_size=n).map(lambda ps: tuple(sorted(ps, reverse=True)))
     partitions = draw(st.lists(parts, min_size=1, max_size=5))
-    return draw(st.sampled_from(FAMILIES)), partitions, col_roots
+    return draw(st.sampled_from(FAMILIES)), partitions, point, col_sets
+
+
+def roots_at(point, col_set):
+    """The entries of point at a 1-based column set."""
+    return tuple(point[i - 1] for i in col_set)
 
 
 @settings(deadline=None, max_examples=150)
 @given(grid_cases())
 def test_character_grid_matches_per_cell_alternants(case):
-    family, partitions, col_roots = case
-    n = len(col_roots[0])
+    family, partitions, point, col_sets = case
+    n = len(col_sets[0])
+    col_roots = [roots_at(point, J) for J in col_sets]
     delta = family_shift(family, n)
     # the empty partition and a lone partition are the shapes character_value
     # asks for
     for lams in (partitions, [()], partitions[:1]):
-        grid, denominators = _character_grid(family, lams, col_roots)
+        grid, denominators = _character_grid(family, lams, point, col_sets)
         for roots, denominator in zip(col_roots, denominators):
             expected = det_fractions(char_matrix(family, delta, roots))
             assert denominator == expected, (family, roots)
@@ -446,10 +460,11 @@ def test_character_grid_matches_three_variable_characters():
     n = 3
     for s in (3, 2):
         point = sample_point(s * n, SplitMix64(s))
-        col_roots = [tuple(point[i - 1] for i in iota(mu, n)) for mu in compositions(s, n)]
+        col_sets = [iota(mu, n) for mu in compositions(s, n)]
+        col_roots = [roots_at(point, J) for J in col_sets]
         partitions = partitions_in_box(n, s - 1)
         for family in FAMILIES:
-            grid, _ = _character_grid(family, partitions, col_roots)
+            grid, _ = _character_grid(family, partitions, point, col_sets)
             for lam, grid_row in zip(partitions, grid):
                 symbolic = character(family, lam, num_vars=n)
                 for roots, value in zip(col_roots, grid_row):
@@ -458,11 +473,12 @@ def test_character_grid_matches_three_variable_characters():
 
 def test_character_grid_matches_symbolic_characters():
     point = sample_point(4, SplitMix64(9))
-    col_roots = [(point[0], point[1]), (point[2], point[3]), (point[0], point[3])]
+    col_sets = [(1, 2), (3, 4), (1, 4)]
+    col_roots = [roots_at(point, J) for J in col_sets]
     partitions = [(2, 1), (1, 1), (1,), ()]
     for family in FAMILIES:
         delta = family_shift(family, 2)
-        grid, denominators = _character_grid(family, partitions, col_roots)
+        grid, denominators = _character_grid(family, partitions, point, col_sets)
         for roots, denominator in zip(col_roots, denominators):
             assert denominator == det_fractions(char_matrix(family, delta, roots))
         for lam, grid_row in zip(partitions, grid):

@@ -193,6 +193,19 @@ def test_verify_repeats_produce_array(capsys):
     assert data[0]["seed"] == 0 and data[1]["seed"] == 1
 
 
+def test_a_numeric_seed_outside_the_generator_range_is_refused(capsys):
+    numeric = ["verify", "main", "--s", "2", "--n", "2", "--mode", "numeric"]
+    code, out, err = run_cli(capsys, numeric + ["--seed", str((1 << 64) - 1)])
+    assert code == 0 and json.loads(out)["seed"] == (1 << 64) - 1
+    # the third seed is 2^64: no report prints, not even the first two
+    code, out, err = run_cli(capsys, numeric + ["--seed", str((1 << 64) - 2), "--repeats", "3"])
+    assert code == 2 and out == ""
+    assert err == "error: seed 18446744073709551616 lies outside [0, 2^64)\n"
+    # symbolic mode samples nothing, so it ignores the seed
+    code, out, err = run_cli(capsys, ["verify", "main", "--s", "2", "--n", "2", "--seed", "-1"])
+    assert code == 0 and json.loads(out)["seed"] is None
+
+
 def test_verify_text_format(capsys):
     code, out, _ = run_cli(
         capsys, ["verify", "denominators", "--n", "2", "--format", "text"]
@@ -384,6 +397,11 @@ def _sweep_argvs():
         cases.append(argv)
     for repeats in (-1, 0, 2):
         cases.append(["main", "--s", "2", "--n", "2", "--repeats", str(repeats)])
+    # numeric seeds outside [0, 2^64), the last one reached by --repeats
+    numeric = ["main", "--s", "2", "--n", "2", "--mode", "numeric"]
+    for seed in (-1, 1 << 64):
+        cases.append(numeric + ["--seed", str(seed)])
+    cases.append(numeric + ["--seed", str((1 << 64) - 2), "--repeats", "3"])
     # a flag the identity does not take, next to the flags it needs
     for argv, foreign in (
         ("main --s 2 --n 2", ("--k 1", "--family sp", "--q 1/2", "--t 1/3")),

@@ -16,6 +16,7 @@ import json
 import sys
 from fractions import Fraction
 from itertools import combinations
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -442,6 +443,20 @@ def test_minor_table_on_polynomial_rows_and_bad_index_sets():
             minor_table(m, colset)
     with pytest.raises(UsageError):
         minor_table([[1, 2, 3]], (1, 2))  # more columns than rows
+
+
+def test_only_pmatrix_builds_minor_tables():
+    # every other matrix of minors comes from minor_matrix: no other module
+    # calls minor_table or binds the name
+    sources = sorted(Path(pmatrix.__file__).parent.glob("*.py"))
+    assert len(sources) > 1
+    callers = [path.name for path in sources if "minor_table(" in path.read_text(encoding="utf-8")]
+    assert callers == ["pmatrix.py"]
+    binders = [
+        name for name, module in sys.modules.items()
+        if name.startswith("compdet.") and "minor_table" in vars(module)
+    ]
+    assert binders == ["compdet.pmatrix"]
 
 
 @st.composite

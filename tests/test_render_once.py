@@ -50,7 +50,7 @@ def renders(monkeypatch):
 
 def reference_hash(polys):
     """Hash of one side: its polynomials rendered by the reference, one per line."""
-    return canonical_hash("\n".join(canonical_reference(p) for p in polys))
+    return canonical_hash(canonical_reference(p) for p in polys)
 
 
 def run_verify(tmp_path, argv):

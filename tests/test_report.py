@@ -1,5 +1,6 @@
 """Report serialization: stable JSON, readable text, exit codes."""
 
+import hashlib
 import json
 from fractions import Fraction
 
@@ -90,12 +91,20 @@ def test_exit_codes():
 
 
 def test_hash_helpers(monkeypatch):
-    assert canonical_hash("x") == canonical_hash("x")
-    assert canonical_hash("x") != canonical_hash("y")
+    assert canonical_hash(["x"]) == canonical_hash(iter(["x"]))
+    assert canonical_hash(["x"]) != canonical_hash(["y"])
+    # a side's texts are hashed one per line, as their joined encoding
+    texts = ["x1", "1/2", "", "é"]
+    assert canonical_hash(texts) == hashlib.sha256("x1\n1/2\n\né".encode()).hexdigest()
+    assert canonical_hash([]) == hashlib.sha256(b"").hexdigest()
     hashed = []
-    monkeypatch.setattr(
-        report_module, "canonical_hash", lambda text: hashed.append(text) or text
-    )
+
+    def joined(texts):
+        text = "\n".join(texts)
+        hashed.append(text)
+        return text
+
+    monkeypatch.setattr(report_module, "canonical_hash", joined)
     x = LaurentPoly.variable(2, 1)
     # each side hashes its values' texts, one per line
     flags, lhs, rhs = compare_sides([x, Fraction(1, 2)], [x * 1, Fraction(1, 3)])

@@ -6,15 +6,18 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from compdet.characters import verify_prop_detS, verify_theorem_schur
-from compdet.errors import ParameterError
+from compdet.characters import _substitution_point, verify_prop_detS, verify_theorem_schur
+from compdet.errors import ParameterError, UsageError
 from compdet.macdonald import verify_corollary_macdonald
 from compdet.sampling import (
+    MASK64,
+    MAX_RETRIES,
     SplitMix64,
     point_is_admissible,
     qt_is_admissible,
     sample_point,
     sample_qt,
+    sample_seed,
 )
 
 
@@ -99,3 +102,43 @@ def test_numeric_verifiers_sample_at_seed_zero_without_a_seed(verify):
     assert (unseeded.lhs_hash, unseeded.rhs_hash) == (seeded.lhs_hash, seeded.rhs_hash)
     assert unseeded.detail == seeded.detail
     assert verify(7).seed == 7
+
+
+class ConstantStream:
+    """A stand-in generator whose every draw is 0: each rational it makes is
+    1, so no point and no (q, t) pair it gives is ever admissible."""
+
+    def next_below(self, bound):
+        return 0
+
+
+@pytest.mark.parametrize(
+    "draw, message",
+    [
+        (lambda rng: sample_point(3, rng), "no admissible point after 32 attempts"),
+        (sample_qt, r"no admissible \(q, t\) after 32 attempts"),
+        (
+            lambda rng: _substitution_point(2, 2, rng),
+            "no admissible substituted point after 32 attempts",
+        ),
+    ],
+    ids=["point", "qt", "substituted-point"],
+)
+def test_each_draw_gives_up_after_max_retries(draw, message):
+    assert MAX_RETRIES == 32
+    with pytest.raises(ParameterError, match=f"^{message}$"):
+        draw(ConstantStream())
+
+
+def test_a_numeric_seed_must_lie_in_the_splitmix_range():
+    assert sample_seed("numeric", 0) == 0
+    assert sample_seed("numeric", MASK64) == MASK64
+    assert sample_seed("numeric", None) == 0
+    for seed in (-1, MASK64 + 1, MASK64 + 6):
+        with pytest.raises(UsageError, match=r"outside \[0, 2\^64\)"):
+            sample_seed("numeric", seed)
+    # symbolic mode samples nothing and ignores the seed
+    assert sample_seed("symbolic", -1) is None
+    assert sample_seed("symbolic", MASK64 + 1) is None
+    with pytest.raises(UsageError):
+        verify_theorem_schur("sp", 2, 2, MASK64 + 1)
