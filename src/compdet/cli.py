@@ -28,6 +28,7 @@ from .combin import (
 from .compound import verify_gram, verify_main, verify_sylvester
 from .errors import CapabilityError, DomainError, ParameterError, UsageError
 from .macdonald import verify_corollary_macdonald
+from .sampling import MASK64, sample_seed
 
 
 def _parse_fraction(text, flag):
@@ -153,7 +154,9 @@ def run_enumerate(args):
     return 0
 
 
-def _run_verify_once(args, seed):
+def _verify_call(args):
+    """The mode and the verifier call of a request, once its flags and mode
+    pass the identity's row."""
     modes, required, optional, call = VERIFY_ROWS[args.identity]
     for flag in ("s", "n", "k", "family", "q", "t"):
         if getattr(args, flag) is not None and flag not in required + optional:
@@ -163,13 +166,19 @@ def _run_verify_once(args, seed):
         raise UsageError(f"{args.identity} only supports {modes[0]} mode")
     for flag in required:
         _need(getattr(args, flag), f"--{flag}", args.identity)
-    return call(args, mode, seed)
+    return mode, call
 
 
 def run_verify(args):
     if args.repeats < 1:
         raise UsageError("--repeats must be at least 1")
-    reports = [_run_verify_once(args, args.seed + i) for i in range(args.repeats)]
+    mode, call = _verify_call(args)
+    seeds = range(args.seed, args.seed + args.repeats)
+    # refuse a run with a seed outside the generator range before any check
+    # runs, naming its first such seed: the first seed, or else 2^64
+    sample_seed(mode, seeds[0])
+    sample_seed(mode, min(seeds[-1], MASK64 + 1))
+    reports = [call(args, mode, seed) for seed in seeds]
     if args.format == "json":
         if len(reports) == 1:
             text = reports[0].to_json()

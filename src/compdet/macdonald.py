@@ -176,15 +176,15 @@ def evaluate_symfunc(pdict, values):
     """Evaluate a homogeneous power-sum vector at explicit rational values.
 
     The values are cleared once by the lcm D of their denominators, so
-    p_k = N_k / D**k with integer N_k, and every p_rho of the vector's
-    weight w is an integer over D**w: one sum, divided by D**w once."""
+    p_k = N_k / D**k with integer N_k, and the coefficients once by the lcm
+    C of theirs; every term of the vector's weight w is then an integer
+    over C * D**w: one integer sum, divided by C * D**w once."""
     scale, ints = _cleared(values)
+    coeff_scale, coeffs = _cleared(list(pdict.values()))
     weight = sum(next(iter(pdict), ()))
     psums = [sum(x**k for x in ints) for k in range(weight + 1)]
-    total = sum(
-        (c * prod(psums[k] for k in rho) for rho, c in pdict.items()), Fraction(0)
-    )
-    return total / scale**weight
+    total = sum(c * prod(psums[k] for k in rho) for rho, c in zip(pdict, coeffs))
+    return Fraction(total, coeff_scale * scale**weight)
 
 
 def printed_prefactor(s, n, q, t):

@@ -1,5 +1,5 @@
-"""Verification reports: one skeleton, one dataclass, one JSON schema, one
-text form.
+"""Verification reports: one skeleton, one report class, one JSON schema,
+one text form.
 
 `run_check` is the one place a report is timed, seeded and compared: a
 verifier hands it only its mathematics, a build function that validates
@@ -26,7 +26,6 @@ comparisons.
 import hashlib
 import json
 import time
-from dataclasses import dataclass, field, fields
 from fractions import Fraction
 
 from .laurent import LaurentPoly
@@ -100,24 +99,43 @@ def run_check(identity, mode, seed, build, **fields):
     )
 
 
-@dataclass
 class VerifyReport:
-    identity: str
-    mode: str
-    equal: bool
-    lhs_hash: str
-    rhs_hash: str
-    s: int = None
-    n: int = None
-    seed: int = None
-    sign: int = None
-    elapsed_ms: int = 0
-    detail: dict = field(default_factory=dict)
+    """One check's outcome.  A plain class, compared and shown field by
+    field; detail defaults to a fresh dict per report."""
+
+    __slots__ = (
+        "identity", "mode", "equal", "lhs_hash", "rhs_hash",
+        "s", "n", "seed", "sign", "elapsed_ms", "detail",
+    )
+
+    def __init__(self, identity, mode, equal, lhs_hash, rhs_hash,
+                 s=None, n=None, seed=None, sign=None, elapsed_ms=0, detail=None):
+        self.identity = identity
+        self.mode = mode
+        self.equal = equal
+        self.lhs_hash = lhs_hash
+        self.rhs_hash = rhs_hash
+        self.s = s
+        self.n = n
+        self.seed = seed
+        self.sign = sign
+        self.elapsed_ms = elapsed_ms
+        self.detail = {} if detail is None else detail
+
+    def _values(self):
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__name__}({fields})"
 
     def to_dict(self):
-        # not dataclasses.asdict, which rebuilds a Counter in detail from
-        # its (key, count) pairs
-        out = {f.name: getattr(self, f.name) for f in fields(self)}
+        out = dict(zip(self.__slots__, self._values()))
         out["schema"] = SCHEMA_VERSION
         detail = out.pop("detail")
         if detail:

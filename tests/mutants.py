@@ -46,6 +46,20 @@ MUTANTS = (
         ),
     ),
     (
+        "reports built without detail share one dict",
+        "report.py",
+        "sign=None, elapsed_ms=0, detail=None):",
+        "sign=None, elapsed_ms=0, detail={}):",
+        ("tests/test_report.py::test_reports_built_without_detail_do_not_share_it",),
+    ),
+    (
+        "a --repeats run checks its first seed, not its last, before the checks",
+        "cli.py",
+        "min(seeds[-1], MASK64 + 1)",
+        "min(seeds[0], MASK64 + 1)",
+        ("tests/test_cli.py::test_a_run_crossing_the_seed_range_is_refused_before_any_check",),
+    ),
+    (
         "gram's equal drops unique_support",
         "compound.py",
         "equal = entries_ok and diag_ok and unique_support",

@@ -206,6 +206,28 @@ def test_a_numeric_seed_outside_the_generator_range_is_refused(capsys):
     assert code == 0 and json.loads(out)["seed"] is None
 
 
+def test_a_run_crossing_the_seed_range_is_refused_before_any_check(capsys, monkeypatch):
+    calls = []
+    modes, required, optional, call = cli.VERIFY_ROWS["main"]
+
+    def counted(args, mode, seed):
+        calls.append(seed)
+        return call(args, mode, seed)
+
+    monkeypatch.setitem(cli.VERIFY_ROWS, "main", (modes, required, optional, counted))
+    numeric = ["verify", "main", "--s", "2", "--n", "2", "--mode", "numeric"]
+    for seed, repeats, first_outside in (
+        ((1 << 64) - 2, 3, 1 << 64), ((1 << 64) - 3, 9, 1 << 64), (-1, 3, -1), (-5, 9, -5)
+    ):
+        argv = numeric + ["--seed", str(seed), "--repeats", str(repeats)]
+        code, out, err = run_cli(capsys, argv)
+        assert (code, out, calls) == (2, "", [])
+        assert err == f"error: seed {first_outside} lies outside [0, 2^64)\n"
+    # a run that ends on the last seed of the range runs every check
+    code, out, _ = run_cli(capsys, numeric + ["--seed", str((1 << 64) - 2), "--repeats", "2"])
+    assert code == 0 and calls == [(1 << 64) - 2, (1 << 64) - 1]
+
+
 def test_verify_text_format(capsys):
     code, out, _ = run_cli(
         capsys, ["verify", "denominators", "--n", "2", "--format", "text"]

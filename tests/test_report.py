@@ -2,12 +2,16 @@
 
 import hashlib
 import json
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import compdet
 from compdet import report as report_module
 from compdet.laurent import LaurentPoly
 from compdet.report import (
@@ -33,6 +37,76 @@ def sample_report(**overrides):
     )
     kwargs.update(overrides)
     return VerifyReport(**kwargs)
+
+
+# The constructor's parameters, in order: the fields of the report as it
+# was first published, which to_dict keys by name.
+REPORT_FIELDS = (
+    "identity", "mode", "equal", "lhs_hash", "rhs_hash",
+    "s", "n", "seed", "sign", "elapsed_ms", "detail",
+)
+
+
+def test_positional_construction_keeps_the_field_order():
+    values = ("gram", "numeric", False, "a" * 64, "b" * 64, 3, 2, 7, -1, 12, {"k": 1})
+    r = VerifyReport(*values)
+    assert tuple(getattr(r, name) for name in REPORT_FIELDS) == values
+    bare = VerifyReport("main", "symbolic", True, "c", "d")
+    assert (bare.s, bare.n, bare.seed, bare.sign, bare.elapsed_ms, bare.detail) == (
+        None, None, None, None, 0, {}
+    )
+
+
+def test_to_dict_keys_are_the_fields_and_the_schema():
+    keys = set(REPORT_FIELDS) | {"schema"}
+    assert set(sample_report(detail={"k": 1}).to_dict()) == keys
+    # an empty detail is left out
+    assert set(sample_report().to_dict()) == keys - {"detail"}
+
+
+def test_reports_built_without_detail_do_not_share_it():
+    a, b = sample_report(), sample_report()
+    assert a.detail == b.detail == {} and a.detail is not b.detail
+    a.detail["k"] = 1
+    assert b.detail == {} and sample_report().detail == {}
+
+
+def test_equality_is_over_every_field():
+    assert sample_report() == sample_report()
+    changed = {
+        "identity": "gram", "mode": "numeric", "equal": False, "lhs_hash": "b" * 64,
+        "rhs_hash": "c" * 64, "s": 3, "n": 3, "seed": 1, "sign": -1, "elapsed_ms": 18,
+        "detail": {"k": 1},
+    }
+    assert set(changed) == set(REPORT_FIELDS)
+    for name, value in changed.items():
+        assert sample_report(**{name: value}) != sample_report(), name
+    assert sample_report() != sample_report().to_dict()
+
+
+def test_repr_names_every_field():
+    text = repr(sample_report(seed=5))
+    assert text.startswith("VerifyReport(identity='main', mode='symbolic', equal=True, ")
+    assert text.endswith(", seed=5, sign=None, elapsed_ms=17, detail={})")
+    assert all(f"{name}=" in text for name in REPORT_FIELDS)
+
+
+def test_importing_the_cli_loads_no_code_introspection():
+    """A fresh isolated interpreter imports compdet.cli without dataclasses
+    and what it pulls in, and with the modules every run uses already
+    loaded, so none of them is deferred into a run."""
+    src = str(Path(compdet.__file__).resolve().parent.parent)
+    probe = (
+        "import sys; sys.path.insert(0, sys.argv[1]); before = set(sys.modules); "
+        "import compdet.cli; print(' '.join(sorted(set(sys.modules) - before)))"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-I", "-c", probe, src], capture_output=True, text=True, check=True
+    )
+    loaded = set(proc.stdout.split())
+    assert "compdet.cli" in loaded
+    assert not loaded & {"dataclasses", "inspect", "ast", "dis", "tokenize"}
+    assert {"hashlib", "json", "fractions"} <= loaded
 
 
 def test_json_shape_and_key_order():
