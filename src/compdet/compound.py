@@ -11,11 +11,9 @@ with fully symbolic entries or at exact random rational samples.
 A is a list of rows (see compdet.pmatrix): Laurent polynomial entries in
 symbolic mode, Fractions in numeric mode, so a numeric check runs on plain
 rationals from sampling to hash.  Every construction here works on both.
-pmatrix.minor_matrix builds M, the n-th compound and the complementary
-minors of vec_Vbar, one minor table per column set, so the minors on a
-column set share their smaller minors.  det eliminates each maximal minor
-and sylvester's det A: a table of a full-height minor would hold every row
-subset of A.
+Every minor here comes from pmatrix.minor_matrix: M, the n-th compound,
+the complementary minors of vec_Vbar, each maximal minor of A and
+sylvester's det A.
 """
 
 from collections import Counter
@@ -84,8 +82,8 @@ def _random_matrix(nrows, ncols, rng):
 
 
 def _maximal_minor(A, colset):
-    """det A_colset over all the rows of A, by elimination."""
-    return det([[row[j - 1] for j in colset] for row in A])
+    """det A_colset over all the rows of A."""
+    return minor_matrix(A, [tuple(range(1, len(A) + 1))], [colset])[0][0]
 
 
 def vec_Vbar(spec, K):
@@ -207,7 +205,7 @@ def verify_sylvester(s, n, mode="symbolic", seed=None):
             A = _random_matrix(s, s, SplitMix64(seed))
         subsets = subsets_lex(s, n)
         lhs = det(minor_matrix(A, subsets, subsets))
-        rhs = det(A) ** comb(s - 1, n - 1)
+        rhs = _maximal_minor(A, range(1, s + 1)) ** comb(s - 1, n - 1)
         detail = {"exponent": comb(s - 1, n - 1)}
         return [lhs], [rhs], lambda flags: {"equal": flags[0], "detail": detail}
 

@@ -5,9 +5,9 @@ polynomials in one ring (symbolic mode) or rationals, ints and Fractions
 (numeric mode).  `det`, `minor_table` and `products` pick their
 arithmetic by the type of the first entry.
 
-`det` is the determinant every verifier calls, for the matrices of
-minors (the compound matrix M and the n-th compound), the maximal minors
-of a compound check's matrix A and the character and macdonald grids:
+`det` is the determinant of a whole square matrix: a compound check's
+matrix of minors (the compound matrix M, the n-th compound) and the
+character and macdonald grids:
 
 * rational entries go to det_fractions, elimination on primitive integer
   rows: each column is cleared of denominators by its lcm (det A^T = det A,
@@ -32,18 +32,20 @@ pivot on the first row with a nonzero entry in the column.
 
 `minor_table` is the one Laplace expansion, for both rings: it forms
 every minor on a column set, each smaller minor once.  Only minor_matrix
-and det_minor_expansion call it.  A table of height k holds every
-k-subset of the rows, so a verifier takes its full-height minors with
-det, which eliminates rational rows.  The empty column set gives the 0x0
+and det_minor_expansion call it.  The empty column set gives the 0x0
 minor, the ring's one.  Polynomial rows accumulate each minor in one term
 dict.  Rational rows run on integers: each row is cleared by its lcm over
 the column set, and each minor is one Fraction, the integer value over
 the product of its rows' scales.
-`minor_matrix` is the one builder of a matrix of minors, one minor_table
-per column set, for every minor below full height: the compound matrix
-M, the n-th compound of a square matrix, the signed complementary minors
-of compound.vec_Vbar, and every numerator and denominator alternant of a
-character grid.
+`minor_matrix` is the one builder of a matrix of minors, and the one
+place that picks how a minor is computed: the compound matrix M, the
+n-th compound of a square matrix, the signed complementary minors of
+compound.vec_Vbar, the maximal minors of a compound check's matrix A
+(sylvester's det A among them), and every numerator and denominator
+alternant of a character grid.  A table of height h over R rows holds
+every row subset up to h, about 2^R entries near full height, where
+elimination is cubic, so minor_matrix eliminates the minors of rational
+rows on a column set when that counts fewer steps than its table.
 `products` clears each rational column by its lcm once, so each inner
 product is one integer sum over two scales; a polynomial inner product
 accumulates in one term dict.
@@ -54,7 +56,7 @@ same convention the combinatorial maps use.
 
 from fractions import Fraction
 from itertools import combinations
-from math import gcd, lcm, prod
+from math import comb, gcd, lcm, prod
 from operator import mul
 
 from ._backend import muladd_terms
@@ -86,12 +88,8 @@ def minor_table(rows, colset):
     The empty column set gives {(): one}, the 0x0 minor in the ring of
     the rows.  colset must be strictly increasing, in range, and no longer
     than the number of rows."""
-    colset = tuple(colset)
+    colset = _column_set(rows, colset)
     height = len(colset)
-    if colset != tuple(sorted(set(colset))):
-        raise UsageError("index sets must be strictly increasing")
-    if height > len(rows) or colset and (colset[0] < 1 or colset[-1] > len(rows[0])):
-        raise UsageError("index out of range")
     poly = isinstance(rows[0][0], LaurentPoly)
     if poly:
         nv = rows[0][0].num_vars
@@ -131,9 +129,58 @@ def minor_table(rows, colset):
 
 def minor_matrix(rows, row_sets, col_sets):
     """The matrix of minors [[det rows^I_J for J in col_sets] for I in
-    row_sets], each column read off one minor_table."""
-    tables = [minor_table(rows, J) for J in col_sets]
-    return [[table[I] for table in tables] for I in row_sets]
+    row_sets].
+
+    Each column set J of height h takes one route.  On rational rows, when
+    the wanted minors' len(row_sets) * h^3 elimination steps are fewer than
+    the sum over j <= h of C(R, j) * j entry products of a table over the R
+    rows, each minor is det_fractions of its h x h submatrix.  Otherwise,
+    and always on polynomial rows, the column is read off one minor_table.
+    Every column set is checked as minor_table checks it, and every row set
+    must hold h strictly increasing indices in 1..R, on both routes."""
+    col_sets = [_column_set(rows, J) for J in col_sets]
+    row_sets = [_index_set(I, len(rows)) for I in row_sets]
+    heights = {len(J) for J in col_sets}
+    if any(len(I) != h for I in row_sets for h in heights):
+        raise UsageError("row and column sets must have the same size")
+    columns = []
+    for J in col_sets:
+        if isinstance(rows[0][0], LaurentPoly) or not _eliminates(
+            len(rows), len(row_sets), len(J)
+        ):
+            table = minor_table(rows, J)
+            columns.append([table[I] for I in row_sets])
+        else:
+            columns.append([
+                det_fractions([[rows[i - 1][j - 1] for j in J] for i in I]) for I in row_sets
+            ])
+    return [[column[r] for column in columns] for r in range(len(row_sets))]
+
+
+def _eliminates(nrows, wanted, height):
+    """True when the wanted minors on a column set of this height cost
+    fewer elimination steps, wanted * height^3, than the entry products of
+    its minor table over nrows rows."""
+    return wanted * height**3 < sum(comb(nrows, j) * j for j in range(1, height + 1))
+
+
+def _index_set(indices, bound):
+    """indices as a tuple, refused unless strictly increasing in 1..bound."""
+    indices = tuple(indices)
+    if indices != tuple(sorted(set(indices))):
+        raise UsageError("index sets must be strictly increasing")
+    if indices and (indices[0] < 1 or indices[-1] > bound):
+        raise UsageError("index out of range")
+    return indices
+
+
+def _column_set(rows, colset):
+    """colset as a tuple, refused unless strictly increasing, in range and
+    no longer than the number of rows."""
+    colset = _index_set(colset, len(rows[0]) if rows else 0)
+    if len(colset) > len(rows):
+        raise UsageError("index out of range")
+    return colset
 
 
 def products(xcols, ycols):

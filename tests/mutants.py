@@ -244,6 +244,27 @@ MUTANTS = (
         DENOMINATOR_TESTS,
     ),
     (
+        "minor_matrix takes every column set of rational rows off a minor table",
+        "pmatrix.py",
+        "return wanted * height**3 < sum(comb(nrows, j) * j for j in range(1, height + 1))",
+        "return False",
+        (
+            "tests/test_compound.py::test_numeric_small_minors_come_from_minor_tables"
+            "[verify_main-5-3-16]",
+            "tests/test_compound.py::test_paper_sizes_take_no_table_of_every_row_subset[argv0]",
+            "tests/test_matrix.py::test_minor_matrix_matches_minor_table_and_det_on_both_routes",
+        ),
+    ),
+    (
+        # the one row-set check serves both routes: without it a table
+        # raises KeyError, and elimination reads index 0 as the last row
+        "minor_matrix drops its row-set check",
+        "pmatrix.py",
+        "row_sets = [_index_set(I, len(rows)) for I in row_sets]",
+        "row_sets = [tuple(I) for I in row_sets]",
+        ("tests/test_matrix.py::test_minor_matrix_refuses_bad_index_sets_alike_on_both_routes",),
+    ),
+    (
         "products drops the column scale",
         "pmatrix.py",
         "Fraction(sum(map(mul, x_ints, y_ints)), x_scale * y_scale)",

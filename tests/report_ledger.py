@@ -18,7 +18,10 @@ The requests:
   - `prop12 --family sp --s 6 --n 2` at seeds 3-79 as well, whose outcome
     moves with the seed: it raises ValueError on the int-to-str digit limit
     at seeds 17, 53, 59 and 62 and exits 0 at the others
-    (tests/outcome_sweep.py lists such checks).
+    (tests/outcome_sweep.py lists such checks);
+  - numeric `main (1,18)` and `gram (16,1)` at seed 0, whose minors span
+    all or all but one of the rows: each is eliminated, where a minor
+    table would hold every row subset.
 
 Usage, from the repository root:
 
@@ -57,6 +60,7 @@ TEXT_CHECKS = (
     "macdonald --s 2 --n 2",
 )
 SEED_SWEEP_CHECK = "prop12 --family sp --s 6 --n 2"
+ROW_SPANNING_CHECKS = ("main --mode numeric --s 1 --n 18", "gram --mode numeric --s 16 --n 1")
 
 
 def requests():
@@ -75,6 +79,8 @@ def requests():
         argvs.append(["verify", *check.split(), "--format", "text", "--repeats", "2"])
     for seed in range(SEEDS[-1] + 1, 80):
         argvs.append(["verify", *SEED_SWEEP_CHECK.split(), "--seed", str(seed)])
+    for check in ROW_SPANNING_CHECKS:
+        argvs.append(["verify", *check.split(), "--seed", str(SEEDS[0])])
     return argvs
 
 

@@ -480,13 +480,18 @@ def test_numeric_reports_record_the_seed_they_sampled_with():
 @pytest.mark.parametrize(
     "verify, s, n, calls",
     [
-        # det M and the C(s+n-2, s-1) maximal minors
-        (verify_main, 4, 3, 1 + 10),
+        # minor_matrix counts the cost of each route: a maximal minor over
+        # R <= 6 rows is read off a minor table, over R >= 7 rows it is
+        # eliminated.  Every M and compound below is read off tables.
+        # det M; the C(s+n-2, s-1) = 10 maximal minors (R = 6) from tables
+        (verify_main, 4, 3, 1),
+        # det M and the 15 maximal minors (R = 7), each eliminated
         (verify_main, 5, 3, 1 + 15),
-        # one maximal minor per distinct column union; the support is unique
-        (verify_gram, 4, 3, 34),
-        # the compound and det A
-        (verify_sylvester, 6, 3, 2),
+        # one maximal minor (R = 6) per distinct column union, all from
+        # tables; the support is unique, so det T is never taken
+        (verify_gram, 4, 3, 0),
+        # det of the compound; det A (R = 6) from a table
+        (verify_sylvester, 6, 3, 1),
     ],
 )
 def test_numeric_small_minors_come_from_minor_tables(monkeypatch, verify, s, n, calls):
@@ -499,6 +504,31 @@ def test_numeric_small_minors_come_from_minor_tables(monkeypatch, verify, s, n, 
     monkeypatch.setattr(pmatrix, "det_fractions", counting)
     assert verify(s, n, mode="numeric", seed=0).equal
     assert len(sizes) == calls
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        # one 18-column minor over the 18 rows for M and for the rhs
+        ["main", "--mode", "numeric", "--s", "1", "--n", "18"],
+        # vec_Vbar's minors on 15 of the 16 rows, and 16-column maximal minors
+        ["gram", "--mode", "numeric", "--s", "16", "--n", "1"],
+    ],
+)
+def test_paper_sizes_take_no_table_of_every_row_subset(monkeypatch, capsys, argv):
+    # a minor table of height h over R rows holds every row subset up to h:
+    # at these sizes minor_matrix eliminates each minor of height 15 or more
+    heights = []
+    real = pmatrix.minor_table
+
+    def spy(rows, colset):
+        heights.append(len(colset))
+        return real(rows, colset)
+
+    monkeypatch.setattr(pmatrix, "minor_table", spy)
+    assert cli.main(["verify", *argv, "--seed", "0"]) == 0
+    assert '"equal":true' in capsys.readouterr().out
+    assert max(heights, default=0) < 15
 
 
 @pytest.mark.parametrize(

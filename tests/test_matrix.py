@@ -16,7 +16,9 @@ import json
 import sys
 from fractions import Fraction
 from itertools import combinations
+from math import comb
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -32,6 +34,7 @@ from compdet.pmatrix import (
     det_fraction_free,
     det_fractions,
     det_minor_expansion,
+    minor_matrix,
     minor_table,
     products,
     symbolic,
@@ -457,6 +460,118 @@ def test_only_pmatrix_builds_minor_tables():
         if name.startswith("compdet.") and "minor_table" in vars(module)
     ]
     assert binders == ["compdet.pmatrix"]
+
+
+# entries of polynomial rows: small Laurent polynomials in two variables
+_X = LaurentPoly.variable(2, 1)
+_Y = LaurentPoly.variable(2, 2)
+poly_entries = st.sampled_from(
+    (LaurentPoly.zero(2), LaurentPoly.const(2, 1), _X, _Y, _X + _Y, _X * _Y ** -1, _X * _X - 3)
+)
+
+
+def index_sets(size, bound):
+    return st.sets(st.integers(1, bound), min_size=size, max_size=size).map(
+        lambda chosen: tuple(sorted(chosen))
+    )
+
+
+@st.composite
+def minor_requests(draw, entries=None, min_height=0):
+    """Rows, rational or polynomial, with at most 9 rows and 9 columns and
+    sometimes a zero or a repeated row; one to three column sets of one
+    height from min_height to 8; and any list of wanted row sets of that
+    height."""
+    height = draw(st.integers(min_height, 8))
+    nrows = draw(st.integers(max(height, 1), 9))
+    width = draw(st.integers(max(height, 1), 9))
+    if entries is None:
+        entries = draw(st.sampled_from((table_entries, poly_entries)))
+    rows = [draw(st.lists(entries, min_size=width, max_size=width)) for _ in range(nrows)]
+    zero = 0 * rows[0][0]
+    i, k = draw(st.integers(0, nrows - 1)), draw(st.integers(0, nrows - 1))
+    defect = draw(st.sampled_from(("none", "zero row", "repeated row")))
+    if defect == "zero row":
+        rows[i] = [zero] * width
+    elif defect == "repeated row":
+        rows[i] = list(rows[k])
+    col_sets = draw(st.lists(index_sets(height, width), min_size=1, max_size=3))
+    row_sets = draw(st.lists(index_sets(height, nrows), max_size=8))
+    return rows, row_sets, col_sets
+
+
+@settings(derandomize=True, deadline=None, max_examples=150)
+@given(minor_requests())
+def test_minor_matrix_matches_minor_table_and_det_on_both_routes(case):
+    rows, row_sets, col_sets = case
+    height = len(col_sets[0])
+    poly = isinstance(rows[0][0], LaurentPoly)
+    tables = [minor_table(rows, J) for J in col_sets]
+    expected = [[table[I] for table in tables] for I in row_sets]
+    for I, values in zip(row_sets, expected):
+        for J, value in zip(col_sets, values):
+            assert value == det(submatrix(rows, I, J)), (I, J)
+    wanted = len(row_sets) * len(col_sets)
+    eliminated = []
+
+    def counting(m):
+        eliminated.append(len(m))
+        return det_fractions(m)
+
+    # the route the count rule picks, then each route forced; polynomial
+    # rows take the table even when elimination is forced
+    table_steps = sum(comb(len(rows), j) * j for j in range(1, height + 1))
+    routes = (
+        (pmatrix._eliminates, len(row_sets) * height**3 < table_steps),
+        (lambda *_: False, False),
+        (lambda *_: True, True),
+    )
+    with mock.patch.object(pmatrix, "det_fractions", counting):
+        for rule, by_elimination in routes:
+            eliminated.clear()
+            with mock.patch.object(pmatrix, "_eliminates", rule):
+                assert minor_matrix(rows, row_sets, col_sets) == expected, by_elimination
+            assert eliminated == ([height] * wanted if by_elimination and not poly else [])
+
+
+@st.composite
+def refused_requests(draw):
+    """A rational request with one bad column set or one bad row set among
+    good ones, and the message its refusal must give."""
+    rows, row_sets, col_sets = draw(minor_requests(st.integers(-9, 9), min_height=1))
+    nrows, width, height = len(rows), len(rows[0]), len(col_sets[0])
+    target = draw(st.sampled_from(("row", "column")))
+    bound = nrows if target == "row" else width
+    good = draw(index_sets(height, bound))
+    faults = {
+        "index 0": ((0, *good[1:]), "index out of range"),
+        "index past the end": ((*good[:-1], bound + 1), "index out of range"),
+    }
+    if height >= 2:
+        faults["decreasing"] = (good[::-1], "strictly increasing")
+        faults["repeated"] = ((good[0], *good[:-1]), "strictly increasing")
+    if target == "row":
+        size = draw(st.sampled_from([k for k in range(nrows + 1) if k != height]))
+        faults["wrong size"] = (draw(index_sets(size, nrows)), "same size")
+    elif width > nrows:
+        faults["more columns than rows"] = (tuple(range(1, nrows + 2)), "index out of range")
+    bad, message = faults[draw(st.sampled_from(sorted(faults)))]
+    sets = row_sets if target == "row" else col_sets
+    spot = draw(st.integers(0, len(sets)))
+    sets = [*sets[:spot], bad, *sets[spot:]]
+    if target == "row":
+        return rows, sets, col_sets, message
+    return rows, row_sets, sets, message
+
+
+@settings(derandomize=True, deadline=None, max_examples=100)
+@given(refused_requests())
+def test_minor_matrix_refuses_bad_index_sets_alike_on_both_routes(case):
+    rows, row_sets, col_sets, message = case
+    for forced in (False, True):
+        with mock.patch.object(pmatrix, "_eliminates", return_value=forced):
+            with pytest.raises(UsageError, match=message):
+                minor_matrix(rows, row_sets, col_sets)
 
 
 @st.composite
