@@ -34,7 +34,6 @@ from .laurent import LaurentPoly
 from .pmatrix import det, minor_matrix
 from .report import run_check
 from .sampling import (
-    SplitMix64,
     admissible_draw,
     point_is_admissible,
     random_rational,
@@ -292,11 +291,10 @@ def verify_theorem_schur(family, s, n, seed, substitution=False):
     (2^two_power * prod f_lambda = 2^(number of columns) for even-orth).
     """
 
-    def build(seed):
+    def build(rng):
         _require_family(family)
         if s < 1 or n < 1:
             raise UsageError("need positive s and n")
-        rng = SplitMix64(seed)
         if substitution:
             point = _substitution_point(s, n, rng)
         else:
@@ -343,12 +341,12 @@ def verify_prop_detS(kind, s, n, seed):
     differ by more than a sign.
     """
 
-    def build(seed):
+    def build(rng):
         if kind not in (GL, SP):
             raise UsageError(f"prop12 supports the {GL} and {SP} families, got {kind!r}")
         if not 1 <= n <= s:
             raise UsageError("need 1 <= n <= s")
-        point = sample_point(s, SplitMix64(seed))
+        point = sample_point(s, rng)
 
         rows = partitions_in_box(n, s - n)
         matrix, _ = _character_grid(kind, rows, point, subsets_lex(s, n))

@@ -37,7 +37,7 @@ from .errors import CapabilityError, UsageError
 from .laurent import LaurentPoly
 from .pmatrix import det, minor_matrix, products, symbolic
 from .report import run_check
-from .sampling import SplitMix64, random_rational
+from .sampling import random_rational
 
 # (s, n) pairs with both s, n >= 2 where fully symbolic verification is
 # affordable; one-dimensional families (s == 1 or n == 1) are always fine.
@@ -159,22 +159,22 @@ def check_symbolic_envelope(s, n):
         )
 
 
-def _spec_for_mode(s, n, mode, seed):
-    """The spec of a check, sampled at seed in numeric mode."""
+def _spec_for_mode(s, n, mode, rng):
+    """The spec of a check, sampled from rng in numeric mode."""
     if s < 1 or n < 1:
         raise UsageError("s and n must be positive")
     if mode == "symbolic":
         check_symbolic_envelope(s, n)
         return CompoundSpec.symbolic(s, n)
-    return CompoundSpec.sampled(s, n, SplitMix64(seed))
+    return CompoundSpec.sampled(s, n, rng)
 
 
 def verify_main(s, n, mode="symbolic", seed=None):
     """det of the compound matrix equals the product of maximal minors of A
     over the all-parts-positive compositions of s+n-1."""
 
-    def build(seed):
-        spec = _spec_for_mode(s, n, mode, seed)
+    def build(rng):
+        spec = _spec_for_mode(s, n, mode, rng)
         M = build_M(spec)
         lhs = det(M)
         rhs_sets = [iota(nu, n) for nu in compositions_positive(s, s + n - 1)]
@@ -192,7 +192,7 @@ def verify_sylvester(s, n, mode="symbolic", seed=None):
     """Classical compound identity for square A of size s:
     det(det A^I_J)_{I,J in n-subsets, lex} = (det A)^binom(s-1, n-1)."""
 
-    def build(seed):
+    def build(rng):
         if not 1 <= n <= s:
             raise UsageError("need s >= n >= 1")
         if mode == "symbolic":
@@ -202,7 +202,7 @@ def verify_sylvester(s, n, mode="symbolic", seed=None):
                 )
             A = symbolic(s, s)
         else:
-            A = _random_matrix(s, s, SplitMix64(seed))
+            A = _random_matrix(s, s, rng)
         subsets = subsets_lex(s, n)
         lhs = det(minor_matrix(A, subsets, subsets))
         rhs = _maximal_minor(A, range(1, s + 1)) ** comb(s - 1, n - 1)
@@ -231,8 +231,8 @@ def verify_gram(s, n, k0=None, mode="symbolic", seed=None):
     none either.
     """
 
-    def build(seed):
-        spec = _spec_for_mode(s, n, mode, seed)
+    def build(rng):
+        spec = _spec_for_mode(s, n, mode, rng)
         partner_map = partner_map_for_variant(spec, k0)
         T = gram_matrix(spec, partner_map)
         pattern = [[bool(cell) for cell in row] for row in T]

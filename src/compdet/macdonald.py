@@ -25,7 +25,7 @@ from .combin import conjugate, partitions_of
 from .errors import CapabilityError, ParameterError, UsageError
 from .pmatrix import _cleared, det
 from .report import run_check
-from .sampling import SplitMix64, qt_is_admissible, sample_point, sample_qt
+from .sampling import qt_is_admissible, sample_point, sample_qt
 
 # Bases are cached per weight, for one (q, t) at a time.  Weights 10 and
 # 12 reach `macdonald (6,2)`, `(3,5)` and `(4,4)`, whose reports render
@@ -224,8 +224,7 @@ def verify_corollary_macdonald(s, n, seed, q=None, t=None):
     overall flag, hold only for s == 1 or (s, n) == (2, 1).
     """
 
-    def build(seed):
-        nonlocal q, t
+    def build(rng):
         if s < 1 or n < 1:
             raise UsageError("need positive s and n")
         if (q is None) != (t is None):
@@ -235,29 +234,27 @@ def verify_corollary_macdonald(s, n, seed, q=None, t=None):
             raise CapabilityError(
                 f"row partitions reach weight {max_weight}, above the cap of {MAX_WEIGHT}"
             )
-        rng = SplitMix64(seed)
         if q is None:
-            q, t = sample_qt(rng)
+            qt = sample_qt(rng)
         else:
-            q = Fraction(q)
-            t = Fraction(t)
-            if not qt_is_admissible(q, t):
+            qt = Fraction(q), Fraction(t)
+            if not qt_is_admissible(*qt):
                 raise ParameterError("parameters must lie strictly in (0, 1) and differ")
         point = sample_point(s * n, rng)
 
         rows, col_sets = nested_subset_grid(s, n)
         col_values = [tuple(point[i - 1] ** 2 for i in J) for J in col_sets]
-        p_rows = [macdonald_P(lam, q, t) for lam in rows]
+        p_rows = [macdonald_P(lam, *qt) for lam in rows]
         p_grid = [[evaluate_symfunc(row, values) for values in col_values] for row in p_rows]
         # Q_lam = b_lam * P_lam scales row lam of the grid, so by multilinearity
         # the Q grid's determinant is the P grid's times the cell product
-        b_product = prod((b_lambda(lam, q, t) for lam in rows), start=Fraction(1))
+        b_product = prod((b_lambda(lam, *qt) for lam in rows), start=Fraction(1))
         det_p = det(p_grid)
         det_q = b_product * det_p
         # the gl pair factor at roots u, v is u**2 - v**2, the coordinates'
         # difference
         rhs = rhs_pair_product(GL, s, n, point)
-        printed = printed_prefactor(s, n, q, t)
+        printed = printed_prefactor(s, n, *qt)
 
         def verdict(flags):
             p_equal, q_equal_printed_prefactor = flags
@@ -266,8 +263,8 @@ def verify_corollary_macdonald(s, n, seed, q=None, t=None):
                 "q_equal_printed_prefactor": q_equal_printed_prefactor,
                 "prefactor_identity": b_product == printed,
                 "q_equal_bproduct": det_q == b_product * rhs,
-                "q": q,
-                "t": t,
+                "q": qt[0],
+                "t": qt[1],
                 "printed_prefactor": printed,
                 "cell_product": b_product,
             }

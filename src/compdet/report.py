@@ -14,13 +14,12 @@ side as its values' texts, one per line, fed to the hash text by text.  A
 pair is compared once and an equal pair rendered once.  `render` is the
 one way a verdict value becomes text, for the hashes and for the
 rationals in `detail`: a Laurent polynomial renders as its canonical()
-form, a rational as str().  A 0-variable
-polynomial and the rational it holds render alike.
+form, a rational as str().
 
 The JSON form is deterministic for a fixed (identity, parameters, seed):
-keys are sorted, separators fixed, and values exact.  The elapsed_ms field
-is wall-clock and therefore the one field excluded from reproducibility
-comparisons.
+keys are sorted, separators fixed, and values exact.  VOLATILE_FIELDS
+names the fields excluded from reproducibility comparisons: elapsed_ms,
+which is wall-clock.
 """
 
 import hashlib
@@ -29,7 +28,7 @@ import time
 from fractions import Fraction
 
 from .laurent import LaurentPoly
-from .sampling import sample_seed
+from .sampling import SplitMix64, sample_seed
 
 SCHEMA_VERSION = 1
 
@@ -77,15 +76,16 @@ def run_check(identity, mode, seed, build, **fields):
     """Run one check and report it, timed from start to end.
 
     The seed is resolved once, by sampling.sample_seed: None in symbolic
-    mode, 0 for a numeric caller that gives none.  build(seed) validates
-    the request, builds the instance and returns (lhs, rhs, verdict): two
+    mode, 0 for a numeric caller that gives none.  build(rng) validates
+    the request, builds the instance from rng, the seed's SplitMix64 (None
+    in symbolic mode), and returns (lhs, rhs, verdict): two
     equal-length lists of side values for compare_sides, and a function
     of its flags that returns the report's equal and, where the identity
     has them, its sign and detail, as a dict.  fields are the report's s
     and n."""
     t0 = time.perf_counter()
     seed = sample_seed(mode, seed)
-    lhs, rhs, verdict = build(seed)
+    lhs, rhs, verdict = build(None if seed is None else SplitMix64(seed))
     flags, lhs_hash, rhs_hash = compare_sides(lhs, rhs)
     return VerifyReport(
         identity=identity,

@@ -53,6 +53,26 @@ MUTANTS = (
         ("tests/test_report.py::test_reports_built_without_detail_do_not_share_it",),
     ),
     (
+        "run_check seeds the generator with the next seed",
+        "report.py",
+        "SplitMix64(seed)",
+        "SplitMix64(seed + 1)",
+        (
+            "tests/test_verifier_skeleton.py::test_substituted_schur_report_bytes"
+            "[gl-2ca984ac2be34f85b758b293a8a8cb577ae37e45dc2f6a6056a10d9b904d9a3c]",
+        ),
+    ),
+    (
+        "no report field is volatile",
+        "report.py",
+        'VOLATILE_FIELDS = ("elapsed_ms",)',
+        "VOLATILE_FIELDS = ()",
+        (
+            "tests/test_verifier_skeleton.py::test_leading_term_report_bytes"
+            "[1-4-7232b86239da9f3b0daa92bbe8fc4c4c3f94b689073fccdf56620afdb7e5f4b2]",
+        ),
+    ),
+    (
         "a --repeats run checks its first seed, not its last, before the checks",
         "cli.py",
         "min(seeds[-1], MASK64 + 1)",

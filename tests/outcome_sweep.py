@@ -12,28 +12,18 @@ Usage, from the repository root:
     python tests/outcome_sweep.py
 """
 
-import contextlib
-import io
 import runpy
 import sys
-from pathlib import Path
 
-ROOT = Path(__file__).resolve().parents[1]
-if str(ROOT / "src") not in sys.path:
-    sys.path.insert(0, str(ROOT / "src"))
-
-from compdet import cli  # noqa: E402
+from report_ledger import ROOT, run_request
 
 SEEDS = range(80)
 
 
 def outcome(argv):
     """The exit code of `cli.main(argv)`, or the name of what it raised."""
-    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
-        try:
-            return f"exit {cli.main(argv)}"
-        except Exception as exc:  # a crash is an outcome the sweep reports
-            return type(exc).__name__
+    entry = run_request(argv)
+    return f"exit {entry['exit']}" if "exit" in entry else entry["raises"]
 
 
 def seed_ranges(seeds):

@@ -1,11 +1,14 @@
 """The report ledger: what `compdet` prints on a fixed list of requests.
 
-Report bytes, every field but `elapsed_ms`, are the behavioural contract.
-For each request the ledger (report_ledger.json) holds the argv, the exit
-code of `cli.main` or the name of the exception it raises, the standard
-error, and the SHA-256 of the standard output with `elapsed_ms` left out:
-the key is dropped from every parsed JSON report, and the `elapsed_ms:`
-line from text output.  tests/test_report_ledger.py replays it.
+Report bytes, every field but those of `report.VOLATILE_FIELDS`, are the
+behavioural contract.  For each request the ledger (report_ledger.json)
+holds the argv, the exit code of `cli.main` or the name of the exception it
+raises, the standard error, and the SHA-256 of the standard output without
+the volatile fields: their keys are dropped from every parsed JSON report,
+and their lines from text output.  tests/test_report_ledger.py replays it.
+`run_request` and `stable_stdout` are the one way the tests run a request
+and canonicalize its bytes; tests/test_benchmark_golden.py checks
+perfbench/golden.json against the ledger.
 
 The requests:
   - the argvs of test_cli.py's sweep, which reach every identity, mode,
@@ -44,7 +47,7 @@ if str(ROOT / "src") not in sys.path:
     sys.path.insert(0, str(ROOT / "src"))
 
 from compdet import cli  # noqa: E402
-from test_cli import _sweep_argvs  # noqa: E402
+from compdet.report import VOLATILE_FIELDS  # noqa: E402
 
 LEDGER_PATH = HERE / "report_ledger.json"
 SEEDS = (0, 1, 2)
@@ -65,6 +68,8 @@ ROW_SPANNING_CHECKS = ("main --mode numeric --s 1 --n 18", "gram --mode numeric 
 
 def requests():
     """Every argv of the ledger, in ledger order."""
+    from test_cli import _sweep_argvs  # test_cli imports this module
+
     workloads = runpy.run_path(str(ROOT / "perfbench" / "checks.py"))["WORKLOADS"]
     argvs = list(_sweep_argvs())
     for checks in workloads.values():
@@ -84,17 +89,29 @@ def requests():
     return argvs
 
 
+def canonical_json(data):
+    """Parsed reports serialized as the reports are: sorted keys, fixed
+    separators."""
+    return json.dumps(data, sort_keys=True, separators=(",", ":"))
+
+
 def stable_stdout(argv, out):
-    """Standard output without elapsed_ms: JSON reports re-serialized as the
-    reports are, without the key; text line by line, without its line."""
+    """Standard output without the fields of VOLATILE_FIELDS: JSON reports
+    re-serialized by canonical_json, without those keys; text line by line,
+    without their lines."""
     if argv[0] == "verify" and "text" not in argv and out:
         data = json.loads(out)
         for report in data if isinstance(data, list) else [data]:
-            report.pop("elapsed_ms")
-        return json.dumps(data, sort_keys=True, separators=(",", ":"))
-    return "".join(
-        line for line in out.splitlines(True) if not line.startswith("elapsed_ms:")
-    )
+            for field in VOLATILE_FIELDS:
+                del report[field]
+        return canonical_json(data)
+    volatile = tuple(f"{field}:" for field in VOLATILE_FIELDS)
+    return "".join(line for line in out.splitlines(True) if not line.startswith(volatile))
+
+
+def digest(text):
+    """Hex SHA-256 of a text's UTF-8 bytes."""
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
 def run_request(argv):
@@ -109,7 +126,7 @@ def run_request(argv):
             entry["raises"] = type(exc).__name__
     entry["stderr"] = err.getvalue()
     stdout = stable_stdout(argv, out.getvalue()) if "exit" in entry else out.getvalue()
-    entry["stdout_sha256"] = hashlib.sha256(stdout.encode("utf-8")).hexdigest()
+    entry["stdout_sha256"] = digest(stdout)
     return entry
 
 

@@ -13,6 +13,8 @@ import pytest
 import compdet
 from compdet import cli
 
+from report_ledger import stable_stdout
+
 
 def run_cli(capsys, argv):
     code = cli.main(argv)
@@ -248,6 +250,13 @@ def test_verify_out_file(tmp_path, capsys):
     assert text.endswith("\n")
     data = json.loads(text)
     assert data["identity"] == "gram" and data["sign"] == -1
+    # the benchmark reads each report from --out: a symbolic and a numeric
+    # benchmark check write there what they print, but for the volatile fields
+    for check in ("gram --s 3 --n 2", "main --mode numeric --s 4 --n 3 --seed 1"):
+        argv = ["verify", *check.split()]
+        code, out, _ = run_cli(capsys, argv)
+        assert run_cli(capsys, [*argv, "--out", str(target)]) == (code, "", "")
+        assert stable_stdout(argv, target.read_text(encoding="utf-8")) == stable_stdout(argv, out)
 
 
 def test_verify_rejects_symbolic_for_numeric_only(capsys):

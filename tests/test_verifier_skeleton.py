@@ -8,9 +8,7 @@ before the verifiers moved onto run_check.  The last test keeps the
 mutation ledger, tests/mutants.py, applicable to the source.
 """
 
-import hashlib
 import inspect
-import json
 
 import pytest
 
@@ -19,6 +17,7 @@ from compdet.characters import GL, ODD_ORTH, verify_theorem_schur
 from compdet.compound import verify_leading_term
 
 import mutants
+from report_ledger import digest, stable_stdout
 
 SIGNATURES = {
     "verify_main": "(s, n, mode='symbolic', seed=None)",
@@ -33,11 +32,8 @@ SIGNATURES = {
 
 
 def stable_hash(report):
-    """SHA-256 of the report's JSON without elapsed_ms."""
-    data = report.to_dict()
-    data.pop("elapsed_ms")
-    text = json.dumps(data, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+    """SHA-256 of the report's JSON as the ledger canonicalizes it."""
+    return digest(stable_stdout(["verify"], report.to_json()))
 
 
 def test_public_verifier_signatures():
