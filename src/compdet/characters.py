@@ -26,7 +26,6 @@ variable subsets, and the smaller single-alphabet determinant identity.
 
 from fractions import Fraction
 from itertools import combinations
-from math import comb
 
 from .combin import binom_nonneg, compositions, iota, partitions_in_box, subsets_lex
 from .errors import CapabilityError, DomainError, ParameterError, UsageError
@@ -355,7 +354,7 @@ def verify_prop_detS(kind, s, n, seed):
         # the pair product alone: even-orth's closed product has no single factors
         pair_family = GL if kind == GL else EVEN_ORTH
         base = alternant_product(pair_family, point)
-        exponent = comb(s - 2, n - 1) if s >= 2 else 0
+        exponent = binom_nonneg(s - 2, n - 1)
         rhs = base**exponent
 
         def verdict(flags):

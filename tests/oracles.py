@@ -63,6 +63,11 @@ def submatrix(rows, rowset, colset):
     return [[rows[i - 1][j - 1] for j in colset] for i in rowset]
 
 
+def plain_dot(xs, ys):
+    """The plain sum of products of paired entries, in either ring."""
+    return sum((a * b for a, b in zip(xs, ys)), Fraction(0))
+
+
 def sqrt_fraction(x):
     """Exact square root of a non-negative perfect-square rational."""
     x = Fraction(x)

@@ -272,23 +272,35 @@ def test_pair_product_matches_brute_force_gl():
     assert value == expected
 
 
-def test_character_grid_identity_all_families():
+def check_character_grid(seeds):
+    """The grid identity and its bookkeeping hold in every family at three
+    sizes, at each seed's sample."""
     for family in FAMILIES:
         for s, n in [(2, 2), (3, 2), (2, 3)]:
-            report = verify_theorem_schur(family, s, n, seed=3)
-            assert report.equal, (family, s, n)
-            assert report.detail["bookkeeping_ok"]
-            assert report.detail["rows"] == len(partitions_in_box(n, s - 1))
-            if family == EVEN_ORTH:
-                assert report.detail["two_power"] > 0
-            assert report.identity == "schur-det"
-            assert report.seed == 3
+            for seed in seeds:
+                report = verify_theorem_schur(family, s, n, seed=seed)
+                assert report.equal, (family, s, n, seed)
+                assert report.detail["bookkeeping_ok"]
+                assert report.detail["rows"] == len(partitions_in_box(n, s - 1))
+                if family == EVEN_ORTH:
+                    assert report.detail["two_power"] > 0
+                assert report.identity == "schur-det"
+                assert report.seed == seed
+
+
+def test_character_grid_identity_all_families():
+    check_character_grid([3])
+
+
+def check_character_grid_substituted(seed):
+    """The gl grid identity holds at (2, 2) at the seed's substituted point."""
+    report = verify_theorem_schur(GL, 2, 2, seed=seed, substitution=True)
+    assert report.equal
+    assert report.detail["substitution"] is True
 
 
 def test_character_grid_identity_substituted_point():
-    report = verify_theorem_schur(GL, 2, 2, seed=5, substitution=True)
-    assert report.equal
-    assert report.detail["substitution"] is True
+    check_character_grid_substituted(5)
 
 
 def test_numeric_checks_take_no_square_root(capsys):
@@ -329,13 +341,20 @@ def test_bookkeeping_catches_a_wrong_denominator_product(monkeypatch, capsys):
     assert report["equal"] is False
 
 
-def test_single_alphabet_identity():
+def check_single_alphabet(sizes, seeds):
+    """The single-alphabet identity holds with sign 1 for gl and sp at each
+    size, at each seed's sample."""
     for kind in (GL, SP):
-        for s, n in [(3, 2), (4, 2), (3, 1), (4, 4)]:
-            report = verify_prop_detS(kind, s, n, seed=13)
-            assert report.equal, (kind, s, n)
-            assert report.sign == 1
-            assert report.detail["kind"] == kind
+        for s, n in sizes:
+            for seed in seeds:
+                report = verify_prop_detS(kind, s, n, seed=seed)
+                assert report.equal, (kind, s, n, seed)
+                assert report.sign == 1
+                assert report.detail["kind"] == kind
+
+
+def test_single_alphabet_identity():
+    check_single_alphabet([(3, 2), (4, 2), (3, 1), (4, 4)], [13])
     with pytest.raises(UsageError):
         verify_prop_detS(ODD_ORTH, 3, 2, seed=0)
     with pytest.raises(UsageError):

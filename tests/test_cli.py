@@ -420,12 +420,16 @@ def _sweep_argvs():
             cases.append(["prop12", "--family", family, "--s", str(s), "--n", str(n)])
     for s, n in ((2, 1), (2, 2), (1, 3), (0, 2), (9, 2)):
         cases.append(["macdonald", "--s", str(s), "--n", str(n)])
+    # parameters in exponent notation, or past the 2^32 bound on their terms
+    big_q, big_t = "1/18446744073709551557", "1/18446744073709551559"
     for q, t in (("1/2", "1/3"), ("abc", "1/3"), ("1/0", "1/3"), ("2", "1/3"),
-                 ("1/2", "1/2"), ("0", "1/3"), ("1/2", None), (None, "1/3")):
+                 ("1/2", "1/2"), ("0", "1/3"), ("1/2", None), (None, "1/3"),
+                 ("1e-5000", "1/3"), ("1e-10000000", "1/3"), (big_q, big_t)):
         argv = ["macdonald", "--s", "2", "--n", "1"]
         argv += ["--q", q] if q else []
         argv += ["--t", t] if t else []
         cases.append(argv)
+    cases.append(["macdonald", "--s", "5", "--n", "2", "--q", big_q, "--t", big_t])
     for repeats in (-1, 0, 2):
         cases.append(["main", "--s", "2", "--n", "2", "--repeats", str(repeats)])
     # numeric seeds outside [0, 2^64), the last one reached by --repeats

@@ -57,6 +57,11 @@ def test_positive_composition_count():
             out = compositions_positive(s, s + n - 1)
             assert len(out) == comb(s + n - 2, s - 1)
             assert all(min(nu) >= 1 and max(nu) <= n for nu in out)
+            # at each slot k, as many compositions of n have a part there
+            comps = compositions(s, n)
+            assert len(comps) == comb(s + n - 1, n)
+            for k in range(1, s + 1):
+                assert sum(1 for mu in comps if mu[k - 1] > 0) == len(out), (s, n, k)
 
 
 def test_iota_frozen_values_and_validation():

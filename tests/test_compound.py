@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from lemmas import dominated_except, laplace_pair, vec_V
-from oracles import submatrix, support_permutation_count
+from oracles import plain_dot, submatrix, support_permutation_count
 
 from compdet import cli, compound, pmatrix
 from compdet.combin import (
@@ -15,7 +15,6 @@ from compdet.combin import (
     epsilon,
     format_composition,
     iota,
-    partner_slots_pinned,
     subsets_lex,
     successor_slots,
 )
@@ -89,22 +88,24 @@ def test_expansion_pairing_worked_case():
     assert laplace_pair(spec, J, K) == expected
 
 
-def test_expansion_pairing_exhaustive_small():
-    spec = CompoundSpec.symbolic(3, 2)
-    vs = {J: vec_V(spec, J) for J in subsets_lex(6, 2)}
-    vbars = {K: vec_Vbar(spec, K) for K in subsets_lex(6, 2)}
-    for J, v in vs.items():
+def check_expansion_pairing(spec):
+    """Every pairing <V_J, Vbar_K>, the empty K included when s == 1, is
+    epsilon(J, K) times the maximal minor on the union of J and K."""
+    vbars = {K: vec_Vbar(spec, K) for K in subsets_lex(spec.s * spec.n, spec.s - 1)}
+    for J in subsets_lex(spec.s * spec.n, spec.n):
+        v = vec_V(spec, J)
         for K, w in vbars.items():
-            total = None
-            for a, b in zip(v, w):
-                term = a * b
-                total = term if total is None else total + term
+            total = plain_dot(v, w)
             sign = epsilon(J, K)
             if sign == 0:
                 assert not total
             else:
                 union = tuple(sorted(set(J) | set(K)))
                 assert total == maximal_minor(spec, union) * sign
+
+
+def test_expansion_pairing_exhaustive_small():
+    check_expansion_pairing(CompoundSpec.symbolic(3, 2))
 
 
 def test_partner_overlap_forces_combinatorial_zero():
@@ -122,7 +123,7 @@ def test_partner_overlap_forces_combinatorial_zero():
                             assert set(iota(lam, n)) & set(slots)
 
 
-def _pairing_zero_cases(spec, use_pinned_table=False):
+def _pairing_zero_cases(spec):
     checked = 0
     vbar_cache = {}
     v_cache = {lam: vec_V(spec, iota(lam, spec.n)) for lam in spec.col_comps}
@@ -130,86 +131,85 @@ def _pairing_zero_cases(spec, use_pinned_table=False):
         for mu in spec.col_comps:
             if mu[k - 1] == 0:
                 continue
-            slots = (
-                partner_slots_pinned(mu, k, spec.n)
-                if use_pinned_table
-                else successor_slots(mu, k, spec.n)
-            )
+            slots = successor_slots(mu, k, spec.n)
             if slots not in vbar_cache:
                 vbar_cache[slots] = vec_Vbar(spec, slots)
             w = vbar_cache[slots]
             for lam in spec.col_comps:
                 if dominated_except(lam, mu, k):
                     continue
-                v = v_cache[lam]
-                total = None
-                for a, b in zip(v, w):
-                    term = a * b
-                    total = term if total is None else total + term
-                assert total == 0
+                assert plain_dot(v_cache[lam], w) == 0
                 checked += 1
     return checked
 
 
+def check_pairing_vanishes(sizes, seed=0):
+    """Every pairing outside dominance vanishes at each size: symbolically
+    when s, n <= 3, else on matrices sampled in turn from SplitMix64(seed).
+    Returns the number of pairings checked at each size."""
+    rng = SplitMix64(seed)
+    specs = (
+        CompoundSpec.symbolic(s, n) if s <= 3 and n <= 3 else CompoundSpec.sampled(s, n, rng)
+        for s, n in sizes
+    )
+    return [_pairing_zero_cases(spec) for spec in specs]
+
+
 def test_pairing_vanishes_outside_dominance_symbolic():
-    for s, n in [(2, 2), (3, 2), (2, 3), (3, 3)]:
-        spec = CompoundSpec.symbolic(s, n)
-        assert _pairing_zero_cases(spec) > 0
+    assert all(check_pairing_vanishes([(2, 2), (3, 2), (2, 3), (3, 3)]))
 
 
 def test_pairing_vanishes_outside_dominance_numeric():
-    rng = SplitMix64(424242)
-    for s, n in [(4, 2), (2, 4), (4, 3), (3, 4), (4, 4)]:
-        spec = CompoundSpec.sampled(s, n, rng)
-        assert _pairing_zero_cases(spec) > 0
+    assert all(check_pairing_vanishes([(4, 2), (2, 4), (4, 3), (3, 4), (4, 4)], seed=424242))
 
 
 def test_expansion_pairing_exhaustive_numeric_small_sizes():
-    # every (J, K) pair, including the empty K column set when s == 1
     rng = SplitMix64(2026)
     for s in range(1, 4):
         for n in range(1, 4):
-            spec = CompoundSpec.sampled(s, n, rng)
-            vs = {J: vec_V(spec, J) for J in subsets_lex(s * n, n)}
-            vbars = {K: vec_Vbar(spec, K) for K in subsets_lex(s * n, s - 1)}
-            for J, v in vs.items():
-                for K, w in vbars.items():
-                    total = None
-                    for a, b in zip(v, w):
-                        term = a * b
-                        total = term if total is None else total + term
-                    sign = epsilon(J, K)
-                    if sign == 0:
-                        assert total == 0
-                    else:
-                        union = tuple(sorted(set(J) | set(K)))
-                        assert total == maximal_minor(spec, union) * sign
+            check_expansion_pairing(CompoundSpec.sampled(s, n, rng))
+
+
+# the frozen factor lists of the main identity's right-hand side
+MAIN_FACTORS = {
+    (1, 4): ["{1,2,3,4}"],
+    (4, 1): ["{1,2,3,4}"],
+    (2, 2): ["{1,2,3}", "{1,3,4}"],
+    (2, 3): ["{1,2,3,4}", "{1,2,4,5}", "{1,4,5,6}"],
+    (3, 2): ["{1,2,3,5}", "{1,3,4,5}", "{1,3,5,6}"],
+}
+
+
+def check_main_symbolic(sizes):
+    """The main identity holds symbolically at each size, with the factor
+    list of MAIN_FACTORS where it has one."""
+    for s, n in sizes:
+        report = verify_main(s, n)
+        assert report.equal, (s, n)
+        assert report.mode == "symbolic"
+        if (s, n) in MAIN_FACTORS:
+            assert report.detail["rhs_factors"] == MAIN_FACTORS[s, n]
 
 
 def test_main_identity_frozen_factor_lists():
-    expected = {
-        (2, 2): ["{1,2,3}", "{1,3,4}"],
-        (2, 3): ["{1,2,3,4}", "{1,2,4,5}", "{1,4,5,6}"],
-        (3, 2): ["{1,2,3,5}", "{1,3,4,5}", "{1,3,5,6}"],
-    }
-    for (s, n), factors in expected.items():
-        report = verify_main(s, n)
-        assert report.equal, (s, n)
-        assert report.detail["rhs_factors"] == factors
-        assert report.mode == "symbolic"
+    check_main_symbolic([(2, 2), (2, 3), (3, 2)])
 
 
 def test_main_identity_trivial_families():
-    for s, n in [(1, 4), (4, 1), (1, 1), (5, 1), (1, 5)]:
-        report = verify_main(s, n)
-        assert report.equal, (s, n)
+    check_main_symbolic([(1, 4), (4, 1), (1, 1), (5, 1), (1, 5)])
+
+
+def check_main_numeric(seeds):
+    """The main identity holds at each seed's sample, at three sizes."""
+    for s, n in [(3, 3), (4, 2), (2, 4)]:
+        for seed in seeds:
+            report = verify_main(s, n, mode="numeric", seed=seed)
+            assert report.equal, (s, n, seed)
+            assert report.seed == seed and report.mode == "numeric"
 
 
 def test_main_identity_numeric():
-    for s, n in [(3, 3), (4, 2), (2, 4)]:
-        report = verify_main(s, n, mode="numeric", seed=99)
-        assert report.equal, (s, n)
-        assert report.seed == 99 and report.mode == "numeric"
+    check_main_numeric([99])
 
 
 def test_symbolic_envelope_gate():
@@ -230,49 +230,37 @@ def test_column_swap_flips_compound_determinant():
     assert det(swapped) == -d
 
 
-def test_gram_colored_worked_example():
-    report = verify_gram(3, 2)
+# T at the worked size (3, 2), colored and pinned at k0 = 1: its sign, zero
+# pattern and factor multiplicities
+GRAM_WORKED = {
+    None: (-1, ["***...", ".*....", "..*...", "...**.", "....*.", ".....*"],
+           {"{1,2,3,5}": 1, "{1,3,4,5}": 2, "{1,3,5,6}": 3}),
+    1: (1, ["***.*.", ".*.**.", "..*.**", "...*..", "....*.", ".....*"],
+        {"{1,2,3,5}": 1, "{1,3,4,5}": 1, "{1,3,5,6}": 1,
+         "{2,3,4,5}": 1, "{3,4,5,6}": 1, "{2,3,5,6}": 1}),
+}
+
+
+def check_gram_worked_example(k0):
+    """verify_gram at (3, 2) and k0 gives the report GRAM_WORKED freezes."""
+    sign, pattern, multiplicity = GRAM_WORKED[k0]
+    report = verify_gram(3, 2, k0=k0)
     assert report.equal
-    assert report.sign == -1
-    assert report.detail["variant"] == "colored"
-    assert report.detail["zero_pattern"] == [
-        "***...",
-        ".*....",
-        "..*...",
-        "...**.",
-        "....*.",
-        ".....*",
-    ]
-    assert report.detail["factor_multiplicity"] == {
-        "{1,2,3,5}": 1,
-        "{1,3,4,5}": 2,
-        "{1,3,5,6}": 3,
-    }
+    assert report.sign == sign
+    assert report.detail["variant"] == ("colored" if k0 is None else "pinned")
+    assert report.detail.get("k") == k0
+    assert report.detail["entry_identity_ok"]
+    assert report.detail["zero_pattern"] == pattern
+    assert report.detail["factor_multiplicity"] == multiplicity
     assert report.detail["unique_support_permutation"]
 
 
+def test_gram_colored_worked_example():
+    check_gram_worked_example(None)
+
+
 def test_gram_pinned_worked_example():
-    report = verify_gram(3, 2, k0=1)
-    assert report.equal
-    assert report.sign == 1
-    assert report.detail["variant"] == "pinned"
-    assert report.detail["k"] == 1
-    assert report.detail["zero_pattern"] == [
-        "***.*.",
-        ".*.**.",
-        "..*.**",
-        "...*..",
-        "....*.",
-        ".....*",
-    ]
-    assert report.detail["factor_multiplicity"] == {
-        "{1,2,3,5}": 1,
-        "{1,3,4,5}": 1,
-        "{1,3,5,6}": 1,
-        "{2,3,4,5}": 1,
-        "{3,4,5,6}": 1,
-        "{2,3,5,6}": 1,
-    }
+    check_gram_worked_example(1)
 
 
 def test_gram_other_sizes_and_modes():
@@ -349,11 +337,7 @@ def test_gram_entry_failure_names_the_first_bad_cell(monkeypatch, call, cell):
     assert report.detail["first_bad_cell"] == cell
     # a bad entry leaves the diagonal and its support intact
     assert report.sign == -1
-    assert report.detail["factor_multiplicity"] == {
-        "{1,2,3,5}": 1,
-        "{1,3,4,5}": 2,
-        "{1,3,5,6}": 3,
-    }
+    assert report.detail["factor_multiplicity"] == GRAM_WORKED[None][2]
     assert report.detail["unique_support_permutation"] is True
     assert report.detail["det_method"] is None
 
@@ -436,14 +420,20 @@ def test_gram_support_with_a_second_permutation_is_unequal(monkeypatch, capsys):
     assert report["detail"]["det_method"] is None
 
 
-def test_sylvester_identity():
-    for s, n in [(2, 1), (3, 2), (3, 3), (4, 2)]:
+def check_sylvester(symbolic_sizes, numeric_sizes, seed):
+    """The power law holds symbolically, with its exponent, at each of
+    symbolic_sizes, and at the seed's sample at each of numeric_sizes."""
+    for s, n in symbolic_sizes:
         report = verify_sylvester(s, n)
         assert report.equal, (s, n)
         assert report.detail["exponent"] == comb(s - 1, n - 1)
-    for s, n in [(4, 3), (5, 2), (5, 4)]:
-        report = verify_sylvester(s, n, mode="numeric", seed=21)
+    for s, n in numeric_sizes:
+        report = verify_sylvester(s, n, mode="numeric", seed=seed)
         assert report.equal, (s, n)
+
+
+def test_sylvester_identity():
+    check_sylvester([(2, 1), (3, 2), (3, 3), (4, 2)], [(4, 3), (5, 2), (5, 4)], seed=21)
     with pytest.raises(CapabilityError):
         verify_sylvester(5, 2)
     with pytest.raises(UsageError):
@@ -459,10 +449,15 @@ def test_degree_balance_small_grid():
             assert n * comb(s + n - 1, n) == (s + n - 1) * comb(s + n - 2, n - 1)
 
 
-def test_leading_term_specialization():
-    for s, n in [(1, 4), (4, 1), (2, 2), (3, 2), (2, 3)]:
+def check_leading_term(sizes):
+    """The leading term and its coefficient one match at each size."""
+    for s, n in sizes:
         report = verify_leading_term(s, n)
         assert report.equal, (s, n)
+
+
+def test_leading_term_specialization():
+    check_leading_term([(1, 4), (4, 1), (2, 2), (3, 2), (2, 3)])
 
 
 def test_numeric_reports_record_the_seed_they_sampled_with():

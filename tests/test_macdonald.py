@@ -93,29 +93,40 @@ def test_basis_matches_monomial_route_gram_schmidt():
                 assert p_to_m(macdonald_P(lam, q, t)) == expected, lam
 
 
+def check_triangularity(q, t):
+    """Each P_lam of weight at most 5 is monic and dominance-triangular."""
+    for weight in range(0, 6):
+        for lam in partitions_of(weight):
+            p = p_to_m(macdonald_P(lam, q, t))
+            assert p[lam] == 1
+            for mu, coeff in p.items():
+                if coeff:
+                    assert dominance_leq(mu, lam), (lam, mu)
+
+
 def test_triangularity_in_dominance_order():
     for q, t in QT_SAMPLES[:2]:
-        for weight in range(0, 6):
-            for lam in partitions_of(weight):
-                p = p_to_m(macdonald_P(lam, q, t))
-                assert p[lam] == 1
-                for mu, coeff in p.items():
-                    if coeff:
-                        assert dominance_leq(mu, lam), (lam, mu)
+        check_triangularity(q, t)
+
+
+def check_orthogonality(q, t):
+    """Distinct P_lam of one weight up to 5 are orthogonal, and each has a
+    positive norm."""
+    for weight in range(1, 6):
+        parts = partitions_of(weight)
+        basis = {lam: p_to_m(macdonald_P(lam, q, t)) for lam in parts}
+        for lam in parts:
+            for mu in parts:
+                ip = inner_product_m(basis[lam], basis[mu], weight, q, t)
+                if lam == mu:
+                    assert ip > 0
+                else:
+                    assert ip == 0
 
 
 def test_orthogonality_of_distinct_rows():
     for q, t in QT_SAMPLES[:2]:
-        for weight in range(1, 6):
-            parts = partitions_of(weight)
-            basis = {lam: p_to_m(macdonald_P(lam, q, t)) for lam in parts}
-            for lam in parts:
-                for mu in parts:
-                    ip = inner_product_m(basis[lam], basis[mu], weight, q, t)
-                    if lam == mu:
-                        assert ip > 0
-                    else:
-                        assert ip == 0
+        check_orthogonality(q, t)
 
 
 def test_dual_pairing_is_unitriangular():

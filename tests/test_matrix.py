@@ -23,7 +23,7 @@ from unittest import mock
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import det_bareiss_reference, evaluate, leibniz_det, submatrix
+from oracles import det_bareiss_reference, evaluate, leibniz_det, plain_dot, submatrix
 
 from compdet import cli, pmatrix
 from compdet.errors import CapabilityError, UsageError
@@ -42,23 +42,26 @@ from compdet.pmatrix import (
 from compdet.sampling import SplitMix64
 
 
-def random_constant_matrix(size, rng):
+def random_constant_matrix(size, rng, dens=1 << 8):
     rows = []
     for _ in range(size):
         row = []
         for _ in range(size):
             num = rng.next_below(1 << 16) - (1 << 15)
-            den = rng.next_below(1 << 8) + 1
+            den = rng.next_below(dens) + 1
             row.append(LaurentPoly.const(0, Fraction(num, den)))
         rows.append(row)
     return rows
 
 
-def test_determinant_algorithms_agree_on_random_matrices():
-    rng = SplitMix64(20240817)
+def check_determinant_algorithms_agree(seed, dens=1 << 8):
+    """Every determinant algorithm matches the permutation sum on 200
+    random matrices of sizes 2 to 5, drawn from SplitMix64(seed) with
+    denominators from 1 to dens."""
+    rng = SplitMix64(seed)
     for trial in range(200):
         size = 2 + trial % 4  # sizes 2..5
-        m = random_constant_matrix(size, rng)
+        m = random_constant_matrix(size, rng, dens)
         reference = leibniz_det([[m[i][j] for j in range(size)] for i in range(size)])
         ff = det_fraction_free(m)
         mx = det_minor_expansion(m)
@@ -70,6 +73,10 @@ def test_determinant_algorithms_agree_on_random_matrices():
             [[m[i][j].coefficient(()) for j in range(size)] for i in range(size)]
         )
         assert reference == plain
+
+
+def test_determinant_algorithms_agree_on_random_matrices():
+    check_determinant_algorithms_agree(20240817)
 
 
 def test_determinant_algorithms_agree_symbolically():
@@ -99,11 +106,6 @@ def test_cofactor_bound_enforced():
     m = random_constant_matrix(5, SplitMix64(7))
     with pytest.raises(CapabilityError):
         det_cofactor(m, bound=4)
-
-
-def plain_dot(xs, ys):
-    """The plain sum of products of paired entries, in either ring."""
-    return sum((a * b for a, b in zip(xs, ys)), Fraction(0))
 
 
 def test_dot_matches_a_plain_sum():
